@@ -44,9 +44,6 @@ run() {
 }
 
 # Table/figure benches take the scale as their single positional argument.
-run table1_cycle_overhead "${scale}"
-run fig6_miss_rate "${scale}"
-run workload_blocks "${scale}"
 run fault_detection "${scale}"
 run ablation_hash "${scale}"
 run ablation_os_cost "${scale}"
@@ -64,7 +61,7 @@ run cicmon workloads
 
 # Engine A/B at smoke scale: the threaded engine (fused handlers behind the
 # tamper-safe translation cache) must reproduce the switch interpreter's
-# stdout byte for byte. The full engine x cache x dispatch grid runs in the
+# stdout byte for byte. The larger sweeps and per-site campaigns run in the
 # engine-determinism CI job; this catches a broken engine flag or an
 # obviously diverging handler in every smoke pass.
 echo "--- cicmon engine A/B (switch vs threaded)"
@@ -81,39 +78,6 @@ for sub in "table1 --scale ${scale}" \
   fi
 done
 rm -rf "${engine_dir}"
-
-# Chaining A/B: superblock chaining is a pure execution strategy, so
-# --chain on vs off must byte-diff clean on stdout; the wall-clock split is
-# recorded from two cicmon-bench-v1 docs (best-of-3 to shave scheduler
-# noise at smoke scale). The full chain axis runs in the engine-determinism
-# CI job; this catches a broken --chain flag or a diverging link path.
-echo "--- cicmon chaining A/B (chain on vs off)"
-chain_dir=$(mktemp -d)
-for sub in "table1 --scale ${scale}" \
-           "campaign --workload bitcount --scale 0.02 --trials 50"; do
-  if ! ${build_dir}/cicmon ${sub} --engine threaded --chain on 2> /dev/null \
-         > "${chain_dir}/on.txt" ||
-     ! ${build_dir}/cicmon ${sub} --engine threaded --chain off 2> /dev/null \
-         > "${chain_dir}/off.txt" ||
-     ! diff "${chain_dir}/on.txt" "${chain_dir}/off.txt"; then
-    echo "--- cicmon ${sub%% *}: chain on/off diverge or failed" >&2
-    failures=$((failures + 1))
-  fi
-done
-if ! ${build_dir}/cicmon bench --scale "${scale}" --engine threaded --best-of 3 \
-       --chain on --json "${chain_dir}/bench_chain_on.json" > /dev/null ||
-   ! ${build_dir}/cicmon bench --scale "${scale}" --engine threaded --best-of 3 \
-       --chain off --json "${chain_dir}/bench_chain_off.json" > /dev/null ||
-   ! grep -q '"chain": "on"' "${chain_dir}/bench_chain_on.json" ||
-   ! grep -q '"chain": "off"' "${chain_dir}/bench_chain_off.json"; then
-  echo "--- cicmon bench --chain: missing or mistagged bench docs" >&2
-  failures=$((failures + 1))
-else
-  on_mips=$(grep -o '"aggregate_mips": [0-9.]*' "${chain_dir}/bench_chain_on.json" | tail -1)
-  off_mips=$(grep -o '"aggregate_mips": [0-9.]*' "${chain_dir}/bench_chain_off.json" | tail -1)
-  echo "    chain on ${on_mips#*: } MIPS, chain off ${off_mips#*: } MIPS (best of 3)"
-fi
-rm -rf "${chain_dir}"
 
 # The machine-readable bench output must exist and carry its schema tag.
 if [[ -x ${build_dir}/cicmon ]]; then

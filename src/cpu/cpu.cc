@@ -6,15 +6,6 @@
 #include "support/bitops.h"
 #include "support/error.h"
 
-// Computed-goto threaded dispatch needs the GNU labels-as-values extension;
-// CICMON_NO_COMPUTED_GOTO force-selects the devirtualized handler-table
-// fallback so CI can keep that path compiled and byte-identical.
-#if defined(__GNUC__) && !defined(CICMON_NO_COMPUTED_GOTO)
-#define CICMON_THREADED_COMPUTED_GOTO 1
-#else
-#define CICMON_THREADED_COMPUTED_GOTO 0
-#endif
-
 namespace cicmon::cpu {
 namespace {
 
@@ -24,8 +15,6 @@ Engine g_default_engine =
 #else
     Engine::kSwitch;
 #endif
-bool g_default_translate_cache = true;
-bool g_default_chain = true;
 
 constexpr unsigned kV0 = 2;
 constexpr unsigned kA0 = 4;
@@ -77,14 +66,6 @@ Engine default_engine() { return g_default_engine; }
 
 void set_default_engine(Engine engine) { g_default_engine = engine; }
 
-bool default_translate_cache() { return g_default_translate_cache; }
-
-void set_default_translate_cache(bool enabled) { g_default_translate_cache = enabled; }
-
-bool default_chain() { return g_default_chain; }
-
-void set_default_chain(bool enabled) { g_default_chain = enabled; }
-
 std::string_view engine_name(Engine engine) {
   return engine == Engine::kThreaded ? "threaded" : "switch";
 }
@@ -129,14 +110,11 @@ Cpu::Cpu(const CpuConfig& config, const casm_::Image& image, const LoadedImage* 
   gpr_[isa::kGp] = image.data_base;
   text_base_ = image.text_base;
   text_end_ = image.text_end();
-  if (config_.predecode_cache) {
-    predecode_.resize((text_end_ - text_base_) / 4);
-  }
+  predecode_.resize((text_end_ - text_base_) / 4);
   fast_fetch_ = is_canonical_fetch(spec_->fetch, spec_->monitoring_embedded);
   if (config_.engine == Engine::kThreaded && fast_fetch_) {
     fused_ = uop::build_fused_table(*spec_);
-    tcache_ = std::make_unique<uop::TranslationCache>(text_base_, text_end_,
-                                                      config_.translate_cache);
+    tcache_ = std::make_unique<uop::TranslationCache>(text_base_, text_end_, true);
     threaded_ = true;
   }
 }
@@ -400,30 +378,47 @@ void Cpu::account_hazards(const isa::Instruction& instr) {
   }
 }
 
+template <uop::FusedKind K, bool kBatched>
 void Cpu::account_hazards_entry(const uop::TransEntry& e) {
-  // account_hazards against the metadata precomputed at translation time.
-  // Fused kinds always carry a valid instruction, so the valid() branch of
-  // the generic version is folded into the precompute (invalid words travel
-  // through the interpreter as kGeneric / kIllegal).
-  if (pc_redirected_ && config_.timing.frontend_stages > 1) {
-    const std::uint64_t bubble = config_.timing.frontend_stages - 1;
-    result_.cycles += bubble;
-    result_.branch_bubbles += bubble;
+  // account_hazards against the metadata precomputed at translation time,
+  // after entry `e` retired. Fused kinds always carry a valid instruction,
+  // so the valid() branch of the generic version is folded into the
+  // precompute (invalid words travel through the interpreter as kGeneric /
+  // kIllegal). A batched entry charges its stalls to batch_extra_ and runs
+  // the latency model on batched_cycles (== what result_.cycles would be
+  // here unbatched); the breakdown counters are exact either way.
+  using FK = uop::FusedKind;
+  std::uint64_t& stall_clock = kBatched ? batch_extra_ : result_.cycles;
+  if constexpr (!kBatched) {
+    // Straight-line kinds never redirect, and a batched prologue leaves
+    // pc_redirected_ as the previous block's terminator set it.
+    if (pc_redirected_ && config_.timing.frontend_stages > 1) {
+      const std::uint64_t bubble = config_.timing.frontend_stages - 1;
+      stall_clock += bubble;
+      result_.branch_bubbles += bubble;
+    }
   }
   if (prev_load_dst_ != 0 &&
       (prev_load_dst_ == e.early_a || prev_load_dst_ == e.early_b)) {
-    result_.cycles += config_.timing.load_use_stall;
+    stall_clock += config_.timing.load_use_stall;
     result_.load_use_stalls += config_.timing.load_use_stall;
   }
   prev_load_dst_ = e.load_dst;
-  if (e.muldiv_lat != 0) {
-    hilo_ready_cycle_ = result_.cycles + (e.muldiv_lat == 2 ? config_.timing.div_latency
-                                                            : config_.timing.mult_latency);
+  // make_entry derives muldiv_lat and is_mfhilo from the decoded mnemonic:
+  // only mult/div entries (kMulDiv) carry a latency and only mfhi/mflo
+  // entries (kHiLoRead) wait for it.
+  if constexpr (K == FK::kMulDiv) {
+    const std::uint64_t now = kBatched ? batched_cycles(&e) : result_.cycles;
+    hilo_ready_cycle_ = now + (e.muldiv_lat == 2 ? config_.timing.div_latency
+                                                 : config_.timing.mult_latency);
   }
-  if (e.is_mfhilo && result_.cycles < hilo_ready_cycle_) {
-    const std::uint64_t stall = hilo_ready_cycle_ - result_.cycles;
-    result_.cycles += stall;
-    result_.muldiv_stalls += stall;
+  if constexpr (K == FK::kHiLoRead) {
+    if (const std::uint64_t now = kBatched ? batched_cycles(&e) : result_.cycles;
+        e.is_mfhilo && now < hilo_ready_cycle_) {
+      const std::uint64_t stall = hilo_ready_cycle_ - now;
+      stall_clock += stall;
+      result_.muldiv_stalls += stall;
+    }
   }
 }
 
@@ -468,24 +463,17 @@ std::optional<RunResult> Cpu::execute_next() {
 
   // Predecode cache: tagged by the word the pipeline actually carries, so
   // any tampered or refetched-differently word misses and decodes fresh.
-  const uop::InstrUops* program;
-  if (!predecode_.empty()) {
-    ++predecode_lookups_;
-    Predecoded& slot = predecode_[(addr - text_base_) / 4];
-    if (slot.program == nullptr || slot.word != word) {
-      ++predecode_misses_;
-      slot.word = word;
-      slot.instr = isa::decode(word);
-      slot.program = &spec_->program(slot.instr.mnemonic);
-    }
-    ctx_.instr = slot.instr;
-    program = slot.program;
-  } else {
-    ctx_.instr = isa::decode(word);
-    program = &spec_->program(ctx_.instr.mnemonic);
+  ++predecode_lookups_;
+  Predecoded& slot = predecode_[(addr - text_base_) / 4];
+  if (slot.program == nullptr || slot.word != word) {
+    ++predecode_misses_;
+    slot.word = word;
+    slot.instr = isa::decode(word);
+    slot.program = &spec_->program(slot.instr.mnemonic);
   }
+  ctx_.instr = slot.instr;
 
-  if (exec_stages(program) == ExecStatus::kTerminated) return finish_result();
+  if (exec_stages(slot.program) == ExecStatus::kTerminated) return finish_result();
   return std::nullopt;  // retired or rolled back; either way, still running
 }
 
@@ -538,12 +526,10 @@ void Cpu::publish_metrics() const {
   static const obs::CounterId k_tcache_mismatches = obs::counter("engine.tcache.mismatches");
   obs::bump(k_runs);
   obs::bump(k_instructions, result_.instructions);
-  if (!predecode_.empty()) {
-    // Lookups are a plain member increment in step(); the obs registry only
-    // sees the per-run totals.
-    obs::bump(k_predecode_misses, predecode_misses_);
-    obs::bump(k_predecode_hits, predecode_lookups_ - predecode_misses_);
-  }
+  // Lookups are a plain member increment in step(); the obs registry only
+  // sees the per-run totals.
+  obs::bump(k_predecode_misses, predecode_misses_);
+  obs::bump(k_predecode_hits, predecode_lookups_ - predecode_misses_);
   if (tcache_ != nullptr) {
     static const obs::CounterId k_chain_follows = obs::counter("engine.chain.follows");
     static const obs::CounterId k_chain_breaks = obs::counter("engine.chain.breaks");
@@ -637,21 +623,28 @@ Cpu::FusedFlow Cpu::tampered_entry(std::uint32_t word) {
              : FusedFlow::kRestart;
 }
 
-template <uop::FusedKind K>
-Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
+template <uop::FusedKind K, bool kBatched>
+Cpu::FusedFlow Cpu::fused(const uop::TransEntry& e) {
   using FK = uop::FusedKind;
+  static_assert(!kBatched || !uop::is_block_terminator(K));
 
   // Prologue: step()'s exact per-instruction order. Mid-block entries skip
   // the wild-PC check only — non-terminators never redirect, and translation
   // never crosses the text end, so e.addr is always a valid text address.
-  if (result_.instructions >= limit_) {
-    stop_in_block(e);
-    return FusedFlow::kDone;
-  }
-  ctx_.instr_addr = e.addr;
-  if (config_.recovery.enabled && config_.monitoring &&
-      special_[sp(uop::SpecialReg::kSta)] == 0) {
-    checkpoint_block(e.addr);
+  // A batched entry skips the watchdog, checkpoint and post-ID checks: the
+  // per-block precheck in run_threaded proved the watchdog (or a run_until
+  // pause) cannot trip inside the straight-line run, no post-ID fault lands
+  // on one of its dynamic indices, and recovery checkpointing is off.
+  if constexpr (!kBatched) {
+    if (result_.instructions >= limit_) {
+      stop_in_block(e);
+      return FusedFlow::kDone;
+    }
+    ctx_.instr_addr = e.addr;
+    if (config_.recovery.enabled && config_.monitoring &&
+        special_[sp(uop::SpecialReg::kSta)] == 0) {
+      checkpoint_block(e.addr);
+    }
   }
   // IF: the real fetch path (bus, I-cache, hash step), exactly as step()
   // runs it. Fused kinds never read the IF temps, so the specialized path
@@ -676,13 +669,16 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
       special_[sp(uop::SpecialReg::kRhash)] = new_hash;
     }
   }
-  const std::uint64_t icache_stall = fetch_.take_stall_cycles();
-  result_.cycles += icache_stall;
-  result_.icache_stall_cycles += icache_stall;
+  if (const std::uint64_t icache_stall = fetch_.take_stall_cycles(); icache_stall != 0) {
+    (kBatched ? batch_extra_ : result_.cycles) += icache_stall;
+    result_.icache_stall_cycles += icache_stall;
+  }
 
   [[maybe_unused]] const std::uint32_t clean_word = word;
-  if (post_id_fault_.has_value() && result_.instructions == post_id_fault_->index) {
-    word ^= post_id_fault_->xor_mask;
+  if constexpr (!kBatched) {
+    if (post_id_fault_.has_value() && result_.instructions == post_id_fault_->index) {
+      word ^= post_id_fault_->xor_mask;
+    }
   }
   if (word != e.word) [[unlikely]] {
     if constexpr (K != FK::kGeneric) {
@@ -699,11 +695,21 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
         t[uop::MonitorTemps::kNewHash] = new_hash;
       }
     }
+    if constexpr (kBatched) {
+      // Fold the batched prefix into result_ (this entry has not retired).
+      ctx_.instr_addr = e.addr;
+      flush_batch(&e);
+    }
     return tampered_entry(word);
   }
 
-  special_[sp(uop::SpecialReg::kPpc)] = e.addr;
-  pc_redirected_ = false;
+  // Straight-line kinds never redirect, raise, or read PPC/instr_addr, so a
+  // batched entry skips these stores; stop_in_block restores both when a
+  // pause lands mid-block.
+  if constexpr (!kBatched) {
+    special_[sp(uop::SpecialReg::kPpc)] = e.addr;
+    pc_redirected_ = false;
+  }
 
   if constexpr (K == FK::kAluRR) {
     write_gpr(e.dst, uop::alu_eval(e.alu, gpr_[e.a], gpr_[e.b]));
@@ -748,7 +754,7 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
     if (e.link) write_gpr(e.dst, e.addr + 4);
     ++result_.instructions;
     ++result_.cycles;
-    account_hazards_entry(e);
+    account_hazards_entry<K, false>(e);
     // Direct edges report which way the block exited so the block loop can
     // follow (or install) the matching chain link; the indirect jump-register
     // edge always returns to the loop for a fresh lookup.
@@ -764,7 +770,7 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
     if (!running_) return FusedFlow::kDone;
     ++result_.instructions;
     ++result_.cycles;
-    account_hazards_entry(e);
+    account_hazards_entry<K, false>(e);
     return FusedFlow::kRestart;
   } else if constexpr (K == FK::kIllegal) {
     illegal_instruction();  // rolls the block back or terminates
@@ -784,15 +790,18 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
     return pc_redirected_ ? FusedFlow::kRestart : FusedFlow::kFall;
   }
 
-  // Straight-line kinds retire here and fall through to the next entry.
-  ++result_.instructions;
-  ++result_.cycles;
-  account_hazards_entry(e);
+  // Straight-line kinds retire here and fall through to the next entry; a
+  // batched entry leaves its retire and base cycle to flush_batch.
+  if constexpr (!kBatched) {
+    ++result_.instructions;
+    ++result_.cycles;
+  }
+  account_hazards_entry<K, kBatched>(e);
   return FusedFlow::kNext;
 }
 
 void Cpu::flush_batch(const uop::TransEntry* next) {
-  // Entries [batch_base_, next) retired through the fast handlers: one
+  // Entries [batch_base_, next) retired through the batched handlers: one
   // instruction and one base cycle each, plus the dynamic stalls (I-cache,
   // load-use, muldiv) accumulated in batch_extra_. The stat breakdown
   // counters (icache_stall_cycles, load_use_stalls, muldiv_stalls) were
@@ -805,111 +814,16 @@ void Cpu::flush_batch(const uop::TransEntry* next) {
 }
 
 std::uint64_t Cpu::batched_cycles(const uop::TransEntry* e) const {
-  // The cycle count the slow path would show right after entry `e` retires
-  // (base cycle per batched entry, dynamic stalls in batch_extra_) — the
-  // clock the muldiv latency model runs on.
+  // The cycle count the unbatched handler would show right after entry `e`
+  // retires (base cycle per batched entry, dynamic stalls in batch_extra_) —
+  // the clock the muldiv latency model runs on.
   return result_.cycles + static_cast<std::uint64_t>(e - batch_base_ + 1) + batch_extra_;
 }
 
-template <uop::FusedKind K>
-Cpu::FusedFlow Cpu::fused_fast(const uop::TransEntry& e) {
-  using FK = uop::FusedKind;
-  static_assert(!uop::is_block_terminator(K));
-
-  // Batched prologue. The per-block precheck in run_threaded proved the
-  // watchdog cannot trip inside the straight-line run, no post-ID fault
-  // lands on one of its dynamic indices, and recovery checkpointing is off;
-  // straight-line kinds never redirect, raise, or read PPC/instr_addr. So
-  // the per-entry watchdog/recovery/post-ID checks and the instr_addr/PPC/
-  // pc_redirected_ stores are all skipped. The real fetch path and the tag
-  // compare are NOT skipped — tamper safety stays per dynamic instruction.
-  const std::uint32_t word = fetch_.fetch(e.addr);
-  special_[sp(uop::SpecialReg::kIReg)] = word;
-  special_[sp(uop::SpecialReg::kCpc)] = e.addr + 4;
-  [[maybe_unused]] std::uint32_t sta_before = 0, old_hash = 0, new_hash = 0;
-  if (spec_->monitoring_embedded) {
-    sta_before = special_[sp(uop::SpecialReg::kSta)];
-    if (sta_before == 0) special_[sp(uop::SpecialReg::kSta)] = e.addr;
-    old_hash = special_[sp(uop::SpecialReg::kRhash)];
-    new_hash = cic_->hash_step(old_hash, word);
-    special_[sp(uop::SpecialReg::kRhash)] = new_hash;
-  }
-  if (const std::uint64_t icache_stall = fetch_.take_stall_cycles(); icache_stall != 0) {
-    batch_extra_ += icache_stall;
-    result_.icache_stall_cycles += icache_stall;
-  }
-
-  if (word != e.word) [[unlikely]] {
-    // Same fallback as the slow handler: rebuild the IF temps the fallback
-    // program may read, fold the batched prefix into result_ (this entry has
-    // not retired), and replay the word through the interpreter.
-    ctx_.instr_addr = e.addr;
-    auto& t = ctx_.temps;
-    t[0] = e.addr;
-    t[1] = word;
-    t[2] = 4;
-    t[3] = e.addr + 4;
-    if (spec_->monitoring_embedded) {
-      t[uop::MonitorTemps::kStartIf] = sta_before;
-      t[uop::MonitorTemps::kOldHash] = old_hash;
-      t[uop::MonitorTemps::kNewHash] = new_hash;
-    }
-    flush_batch(&e);
-    return tampered_entry(word);
-  }
-
-  if constexpr (K == FK::kAluRR) {
-    write_gpr(e.dst, uop::alu_eval(e.alu, gpr_[e.a], gpr_[e.b]));
-  } else if constexpr (K == FK::kAluRI) {
-    write_gpr(e.dst, uop::alu_eval(e.alu, gpr_[e.a], e.imm));
-  } else if constexpr (K == FK::kImmWrite) {
-    write_gpr(e.dst, e.imm);
-  } else if constexpr (K == FK::kLoad) {
-    write_gpr(e.dst, load(gpr_[e.a] + e.imm, e.width, e.sign_extend));
-  } else if constexpr (K == FK::kStore) {
-    store(gpr_[e.a] + e.imm, e.width, gpr_[e.b]);
-  } else if constexpr (K == FK::kMulDiv) {
-    const uop::HiLo r = uop::muldiv_eval(e.muldiv, gpr_[e.a], gpr_[e.b]);
-    special_[sp(uop::SpecialReg::kHi)] = r.hi;
-    special_[sp(uop::SpecialReg::kLo)] = r.lo;
-  } else if constexpr (K == FK::kHiLoRead) {
-    write_gpr(e.dst, special_[e.hilo]);
-  } else {
-    static_assert(K == FK::kHiLoWrite);
-    special_[e.hilo] = gpr_[e.a];
-  }
-
-  // account_hazards_entry against the deferred clock: stalls accumulate in
-  // batch_extra_, the latency model reads batched_cycles (== what the slow
-  // path's result_.cycles would be here), and the breakdown counters are
-  // exact. No redirect bubble: straight-line kinds never redirect.
-  if (prev_load_dst_ != 0 &&
-      (prev_load_dst_ == e.early_a || prev_load_dst_ == e.early_b)) {
-    batch_extra_ += config_.timing.load_use_stall;
-    result_.load_use_stalls += config_.timing.load_use_stall;
-  }
-  prev_load_dst_ = e.load_dst;
-  if constexpr (K == FK::kMulDiv) {
-    hilo_ready_cycle_ = batched_cycles(&e) + (e.muldiv_lat == 2 ? config_.timing.div_latency
-                                                                : config_.timing.mult_latency);
-  }
-  if constexpr (K == FK::kHiLoRead) {
-    if (const std::uint64_t now = batched_cycles(&e); e.is_mfhilo && now < hilo_ready_cycle_) {
-      const std::uint64_t stall = hilo_ready_cycle_ - now;
-      batch_extra_ += stall;
-      result_.muldiv_stalls += stall;
-    }
-  }
-  return FusedFlow::kNext;
-}
-
 std::optional<RunResult> Cpu::run_threaded() {
-  // Chaining requires a persistent cache: scratch blocks are re-used by the
-  // next translation, so disabled-cache mode never links.
-  const bool chain_on = config_.chain && tcache_->enabled();
   // Recovery checkpoints key on "STA == 0 at fetch", a per-instruction
-  // predicate the batched prologue elides — recovery runs force the slow
-  // handlers for every entry.
+  // predicate the batched prologue elides — recovery runs force the
+  // unbatched handlers for every entry.
   const bool slow_only = config_.recovery.enabled && config_.monitoring;
   // A direct-edge block exit whose successor was not yet linked: the link is
   // installed right after the next lookup/translate produces that successor.
@@ -927,148 +841,93 @@ std::optional<RunResult> Cpu::run_threaded() {
     if (block == nullptr) {
       // Translation peeks words straight out of memory: no bus traffic, no
       // I-cache fills, no hash folding. All architectural fetch effects
-      // happen per entry inside fused_step, through the real fetch path.
+      // happen per entry inside the fused handlers, through the real fetch
+      // path.
       block = tcache_->translate(
           addr, *spec_, fused_, [this](std::uint32_t a) { return memory_.read32(a); });
     }
     if (link_from != nullptr) {
       // chain() re-verifies that this block really is the recorded edge
       // target before installing the link.
-      if (chain_on) tcache_->chain(link_from, link_taken, block);
+      tcache_->chain(link_from, link_taken, block);
       link_from = nullptr;
     }
 
     FusedFlow flow = FusedFlow::kRestart;
     const uop::TransEntry* e;
-    bool use_fast;
+    bool use_batched;
   enter_block:
     cur_block_start_ = block->start;
     e = block->entries.data();
     // Batched accounting is only valid when nothing can interrupt the
     // straight-line prefix: the watchdog (or a run_until pause) must not
     // trip inside it, no post-ID fault may land on one of its dynamic
-    // indices, and recovery is off. The terminator always runs its slow
-    // handler, which re-checks everything against the flushed counters.
-    use_fast = !slow_only &&
-               result_.instructions + block->straight_len <= limit_ &&
-               (!post_id_fault_.has_value() ||
-                post_id_fault_->index < result_.instructions ||
-                post_id_fault_->index >= result_.instructions + block->straight_len);
+    // indices, and recovery is off. The terminator always runs its
+    // unbatched handler, which re-checks everything against the flushed
+    // counters.
+    use_batched = !slow_only &&
+                  result_.instructions + block->straight_len <= limit_ &&
+                  (!post_id_fault_.has_value() ||
+                   post_id_fault_->index < result_.instructions ||
+                   post_id_fault_->index >= result_.instructions + block->straight_len);
     batch_base_ = e;
 
-#if CICMON_THREADED_COMPUTED_GOTO
     {
-      // Threaded dispatch: each handler jumps straight to the next entry's
-      // handler. Blocks always end in a terminator entry (the translator
-      // force-converts capped tails to kGeneric), so ++e never runs off the
-      // end. Both label tables must match the FusedKind enumerator order.
-      static const void* const kSlowLabels[uop::kNumFusedKinds] = {
-          &&l_alu_rr,  &&l_alu_ri,    &&l_imm_write,  &&l_load,    &&l_store,
-          &&l_muldiv,  &&l_hilo_read, &&l_hilo_write, &&l_branch2, &&l_branch1,
-          &&l_jump,    &&l_jump_reg,  &&l_syscall,    &&l_illegal, &&l_generic};
-      // Fast table: batched handlers for the eight straight-line kinds; the
-      // seven terminator kinds detour through l_flush, which folds the batch
-      // into result_ and re-dispatches to the slow handler.
-      static const void* const kFastLabels[uop::kNumFusedKinds] = {
-          &&f_alu_rr,  &&f_alu_ri,    &&f_imm_write,  &&f_load,    &&f_store,
-          &&f_muldiv,  &&f_hilo_read, &&f_hilo_write, &&l_flush,   &&l_flush,
-          &&l_flush,   &&l_flush,     &&l_flush,      &&l_flush,   &&l_flush};
-      const void* const* labels = use_fast ? kFastLabels : kSlowLabels;
-      goto* labels[static_cast<unsigned>(e->kind)];
-#define CICMON_HANDLE(label, fn, fk)                                \
-  label:                                                            \
-  flow = fn<uop::FusedKind::fk>(*e);                                \
-  if (flow == FusedFlow::kNext) {                                   \
-    ++e;                                                            \
-    goto* labels[static_cast<unsigned>(e->kind)];                   \
-  }                                                                 \
-  goto block_done
-      CICMON_HANDLE(l_alu_rr, fused_step, kAluRR);
-      CICMON_HANDLE(l_alu_ri, fused_step, kAluRI);
-      CICMON_HANDLE(l_imm_write, fused_step, kImmWrite);
-      CICMON_HANDLE(l_load, fused_step, kLoad);
-      CICMON_HANDLE(l_store, fused_step, kStore);
-      CICMON_HANDLE(l_muldiv, fused_step, kMulDiv);
-      CICMON_HANDLE(l_hilo_read, fused_step, kHiLoRead);
-      CICMON_HANDLE(l_hilo_write, fused_step, kHiLoWrite);
-      CICMON_HANDLE(l_branch2, fused_step, kBranch2);
-      CICMON_HANDLE(l_branch1, fused_step, kBranch1);
-      CICMON_HANDLE(l_jump, fused_step, kJump);
-      CICMON_HANDLE(l_jump_reg, fused_step, kJumpReg);
-      CICMON_HANDLE(l_syscall, fused_step, kSyscall);
-      CICMON_HANDLE(l_illegal, fused_step, kIllegal);
-      CICMON_HANDLE(l_generic, fused_step, kGeneric);
-      CICMON_HANDLE(f_alu_rr, fused_fast, kAluRR);
-      CICMON_HANDLE(f_alu_ri, fused_fast, kAluRI);
-      CICMON_HANDLE(f_imm_write, fused_fast, kImmWrite);
-      CICMON_HANDLE(f_load, fused_fast, kLoad);
-      CICMON_HANDLE(f_store, fused_fast, kStore);
-      CICMON_HANDLE(f_muldiv, fused_fast, kMulDiv);
-      CICMON_HANDLE(f_hilo_read, fused_fast, kHiLoRead);
-      CICMON_HANDLE(f_hilo_write, fused_fast, kHiLoWrite);
-#undef CICMON_HANDLE
-    l_flush:
-      flush_batch(e);
-      goto* kSlowLabels[static_cast<unsigned>(e->kind)];
-    block_done:;
-    }
-#else
-    // Devirtualized fallback: handler tables over the same fused_step /
-    // fused_fast instantiations, so the two dispatch strategies cannot
-    // diverge.
-    {
+      // Handler-table dispatch, indexed by FusedKind. Blocks always end in a
+      // terminator entry (the translator force-converts capped tails to
+      // kGeneric), so ++e never runs off the end.
       using Handler = FusedFlow (Cpu::*)(const uop::TransEntry&);
-      static constexpr Handler kSlowHandlers[uop::kNumFusedKinds] = {
-          &Cpu::fused_step<uop::FusedKind::kAluRR>,
-          &Cpu::fused_step<uop::FusedKind::kAluRI>,
-          &Cpu::fused_step<uop::FusedKind::kImmWrite>,
-          &Cpu::fused_step<uop::FusedKind::kLoad>,
-          &Cpu::fused_step<uop::FusedKind::kStore>,
-          &Cpu::fused_step<uop::FusedKind::kMulDiv>,
-          &Cpu::fused_step<uop::FusedKind::kHiLoRead>,
-          &Cpu::fused_step<uop::FusedKind::kHiLoWrite>,
-          &Cpu::fused_step<uop::FusedKind::kBranch2>,
-          &Cpu::fused_step<uop::FusedKind::kBranch1>,
-          &Cpu::fused_step<uop::FusedKind::kJump>,
-          &Cpu::fused_step<uop::FusedKind::kJumpReg>,
-          &Cpu::fused_step<uop::FusedKind::kSyscall>,
-          &Cpu::fused_step<uop::FusedKind::kIllegal>,
-          &Cpu::fused_step<uop::FusedKind::kGeneric>};
-      // Fast handlers cover only the eight straight-line kinds (enumerator
-      // indices 0..7); terminators flush the batch and run slow.
-      static constexpr Handler kFastHandlers[8] = {
-          &Cpu::fused_fast<uop::FusedKind::kAluRR>,
-          &Cpu::fused_fast<uop::FusedKind::kAluRI>,
-          &Cpu::fused_fast<uop::FusedKind::kImmWrite>,
-          &Cpu::fused_fast<uop::FusedKind::kLoad>,
-          &Cpu::fused_fast<uop::FusedKind::kStore>,
-          &Cpu::fused_fast<uop::FusedKind::kMulDiv>,
-          &Cpu::fused_fast<uop::FusedKind::kHiLoRead>,
-          &Cpu::fused_fast<uop::FusedKind::kHiLoWrite>};
+      static constexpr Handler kHandlers[uop::kNumFusedKinds] = {
+          &Cpu::fused<uop::FusedKind::kAluRR, false>,
+          &Cpu::fused<uop::FusedKind::kAluRI, false>,
+          &Cpu::fused<uop::FusedKind::kImmWrite, false>,
+          &Cpu::fused<uop::FusedKind::kLoad, false>,
+          &Cpu::fused<uop::FusedKind::kStore, false>,
+          &Cpu::fused<uop::FusedKind::kMulDiv, false>,
+          &Cpu::fused<uop::FusedKind::kHiLoRead, false>,
+          &Cpu::fused<uop::FusedKind::kHiLoWrite, false>,
+          &Cpu::fused<uop::FusedKind::kBranch2, false>,
+          &Cpu::fused<uop::FusedKind::kBranch1, false>,
+          &Cpu::fused<uop::FusedKind::kJump, false>,
+          &Cpu::fused<uop::FusedKind::kJumpReg, false>,
+          &Cpu::fused<uop::FusedKind::kSyscall, false>,
+          &Cpu::fused<uop::FusedKind::kIllegal, false>,
+          &Cpu::fused<uop::FusedKind::kGeneric, false>};
+      // Batched handlers cover only the eight straight-line kinds
+      // (enumerator indices 0..7); terminators flush the batch and run
+      // unbatched.
+      static constexpr Handler kBatchedHandlers[8] = {
+          &Cpu::fused<uop::FusedKind::kAluRR, true>,
+          &Cpu::fused<uop::FusedKind::kAluRI, true>,
+          &Cpu::fused<uop::FusedKind::kImmWrite, true>,
+          &Cpu::fused<uop::FusedKind::kLoad, true>,
+          &Cpu::fused<uop::FusedKind::kStore, true>,
+          &Cpu::fused<uop::FusedKind::kMulDiv, true>,
+          &Cpu::fused<uop::FusedKind::kHiLoRead, true>,
+          &Cpu::fused<uop::FusedKind::kHiLoWrite, true>};
       for (;;) {
         const auto kind = static_cast<unsigned>(e->kind);
-        if (use_fast) {
+        if (use_batched) {
           if (uop::is_block_terminator(e->kind)) {
             flush_batch(e);
-            flow = (this->*kSlowHandlers[kind])(*e);
+            flow = (this->*kHandlers[kind])(*e);
           } else {
-            flow = (this->*kFastHandlers[kind])(*e);
+            flow = (this->*kBatchedHandlers[kind])(*e);
           }
         } else {
-          flow = (this->*kSlowHandlers[kind])(*e);
+          flow = (this->*kHandlers[kind])(*e);
         }
         if (flow != FusedFlow::kNext) break;
         ++e;
       }
     }
-#endif
 
     if (flow == FusedFlow::kTaken || flow == FusedFlow::kFall) {
       const bool taken = flow == FusedFlow::kTaken;
       uop::TranslatedBlock* next = taken ? block->taken : block->fall;
       if (next != nullptr) {
         // Chain follow: flow straight into the successor. The watchdog is
-        // covered by the per-block precheck plus the slow terminator
+        // covered by the per-block precheck plus the unbatched terminator
         // handlers, and the link target was verified to be a text address
         // when the edge was resolved — the outer loop's checks are
         // subsumed, not skipped.
@@ -1076,12 +935,10 @@ std::optional<RunResult> Cpu::run_threaded() {
         block = next;
         goto enter_block;
       }
-      if (chain_on) {
-        ++chain_breaks_;
-        if (taken ? block->has_taken : block->has_fall) {
-          link_from = block;
-          link_taken = taken;
-        }
+      ++chain_breaks_;
+      if (taken ? block->has_taken : block->has_fall) {
+        link_from = block;
+        link_taken = taken;
       }
     }
   }

@@ -53,24 +53,21 @@
 
 namespace cicmon::cpu {
 
-// Execution engine. kSwitch is the PR 2 predecode interpreter (per-uop
-// dispatch through execute_ops); kThreaded translates hot blocks into fused
-// superinstruction handlers behind the tamper-safe translation cache. Both
-// engines produce byte-identical results — the engine is a pure execution
-// strategy, like the predecode cache or the job count.
+// Execution engine. kSwitch is the predecode interpreter (per-uop dispatch
+// through execute_ops) and the reference oracle; kThreaded runs fused
+// superinstruction handlers over translated blocks, dispatched through a
+// handler table, with blocks cached, chained along verified direct edges and
+// retired with batched accounting. Both engines produce byte-identical
+// results — the engine is a pure execution strategy, like the job count.
 enum class Engine : std::uint8_t { kSwitch, kThreaded };
 
-// Process-wide defaults picked up by freshly constructed CpuConfig values.
+// Process-wide default picked up by freshly constructed CpuConfig values.
 // The sweep builders construct their configs deep inside per-cell lambdas, so
-// the CLI applies `--engine` / `--translate-cache` here once, before the
-// sweep is built. The built-in default is kThreaded in Release (NDEBUG)
-// builds and kSwitch in Debug builds.
+// the CLI applies `--engine` here once, before the sweep is built. The
+// built-in default is kThreaded in Release (NDEBUG) builds and kSwitch in
+// Debug builds.
 Engine default_engine();
 void set_default_engine(Engine engine);
-bool default_translate_cache();
-void set_default_translate_cache(bool enabled);
-bool default_chain();
-void set_default_chain(bool enabled);
 
 std::string_view engine_name(Engine engine);
 
@@ -106,24 +103,7 @@ struct CpuConfig {
   TimingConfig timing;
   RecoveryConfig recovery;
   std::uint64_t max_instructions = 200'000'000;  // watchdog for fault campaigns
-  // Per-text-address predecode cache, tagged by the raw fetched word. A tag
-  // match reuses the cached decode; any divergence of the fetched word (bus
-  // tamper, cache-resident flips, memory rewrites, post-ID faults) misses the
-  // tag and falls back to a fresh isa::decode, so every simulated result is
-  // byte-identical with the cache on or off. Off exists for A/B tests.
-  bool predecode_cache = true;
-  // Execution engine and its block-level translation cache. The translation
-  // cache is tagged per entry by the fetched word (same tamper-safety
-  // contract as the predecode cache); disabling it retranslates every block
-  // and exists for the same A/B byte-identity tests.
   Engine engine = default_engine();
-  bool translate_cache = default_translate_cache();
-  // Superblock chaining: cache verified taken/fall-through links between
-  // translated blocks so the threaded engine flows block-to-block without a
-  // dispatch-loop round trip. Pure execution strategy — byte-identical on or
-  // off; every link is severed when either endpoint invalidates (tamper
-  // safety). Off exists for the same A/B byte-identity tests.
-  bool chain = default_chain();
 };
 
 enum class ExitReason : std::uint8_t {
@@ -311,6 +291,7 @@ class Cpu final : private uop::Datapath {
   std::optional<RunResult> stop_at_limit();
   CICMON_HOT_INLINE void run_fetch_stage();
   CICMON_HOT_INLINE void account_hazards(const isa::Instruction& instr);
+  template <uop::FusedKind K, bool kBatched>
   CICMON_HOT_INLINE void account_hazards_entry(const uop::TransEntry& entry);
   void handle_pending_monitor_exception();
   void checkpoint_block(std::uint32_t block_start);
@@ -330,15 +311,14 @@ class Cpu final : private uop::Datapath {
   // redirect by a generic program, rollback, or tag mismatch handled), or
   // stop (program terminated).
   enum class FusedFlow : std::uint8_t { kNext, kTaken, kFall, kRestart, kDone };
-  template <uop::FusedKind K>
-  FusedFlow fused_step(const uop::TransEntry& entry);
-  // Batched-accounting twin of fused_step for the straight-line kinds only:
-  // skips the per-entry watchdog/recovery/post-ID checks (proven impossible
-  // by the per-block precheck in run_threaded) and defers the retire/cycle
-  // bump to flush_batch. The real fetch path and the tag compare are NOT
-  // skipped — tamper safety stays per dynamic instruction.
-  template <uop::FusedKind K>
-  FusedFlow fused_fast(const uop::TransEntry& entry);
+  // One dynamic instruction of kind K. The batched instantiation (straight-
+  // line kinds only) skips the per-entry watchdog/recovery/post-ID checks
+  // (proven impossible by the per-block precheck in run_threaded) and the
+  // PPC/redirect-flag stores, and defers the retire/cycle bump to
+  // flush_batch. The real fetch path and the tag compare are NOT skipped —
+  // tamper safety stays per dynamic instruction.
+  template <uop::FusedKind K, bool kBatched>
+  FusedFlow fused(const uop::TransEntry& entry);
   // Folds the batched straight-line prefix ending just before `next` into
   // result_ (one retired instruction and one base cycle per entry, plus the
   // accumulated dynamic stalls in batch_extra_).
@@ -346,7 +326,8 @@ class Cpu final : private uop::Datapath {
   // True cycle count after entry `e` retires, while its batch is unflushed.
   CICMON_HOT_INLINE std::uint64_t batched_cycles(const uop::TransEntry* e) const;
   FusedFlow tampered_entry(std::uint32_t word);
-  // fused_step reached limit_ before entry `e`: watchdog or run_until pause.
+  // An unbatched handler reached limit_ before entry `e`: watchdog or
+  // run_until pause.
   void stop_in_block(const uop::TransEntry& e);
   void monitor_block_end();
   std::optional<RunResult> run_threaded();
@@ -367,7 +348,10 @@ class Cpu final : private uop::Datapath {
   uop::ExecContext ctx_;
 
   // Predecode cache, one slot per text word, tagged by the raw fetched word
-  // (program == nullptr marks an empty slot).
+  // (program == nullptr marks an empty slot). A tag match reuses the cached
+  // decode; any divergence of the fetched word (bus tamper, cache-resident
+  // flips, memory rewrites, post-ID faults) misses the tag and decodes the
+  // word the pipeline actually carries.
   struct Predecoded {
     std::uint32_t word = 0;
     const uop::InstrUops* program = nullptr;

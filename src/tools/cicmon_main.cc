@@ -119,8 +119,6 @@ struct Options {
   // Empty = build-type default; kept as text so dispatch can forward the
   // explicit choice to its workers.
   std::string engine_flag;
-  std::string translate_cache_flag;
-  std::string chain_flag;
   // bench: repeat each cell's identical run N times, keep the fastest wall
   // clock (simulated results unchanged). Replaces the ad-hoc shell loops the
   // BENCH_*.json methodology used to script.
@@ -203,15 +201,6 @@ struct Options {
       "                   'switch' (the per-uop predecode interpreter); both\n"
       "                   produce byte-identical results (default: threaded in\n"
       "                   Release builds, switch in Debug builds)\n"
-      "  --translate-cache on|off\n"
-      "                   cache translated blocks (threaded engine only;\n"
-      "                   default on; off retranslates every block — exists\n"
-      "                   for A/B byte-identity checks)\n"
-      "  --chain on|off   chain translated blocks along verified direct edges\n"
-      "                   so the threaded engine flows block-to-block without\n"
-      "                   a dispatch-loop round trip (default on; links are\n"
-      "                   severed on any invalidation; off exists for A/B\n"
-      "                   byte-identity checks)\n"
       "  --best-of N      bench: repeat each cell's identical run N times and\n"
       "                   keep the fastest wall clock (default 1; simulated\n"
       "                   instruction/cycle payloads are unaffected)\n"
@@ -300,6 +289,15 @@ unsigned parse_count(const char* text, long lo, long hi) {
   return static_cast<unsigned>(value);
 }
 
+// Strict decimal number, finite only: converting an inf/nan duration to the
+// clock's integer representation is UB, and no workload has a nan scale.
+double parse_finite(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) usage(2);
+  return value;
+}
+
 // "; did you mean 'X'?" when `given` is plausibly a typo of a candidate —
 // the same one-edit-per-three-characters budget workloads::closest_workload
 // uses — otherwise an empty string. Shared by the unknown-subcommand and
@@ -323,14 +321,13 @@ std::string did_you_mean(std::string_view given, std::span<const std::string_vie
 constexpr std::array<std::string_view, 11> kCommands = {
     "table1", "fig6",  "blocks",    "bench", "campaign", "worker",
     "dispatch", "merge", "report", "workloads", "help"};
-constexpr std::array<std::string_view, 35> kFlags = {
+constexpr std::array<std::string_view, 33> kFlags = {
     "--scale", "--jobs",    "--entries", "--capacities", "--workload", "--site",
     "--bits",  "--trials",  "--seed",    "--monitor",    "--json",     "--shard",
     "--out",   "--force",   "--workers", "--shards",     "--transport", "--retries",
     "--timeout", "--dir",   "--quiet",   "--dry-run",    "--exec-per-shard", "--help",
-    "--engine", "--translate-cache", "--chain", "--best-of", "--checkpoints",
-    "--checkpoint-stride", "--golden-cache", "--ship-golden", "--trace", "--metrics",
-    "--metrics-out"};
+    "--engine", "--best-of", "--checkpoints", "--checkpoint-stride", "--golden-cache",
+    "--ship-golden", "--trace", "--metrics", "--metrics-out"};
 
 // `first` is the index of the first flag: 2 for `cicmon <cmd> ...`, 3 for
 // `cicmon dispatch <cmd> ...`.
@@ -343,7 +340,7 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
       return argv[++i];
     };
     if (flag == "--scale") {
-      options.scale = std::atof(value());
+      options.scale = parse_finite(value());
       if (options.scale <= 0.0) usage(2);
     } else if (flag == "--jobs") {
       char* end = nullptr;
@@ -365,7 +362,7 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
     } else if (flag == "--trials") {
       options.trials = parse_count(value(), 1, 100'000'000);
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
+      if (!support::parse_u64(value(), &options.seed)) usage(2);
     } else if (flag == "--monitor") {
       const std::string_view v = value();
       if (v != "on" && v != "off") usage(2);
@@ -388,15 +385,9 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
     } else if (flag == "--retries") {
       options.retries = parse_count(value(), 0, 1000);
     } else if (flag == "--timeout") {
-      const char* text = value();
-      char* end = nullptr;
-      options.timeout = std::strtod(text, &end);
-      // Finite only: converting an inf/nan duration to the clock's integer
-      // representation is UB (and 'no timeout' is spelled 0, not inf).
-      if (end == text || *end != '\0' || !std::isfinite(options.timeout) ||
-          options.timeout < 0) {
-        usage(2);
-      }
+      // 'No timeout' is spelled 0, not inf.
+      options.timeout = parse_finite(value());
+      if (options.timeout < 0) usage(2);
     } else if (flag == "--transport") {
       options.transport = value();
       if (options.transport.empty()) usage(2);
@@ -419,16 +410,6 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
         usage(2);
       }
       options.engine_flag = v;
-    } else if (flag == "--translate-cache") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      cpu::set_default_translate_cache(v == "on");
-      options.translate_cache_flag = v;
-    } else if (flag == "--chain") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      cpu::set_default_chain(v == "on");
-      options.chain_flag = v;
     } else if (flag == "--best-of") {
       options.best_of = parse_count(value(), 1, 1000);
     } else if (flag == "--checkpoints") {
@@ -436,11 +417,7 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
       if (v != "on" && v != "off") usage(2);
       options.checkpoints = v == "on";
     } else if (flag == "--checkpoint-stride") {
-      const char* text = value();
-      char* end = nullptr;
-      const unsigned long long stride = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0') usage(2);
-      options.checkpoint_stride = stride;
+      if (!support::parse_u64(value(), &options.checkpoint_stride)) usage(2);
     } else if (flag == "--golden-cache") {
       options.golden_cache = value();
       if (options.golden_cache.empty()) usage(2);
@@ -615,8 +592,6 @@ int write_bench_json(const std::string& path, double scale, unsigned jobs, unsig
   json.value_u64(best_of);
   json.key("engine");
   json.value(std::string(cpu::engine_name(cpu::default_engine())));
-  json.key("chain");
-  json.value(cpu::default_chain() ? "on" : "off");
   json.key("workloads");
   json.begin_array();
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -794,10 +769,9 @@ struct SweepBundle {
 };
 
 // The canonical golden-state identity: every parameter the derived golden
-// state depends on, and nothing else. Execution strategies (engine,
-// translate cache, jobs) are deliberately excluded — they never change the
-// golden state, so a cache or shipment produced under one strategy serves
-// every other.
+// state depends on, and nothing else. Execution strategies (engine, jobs)
+// are deliberately excluded — they never change the golden state, so a
+// cache or shipment produced under one strategy serves every other.
 std::string campaign_golden_key(const Options& options) {
   return fault::golden_key({
       {"workload", options.workload},
@@ -1097,12 +1071,6 @@ std::vector<std::string> worker_sweep_flags(std::string_view command, const Opti
   // dispatch runs the engine the user asked for.
   if (!options.engine_flag.empty()) {
     flags.insert(flags.end(), {"--engine", options.engine_flag});
-  }
-  if (!options.translate_cache_flag.empty()) {
-    flags.insert(flags.end(), {"--translate-cache", options.translate_cache_flag});
-  }
-  if (!options.chain_flag.empty()) {
-    flags.insert(flags.end(), {"--chain", options.chain_flag});
   }
   // best_of is a bench sweep parameter: workers must run the same repeat
   // count or their artifacts fail validation against the dispatch params.

@@ -26,9 +26,9 @@ namespace cicmon::uop {
 // uop_build.cc produce a handful of shapes parameterized by ALU op, operand
 // selectors, and widths, and the fused handlers carry those parameters.
 //
-// The enumerator order is load-bearing: the threaded engine's dispatch tables
-// (computed-goto labels and the devirtualized handler table) are indexed by
-// this value.
+// The enumerator order is load-bearing: the threaded engine's handler tables
+// are indexed by this value, and the batched table covers only the eight
+// straight-line kinds that come first.
 enum class FusedKind : std::uint8_t {
   kAluRR,      // GPR[dst] <- alu(GPR[a], GPR[b])        (alu_rrr, shift_var)
   kAluRI,      // GPR[dst] <- alu(GPR[a], imm)           (alu_imm, shift_imm)

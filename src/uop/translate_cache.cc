@@ -116,7 +116,6 @@ void TranslationCache::resolve_edges(TranslatedBlock* block) const {
 }
 
 void TranslationCache::chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to) {
-  if (!enabled_) return;
   if (taken_edge) {
     if (!from->has_taken || from->taken != nullptr || to->start != from->taken_target) return;
     from->taken = to;

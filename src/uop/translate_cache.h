@@ -25,11 +25,6 @@
 // link of the dying block first — a stale chain pointer into retranslated
 // text would be a correctness bug, not a slow path. Indirect edges
 // (jump-register, syscall, illegal) always return to the dispatch loop.
-//
-// Disabled mode (`CpuConfig::translate_cache = false`) translates every block
-// into a scratch slot and never caches: the A/B configuration for the
-// byte-identity tests, exactly like `predecode_cache = false`. Scratch blocks
-// are never chained (their storage is reused by the next translation).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +33,7 @@
 #include <vector>
 
 #include "isa/instruction.h"
+#include "support/error.h"
 #include "uop/threaded.h"
 #include "uop/uop.h"
 
@@ -111,24 +107,23 @@ class TranslationCache {
     std::uint64_t chain_severed = 0;  // chain links cut by invalidations
   };
 
-  TranslationCache(std::uint32_t text_base, std::uint32_t text_end, bool enabled)
-      : text_base_(text_base), text_end_(text_end), enabled_(enabled) {
-    if (enabled_) slots_.resize((text_end_ - text_base_) / 4);
+  // The cache always caches; `cache` must be true. The parameter stays
+  // because perfbench/layers.cc constructs TranslationCache(base, end, true).
+  TranslationCache(std::uint32_t text_base, std::uint32_t text_end, bool cache)
+      : text_base_(text_base), text_end_(text_end), slots_((text_end - text_base) / 4) {
+    support::check(cache, "TranslationCache has no uncached mode");
   }
 
-  // Returns the cached block starting at `addr`, or nullptr (always nullptr
-  // when caching is disabled — every block retranslates).
+  // Returns the cached block starting at `addr`, or nullptr.
   TranslatedBlock* lookup(std::uint32_t addr) {
-    if (!enabled_) return nullptr;
     TranslatedBlock* block = slots_[index(addr)].get();
     if (block != nullptr) ++stats_.hits;
     return block;
   }
 
   // Translates the block starting at `addr`, reading text words through
-  // `peek` (which must be free of architectural side effects), and returns
-  // it (cached, or scratch when caching is disabled). `addr` must be a valid
-  // text address.
+  // `peek` (which must be free of architectural side effects), caches it and
+  // returns it. `addr` must be a valid text address.
   template <typename PeekFn>
   TranslatedBlock* translate(std::uint32_t addr, const IsaUopSpec& spec,
                              const FusedTable& fused, PeekFn&& peek) {
@@ -146,10 +141,6 @@ class TranslationCache {
     }
     block.straight_len = static_cast<std::uint32_t>(block.entries.size() - 1);
     ++stats_.translations;
-    if (!enabled_) {
-      scratch_ = std::move(block);
-      return &scratch_;
-    }
     resolve_edges(&block);
     auto& slot = slots_[index(addr)];
     // A live block in this slot (it should have been invalidated first, but
@@ -161,8 +152,7 @@ class TranslationCache {
 
   // Links `from`'s taken or fall-through edge to `to`, after verifying that
   // the edge exists, is not already linked, and that `to` really is the
-  // block at the precomputed target address. No-op when caching is disabled
-  // (scratch blocks must never be linked — their storage is reused).
+  // block at the precomputed target address.
   void chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to);
 
   // Drops the block starting at `block_start` (a tag mismatched during its
@@ -171,7 +161,6 @@ class TranslationCache {
   // entry tags when they next execute.
   void invalidate(std::uint32_t block_start) {
     ++stats_.invalidations;
-    if (!enabled_) return;
     auto& slot = slots_[index(block_start)];
     if (slot != nullptr) {
       sever_links(slot.get());
@@ -179,7 +168,6 @@ class TranslationCache {
     }
   }
 
-  bool enabled() const { return enabled_; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -192,9 +180,7 @@ class TranslationCache {
 
   std::uint32_t text_base_;
   std::uint32_t text_end_;
-  bool enabled_;
   std::vector<std::unique_ptr<TranslatedBlock>> slots_;
-  TranslatedBlock scratch_;
   Stats stats_;
 };
 

@@ -446,153 +446,6 @@ TEST(Monitoring, PostIdFaultEscapesMonitor) {
   EXPECT_EQ(r.iht.mismatches, 0U);
 }
 
-// Every observable field that the experiment layers consume. Used to assert
-// the predecode cache never changes simulated behaviour.
-void expect_results_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.reason, b.reason);
-  EXPECT_EQ(a.exit_code, b.exit_code);
-  EXPECT_EQ(a.monitor_cause, b.monitor_cause);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.monitor_cycles, b.monitor_cycles);
-  EXPECT_EQ(a.branch_bubbles, b.branch_bubbles);
-  EXPECT_EQ(a.load_use_stalls, b.load_use_stalls);
-  EXPECT_EQ(a.muldiv_stalls, b.muldiv_stalls);
-  EXPECT_EQ(a.icache_stall_cycles, b.icache_stall_cycles);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.iht.lookups, b.iht.lookups);
-  EXPECT_EQ(a.iht.hits, b.iht.hits);
-  EXPECT_EQ(a.iht.misses, b.iht.misses);
-  EXPECT_EQ(a.iht.mismatches, b.iht.mismatches);
-  EXPECT_EQ(a.os.miss_exceptions, b.os.miss_exceptions);
-  EXPECT_EQ(a.os.mismatch_exceptions, b.os.mismatch_exceptions);
-  EXPECT_EQ(a.os.refills, b.os.refills);
-  EXPECT_EQ(a.os.records_loaded, b.os.records_loaded);
-  EXPECT_EQ(a.os.fht_probes, b.os.fht_probes);
-  EXPECT_EQ(a.os.cycles_charged, b.os.cycles_charged);
-  EXPECT_EQ(a.console, b.console);
-  EXPECT_EQ(a.check_observed, b.check_observed);
-  EXPECT_EQ(a.check_expected, b.check_expected);
-}
-
-casm_::Image checked_sum_loop() {
-  Asm a;
-  a.func("main");
-  a.li(kT0, 20);
-  a.li(kT1, 0);
-  Label loop = a.bound_label();
-  a.addu(kT1, kT1, kT0);
-  a.addiu(kT0, kT0, -1);
-  a.bnez(kT0, loop);
-  a.check_eq(kT1, 210);
-  a.sys_exit(0);
-  return a.finalize();
-}
-
-TEST(PredecodeCache, CleanMonitoredRunIdenticalOnAndOff) {
-  const casm_::Image image = checked_sum_loop();
-  CpuConfig on;
-  on.monitoring = true;
-  on.cic.iht_entries = 8;
-  CpuConfig off = on;
-  off.predecode_cache = false;
-  Cpu cached(on, image);
-  Cpu plain(off, image);
-  expect_results_identical(cached.run(), plain.run());
-}
-
-TEST(PredecodeCache, TextFlipDetectionIdenticalOnAndOff) {
-  // Flip a bit of the loop body *after* the first iterations populated the
-  // predecode cache would be ideal, but memory faults are injected before
-  // run(); what matters is that the cached entry for the clean word misses
-  // its tag once the corrupted word arrives and the detection results —
-  // latency (cycles), exit reason, IHT stats — stay bit-identical.
-  for (const bool cache_on : {true, false}) {
-    SCOPED_TRACE(cache_on ? "cache on" : "cache off");
-    const casm_::Image image = checked_sum_loop();
-    CpuConfig config;
-    config.monitoring = true;
-    config.cic.iht_entries = 8;
-    config.predecode_cache = cache_on;
-    Cpu cpu(config, image);
-    const std::uint32_t addr = casm_::kTextBase + 8;
-    cpu.memory().write32(addr, cpu.memory().read32(addr) ^ (1U << 11));  // rd bit: stays valid
-    const RunResult r = cpu.run();
-    EXPECT_EQ(r.reason, ExitReason::kMonitorTerminated);
-    EXPECT_NE(r.monitor_cause, os::TerminationCause::kNone);
-  }
-  // And field-by-field equality of the two tampered runs.
-  const casm_::Image image = checked_sum_loop();
-  CpuConfig on;
-  on.monitoring = true;
-  on.cic.iht_entries = 8;
-  CpuConfig off = on;
-  off.predecode_cache = false;
-  Cpu cached(on, image);
-  Cpu plain(off, image);
-  for (Cpu* cpu : {&cached, &plain}) {
-    const std::uint32_t addr = casm_::kTextBase + 8;
-    cpu->memory().write32(addr, cpu->memory().read32(addr) ^ (1U << 11));
-  }
-  expect_results_identical(cached.run(), plain.run());
-}
-
-// Bus tamper that corrupts one specific dynamic fetch — the cache-resident
-// copy (and any predecoded entry) saw the clean word.
-class OneShotTamper : public mem::BusTamper {
- public:
-  explicit OneShotTamper(std::uint64_t trigger, std::uint32_t mask)
-      : trigger_(trigger), mask_(mask) {}
-  std::uint32_t on_transfer(std::uint32_t, std::uint32_t word) override {
-    return transfers_++ == trigger_ ? word ^ mask_ : word;
-  }
-
- private:
-  std::uint64_t transfers_ = 0;
-  std::uint64_t trigger_;
-  std::uint32_t mask_;
-};
-
-TEST(PredecodeCache, BusTamperMidRunIdenticalOnAndOff) {
-  // The tampered word arrives at an address whose predecode slot already
-  // holds the clean decode: the tag mismatch must force a fresh decode, so
-  // the corrupted instruction executes (and is detected) exactly as without
-  // the cache.
-  const casm_::Image image = checked_sum_loop();
-  RunResult results[2];
-  for (const bool cache_on : {true, false}) {
-    CpuConfig config;
-    config.monitoring = true;
-    config.cic.iht_entries = 8;
-    config.predecode_cache = cache_on;
-    Cpu cpu(config, image);
-    OneShotTamper tamper(/*trigger=*/9, /*mask=*/1U << 11);  // mid-loop fetch
-    cpu.fetch_path().set_bus_tamper(&tamper);
-    results[cache_on ? 0 : 1] = cpu.run();
-  }
-  EXPECT_EQ(results[0].reason, ExitReason::kMonitorTerminated);
-  expect_results_identical(results[0], results[1]);
-}
-
-TEST(PredecodeCache, PostIdFaultIdenticalOnAndOff) {
-  // The post-ID XOR rewrites the word *after* the hash saw it; the predecode
-  // slot is keyed by the pipeline's post-fault word, so the A/B runs must
-  // agree on the (undetected) wrong-output outcome.
-  const casm_::Image image = checked_sum_loop();
-  RunResult results[2];
-  for (const bool cache_on : {true, false}) {
-    CpuConfig config;
-    config.monitoring = true;
-    config.cic.iht_entries = 8;
-    config.predecode_cache = cache_on;
-    Cpu cpu(config, image);
-    cpu.set_post_id_fault({4, 1U << 16});
-    results[cache_on ? 0 : 1] = cpu.run();
-  }
-  EXPECT_EQ(results[0].iht.mismatches, 0U);  // escaped the monitor (§3.2)
-  expect_results_identical(results[0], results[1]);
-}
-
 TEST(Monitoring, GprAndMemoryInspection) {
   Asm a;
   a.func("main");
@@ -607,7 +460,11 @@ TEST(Monitoring, GprAndMemoryInspection) {
 
 // A program long enough to cut mid-stream, with memory writes (snapshot
 // delta pages), console output and a self-check (both live in RunResult, so
-// a restore that lost either would fail the equality below).
+// a restore that lost either would fail the equality below). The loop body
+// is one straight-line run holding every straight-line fused kind, with
+// mfhi/mflo issued before the mult/div latency elapses, so a cut inside it
+// lands between batched entries whose stalls run on the batch-relative
+// muldiv clock.
 casm_::Image snapshot_program() {
   Asm a;
   a.data_symbol("acc");
@@ -619,6 +476,14 @@ casm_::Image snapshot_program() {
   a.lw(kT1, 0, kT2);
   a.addu(kT1, kT1, kT0);
   a.sw(kT1, 0, kT2);
+  a.mult(kT0, kT0);
+  a.mflo(kT3);  // t0 * t0, read before the mult latency elapses
+  a.div(kT3, kT0);
+  a.mfhi(kT4);  // remainder 0, read before the div latency elapses
+  a.mthi(kT3);
+  a.mtlo(kT4);
+  a.lui(kT5, 0x1234);
+  a.sll(kT5, kT5, 4);
   a.addiu(kT0, kT0, -1);
   a.bnez(kT0, loop);
   a.lw(kA0, 0, kT2);
@@ -714,15 +579,12 @@ TEST(RunUntil, PausedRunResumesToTheUninterruptedResult) {
   // mid-block, where the threaded engine retires a batched straight-line
   // prefix, included — and the paused state must be the one step() reaches
   // there (what golden snapshots record), and resuming must reproduce the
-  // uninterrupted RunResult, on both engines, chain on and off.
+  // uninterrupted RunResult, on both engines.
   const casm_::Image image = snapshot_program();
-  for (const auto& [engine, chain] :
-       {std::pair{Engine::kSwitch, true}, std::pair{Engine::kThreaded, true},
-        std::pair{Engine::kThreaded, false}}) {
+  for (const Engine engine : {Engine::kSwitch, Engine::kThreaded}) {
     for (const bool monitoring : {false, true}) {
       CpuConfig config;
       config.engine = engine;
-      config.chain = chain;
       config.monitoring = monitoring;
       config.cic.iht_entries = 8;
       const LoadedImage loaded = preload_image(config, image);
@@ -735,8 +597,7 @@ TEST(RunUntil, PausedRunResumesToTheUninterruptedResult) {
         ASSERT_FALSE(stepped.step().has_value());
         Snapshot at_cut;
         stepped.save_snapshot(&at_cut);
-        const std::string where = std::string(engine_name(engine)) + " chain " +
-                                  std::to_string(chain) + " monitor " +
+        const std::string where = std::string(engine_name(engine)) + " monitor " +
                                   std::to_string(monitoring) + " cut " + std::to_string(cut);
         Cpu paused(config, image, &loaded);
         ASSERT_FALSE(paused.run_until(cut).has_value()) << where;

@@ -846,6 +846,19 @@ TEST(Cli, WorkerKilledMidGoldenChunkIsReplacedAndStillMergesByteIdentical) {
       << read_file(dir + "/killed.err");
 }
 
+TEST(Cli, MalformedNumbersAreUsageErrors) {
+  // Every value must parse completely as a number in range. Lenient parsing
+  // ran nan/inf scales, read "12abc" as seed 12 and "-1" as seed 2^64 - 1.
+  const std::string cli = CICMON_CLI_PATH;
+  for (const std::string bad :
+       {"--scale nan", "--scale inf", "--scale 1x", "--seed banana", "--seed 12abc", "--seed -1",
+        "--checkpoint-stride -1"}) {
+    const int status = run_cli(cli + " campaign" + campaign_flags() + " " + bad +
+                               " > /dev/null 2> /dev/null");
+    EXPECT_EQ(support::describe_exit(status), "exit code 2") << bad;
+  }
+}
+
 TEST(Dispatch, PlanResolvesCountsAndSessionMode) {
   const exp::SweepSpec spec = synthetic_sweep(10);
   DispatchConfig config;

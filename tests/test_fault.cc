@@ -188,63 +188,30 @@ TEST(Campaign, ParallelDeterminismAcrossSitesOnRealWorkload) {
   }
 }
 
-TEST(Campaign, PredecodeCacheDoesNotChangeCampaignResults) {
-  // The tamper-safety contract of the decode cache, at campaign granularity:
-  // every outcome count must be bit-identical with the cache on and off,
-  // across the sites that corrupt fetched words in different places (memory
-  // rewrites, per-fetch bus flips, post-ID latch faults, cache-resident
-  // flips through a live I-cache).
-  const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
-  cpu::CpuConfig on = monitored_config();
-  on.icache.enabled = true;  // exercise the icache-line site too
-  cpu::CpuConfig off = on;
-  off.predecode_cache = false;
-  CampaignRunner cached(image, on);
-  CampaignRunner plain(image, off);
-  for (const FaultSite site :
-       {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kPostIdLatch,
-        FaultSite::kICacheLine}) {
-    const CampaignSummary a = cached.run_random(site, 1, 60, 13);
-    const CampaignSummary b = plain.run_random(site, 1, 60, 13);
-    EXPECT_TRUE(summaries_identical(a, b)) << fault_site_name(site);
-  }
-}
-
 TEST(Campaign, ThreadedEngineDoesNotChangeCampaignResults) {
   // The tamper-safety contract of the threaded engine at campaign
   // granularity: across every site that corrupts fetched words (memory
   // rewrites, per-fetch bus flips, post-ID latch faults, cache-resident
-  // flips through a live I-cache), the fused handlers and the block
+  // flips through a live I-cache), the fused handlers and the chained block
   // translation cache must reproduce the interpreter's outcome counts bit
-  // for bit — translation cache on or off, block chaining on or off (every
-  // injected fault that lands on a chained block must sever its links and
-  // replay through the interpreter identically).
+  // for bit (every injected fault that lands on a chained block must sever
+  // its links and replay through the interpreter identically). The
+  // interpreter decodes through its word-tagged predecode cache, so the
+  // same comparison holds that cache to the threaded engine's fresh decodes.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   cpu::CpuConfig interp = monitored_config();
   interp.icache.enabled = true;
   interp.engine = cpu::Engine::kSwitch;
   cpu::CpuConfig threaded = interp;
   threaded.engine = cpu::Engine::kThreaded;
-  threaded.translate_cache = true;
-  threaded.chain = true;
-  cpu::CpuConfig unchained = threaded;
-  unchained.chain = false;
-  cpu::CpuConfig uncached = threaded;
-  uncached.translate_cache = false;
   CampaignRunner a(image, interp);
   CampaignRunner b(image, threaded);
-  CampaignRunner b2(image, unchained);
-  CampaignRunner c(image, uncached);
   for (const FaultSite site :
        {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kPostIdLatch,
         FaultSite::kICacheLine}) {
     const CampaignSummary sa = a.run_random(site, 1, 60, 13);
     const CampaignSummary sb = b.run_random(site, 1, 60, 13);
-    const CampaignSummary sb2 = b2.run_random(site, 1, 60, 13);
-    const CampaignSummary sc = c.run_random(site, 1, 60, 13);
-    EXPECT_TRUE(summaries_identical(sa, sb)) << fault_site_name(site) << " (chained)";
-    EXPECT_TRUE(summaries_identical(sa, sb2)) << fault_site_name(site) << " (chain off)";
-    EXPECT_TRUE(summaries_identical(sa, sc)) << fault_site_name(site) << " (uncached)";
+    EXPECT_TRUE(summaries_identical(sa, sb)) << fault_site_name(site);
   }
 }
 
@@ -367,7 +334,7 @@ std::vector<FaultSpec> random_faults(const CampaignRunner& runner, const casm_::
 TEST(Convergence, EveryTrialMatchesFullReExecution) {
   // Convergence early-exit is a pure execution strategy: per trial, outcome
   // and exit reason must equal full re-execution (checkpoints off) on both
-  // engines, chain on and off, on two kernels and on both machines. The
+  // engines, on two kernels and on both machines. The
   // transient sites must actually re-converge somewhere (a single fetch-bus
   // flip is always caught on the monitored machine, so it converges only on
   // the unmonitored one); memory-text and icache-line corruption stays
@@ -391,12 +358,9 @@ TEST(Convergence, EveryTrialMatchesFullReExecution) {
       }
       EXPECT_EQ(reference.converged(), 0U);
       EXPECT_EQ(reference.convergence_checks(), 0U);
-      for (const auto& [engine, chain] :
-           {std::pair{cpu::Engine::kSwitch, true}, std::pair{cpu::Engine::kThreaded, true},
-            std::pair{cpu::Engine::kThreaded, false}}) {
+      for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
         cpu::CpuConfig config = reference_config;
         config.engine = engine;
-        config.chain = chain;
         const CampaignRunner runner(image, config);
         std::uint64_t stopped = 0;
         std::uint64_t skipped = 0;
@@ -409,7 +373,7 @@ TEST(Convergence, EveryTrialMatchesFullReExecution) {
             EXPECT_EQ(got.outcome, want.outcome)
                 << kernel << " " << fault_site_name(site) << " trigger " << spec.trigger_index
                 << " mask " << support::hex32(spec.xor_mask) << ", engine "
-                << cpu::engine_name(engine) << " chain " << chain << " monitor " << monitoring;
+                << cpu::engine_name(engine) << " monitor " << monitoring;
             EXPECT_EQ(got.exit_reason, want.exit_reason);
             if (got.converged_at.has_value()) {
               EXPECT_EQ(got.outcome, Outcome::kBenign);

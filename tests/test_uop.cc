@@ -442,12 +442,13 @@ TEST(FusedClassifier, MutatedProgramFallsBackToGeneric) {
 
 // --- Threaded engine: translation-cache tamper safety ----------------------
 //
-// Mirrors the PredecodeCache.* suite one level up: the block-level
-// translation cache is keyed by per-entry word tags, so any divergence
-// between the translated word and the word the pipeline actually carries
-// (bus tamper, memory rewrite, post-ID latch fault) must invalidate the
-// block, fall back to the interpreter for that instruction, and leave every
-// observable result bit-identical with the switch engine.
+// The block-level translation cache is keyed by per-entry word tags, so any
+// divergence between the translated word and the word the pipeline actually
+// carries (bus tamper, memory rewrite, post-ID latch fault) must invalidate
+// the block, fall back to the interpreter for that instruction, and leave
+// every observable result bit-identical with the switch engine — whose
+// predecode cache is keyed the same way, so each comparison also checks
+// that a diverging word misses its predecode tag.
 
 casm_::Image checked_sum_loop() {
   casm_::Asm a;
@@ -463,13 +464,11 @@ casm_::Image checked_sum_loop() {
   return a.finalize();
 }
 
-cpu::CpuConfig engine_config(cpu::Engine engine, bool translate_cache, bool chain = true) {
+cpu::CpuConfig engine_config(cpu::Engine engine) {
   cpu::CpuConfig config;
   config.monitoring = true;
   config.cic.iht_entries = 8;
   config.engine = engine;
-  config.translate_cache = translate_cache;
-  config.chain = chain;
   return config;
 }
 
@@ -517,25 +516,17 @@ class OneShotTamper : public mem::BusTamper {
   std::uint32_t mask_;
 };
 
-TEST(TranslationCache, CleanRunIdenticalAcrossEnginesAndCacheModes) {
+TEST(TranslationCache, CleanRunIdenticalAcrossEngines) {
   const casm_::Image image = checked_sum_loop();
-  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch, true), image);
-  cpu::Cpu cached(engine_config(cpu::Engine::kThreaded, true), image);
-  cpu::Cpu uncached(engine_config(cpu::Engine::kThreaded, false), image);
-  const cpu::RunResult a = interp.run();
-  const cpu::RunResult b = cached.run();
-  const cpu::RunResult c = uncached.run();
-  expect_runs_identical(a, b);
-  expect_runs_identical(a, c);
-  // The loop re-enters its block: with caching on the block translates once
-  // and hits thereafter; with caching off every entry retranslates.
+  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch), image);
+  cpu::Cpu cached(engine_config(cpu::Engine::kThreaded), image);
+  expect_runs_identical(interp.run(), cached.run());
+  // The loop re-enters its block: it translates once and is reached through
+  // the cache (a lookup hit or a chain link) thereafter.
   ASSERT_NE(cached.translation_cache(), nullptr);
   EXPECT_GT(cached.translation_cache()->stats().translations, 0U);
   EXPECT_GT(cached.translation_cache()->stats().hits, 0U);
   EXPECT_EQ(cached.translation_cache()->stats().invalidations, 0U);
-  EXPECT_EQ(uncached.translation_cache()->stats().hits, 0U);
-  EXPECT_GT(uncached.translation_cache()->stats().translations,
-            cached.translation_cache()->stats().translations);
   EXPECT_EQ(interp.translation_cache(), nullptr);
 }
 
@@ -545,21 +536,15 @@ TEST(TranslationCache, BusTamperMidRunInvalidatesAndMatchesInterpreter) {
   // the corrupted word through the interpreter, and be detected exactly as
   // on the switch engine.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  const cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
-    cpu::Cpu cpu(configs[i], image);
+  cpu::RunResult results[2];
+  const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
+  for (int i = 0; i < 2; ++i) {
+    cpu::Cpu cpu(engine_config(engines[i]), image);
     OneShotTamper tamper(/*trigger=*/9, /*mask=*/1U << 11);  // mid-loop fetch
     cpu.fetch_path().set_bus_tamper(&tamper);
     results[i] = cpu.run();
     if (cpu.translation_cache() != nullptr) {
       EXPECT_GE(cpu.translation_cache()->stats().invalidations, 1U);
-    }
-    if (i == 1) {
       // By transfer 9 the loop block is chained (its predecessor's taken
       // edge and its own self-loop): invalidation must sever those links.
       EXPECT_GE(cpu.translation_cache()->stats().chain_severed, 2U);
@@ -567,8 +552,6 @@ TEST(TranslationCache, BusTamperMidRunInvalidatesAndMatchesInterpreter) {
   }
   EXPECT_EQ(results[0].reason, cpu::ExitReason::kMonitorTerminated);
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 TEST(TranslationCache, TextRewriteDetectionIdenticalAcrossEngines) {
@@ -576,22 +559,16 @@ TEST(TranslationCache, TextRewriteDetectionIdenticalAcrossEngines) {
   // matches what the pipeline fetches), and the monitored detection — the
   // hash mismatch at block end — lands exactly like the interpreter's.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  const cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
-    cpu::Cpu cpu(configs[i], image);
+  cpu::RunResult results[2];
+  const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
+  for (int i = 0; i < 2; ++i) {
+    cpu::Cpu cpu(engine_config(engines[i]), image);
     const std::uint32_t addr = casm_::kTextBase + 8;
     cpu.memory().write32(addr, cpu.memory().read32(addr) ^ (1U << 11));
     results[i] = cpu.run();
   }
   EXPECT_EQ(results[0].reason, cpu::ExitReason::kMonitorTerminated);
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 TEST(TranslationCache, ICacheResidentFlipMidRunIdenticalAcrossEngines) {
@@ -601,15 +578,12 @@ TEST(TranslationCache, ICacheResidentFlipMidRunIdenticalAcrossEngines) {
   // poisoned line's words diverge from the translation tags at fetch time
   // and must be handled exactly like the interpreter handles them.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
-    configs[i].icache.enabled = true;
-    cpu::Cpu cpu(configs[i], image);
+  cpu::RunResult results[2];
+  const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
+  for (int i = 0; i < 2; ++i) {
+    cpu::CpuConfig config = engine_config(engines[i]);
+    config.icache.enabled = true;
+    cpu::Cpu cpu(config, image);
     for (int s = 0; s < 8; ++s) cpu.step();
     ASSERT_NE(cpu.fetch_path().icache(), nullptr);
     support::Rng rng(99);
@@ -620,8 +594,6 @@ TEST(TranslationCache, ICacheResidentFlipMidRunIdenticalAcrossEngines) {
   }
   EXPECT_NE(results[0].reason, cpu::ExitReason::kExit);  // the flips bite
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
@@ -629,14 +601,10 @@ TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
   // tag holds the clean word, so the fused handler must miss, fall back, and
   // reproduce the (undetected) wrong-output outcome of §3.2 bit for bit.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  const cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
-    cpu::Cpu cpu(configs[i], image);
+  cpu::RunResult results[2];
+  const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
+  for (int i = 0; i < 2; ++i) {
+    cpu::Cpu cpu(engine_config(engines[i]), image);
     cpu.set_post_id_fault({4, 1U << 16});
     results[i] = cpu.run();
     if (cpu.translation_cache() != nullptr) {
@@ -645,32 +613,19 @@ TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
   }
   EXPECT_EQ(results[0].iht.mismatches, 0U);  // escaped the monitor (§3.2)
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 // --- Superblock chaining ----------------------------------------------------
 
-TEST(TranslationCache, ChainOnOffByteIdenticalAndLinksFollowed) {
-  // `--chain` is a pure execution strategy: with it off, every block exit
-  // returns to the dispatch loop and pays a cache lookup; with it on, the
-  // loop's bnez links to its own block once and every later iteration flows
-  // straight through. Both must be byte-identical with the interpreter.
+TEST(TranslationCache, ChainedRunMatchesInterpreterAndFollowsLinks) {
+  // Chaining is a pure execution strategy: the loop's bnez links to its own
+  // block once and every later iteration flows straight through, without a
+  // dispatch-loop round trip, byte-identical with the interpreter.
   const casm_::Image image = checked_sum_loop();
-  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch, true), image);
-  cpu::Cpu chained(engine_config(cpu::Engine::kThreaded, true), image);
-  cpu::Cpu unchained(engine_config(cpu::Engine::kThreaded, true, /*chain=*/false), image);
-  const cpu::RunResult a = interp.run();
-  const cpu::RunResult b = chained.run();
-  const cpu::RunResult c = unchained.run();
-  expect_runs_identical(a, b);
-  expect_runs_identical(a, c);
+  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch), image);
+  cpu::Cpu chained(engine_config(cpu::Engine::kThreaded), image);
+  expect_runs_identical(interp.run(), chained.run());
   EXPECT_GT(chained.chain_follows(), 0U);
-  EXPECT_EQ(unchained.chain_follows(), 0U);
-  EXPECT_EQ(unchained.chain_breaks(), 0U);
-  // The follows replace dispatch-loop lookups one for one.
-  EXPECT_GT(unchained.translation_cache()->stats().hits,
-            chained.translation_cache()->stats().hits);
   EXPECT_EQ(chained.translation_cache()->stats().chain_severed, 0U);
 }
 
@@ -687,7 +642,7 @@ TEST(TranslationCache, InvalidateSeversInboundAndOutboundLinks) {
       isa::encode_r(isa::Mnemonic::kAddu, 9, 9, 8),  // forced-generic text tail
   };
   const auto peek = [&](std::uint32_t a) { return words[(a - base) / 4]; };
-  TranslationCache tc(base, base + 12, /*enabled=*/true);
+  TranslationCache tc(base, base + 12, /*cache=*/true);
   TranslatedBlock* branch = tc.translate(base, spec, fused, peek);
   TranslatedBlock* target = tc.translate(base + 8, spec, fused, peek);
   TranslatedBlock* skipped = tc.translate(base + 4, spec, fused, peek);
@@ -726,7 +681,7 @@ TEST(TranslationCache, SelfLoopChainSeversCleanly) {
   const std::uint32_t base = 0x00400000;
   const std::uint32_t word =
       isa::encode_i(isa::Mnemonic::kBeq, 0, 0, 0xFFFF);  // beq $0, $0, .
-  TranslationCache tc(base, base + 8, /*enabled=*/true);
+  TranslationCache tc(base, base + 8, /*cache=*/true);
   TranslatedBlock* loop =
       tc.translate(base, spec, fused, [&](std::uint32_t) { return word; });
   ASSERT_TRUE(loop->has_taken);
@@ -737,6 +692,10 @@ TEST(TranslationCache, SelfLoopChainSeversCleanly) {
   tc.invalidate(base);
   EXPECT_EQ(tc.lookup(base), nullptr);
   EXPECT_EQ(tc.stats().chain_severed, 1U);
+}
+
+TEST(TranslationCache, HasNoUncachedMode) {
+  EXPECT_THROW(TranslationCache(0x00400000, 0x00400008, /*cache=*/false), support::CicError);
 }
 
 }  // namespace
