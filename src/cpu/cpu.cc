@@ -9,13 +9,6 @@
 namespace cicmon::cpu {
 namespace {
 
-Engine g_default_engine =
-#ifdef NDEBUG
-    Engine::kThreaded;
-#else
-    Engine::kSwitch;
-#endif
-
 constexpr unsigned kV0 = 2;
 constexpr unsigned kA0 = 4;
 constexpr unsigned kA1 = 5;
@@ -61,10 +54,6 @@ bool is_canonical_fetch(const std::vector<uop::Uop>& fetch, bool monitored) {
 }
 
 }  // namespace
-
-Engine default_engine() { return g_default_engine; }
-
-void set_default_engine(Engine engine) { g_default_engine = engine; }
 
 std::string_view engine_name(Engine engine) {
   return engine == Engine::kThreaded ? "threaded" : "switch";

@@ -61,14 +61,6 @@ namespace cicmon::cpu {
 // results — the engine is a pure execution strategy, like the job count.
 enum class Engine : std::uint8_t { kSwitch, kThreaded };
 
-// Process-wide default picked up by freshly constructed CpuConfig values.
-// The sweep builders construct their configs deep inside per-cell lambdas, so
-// the CLI applies `--engine` here once, before the sweep is built. The
-// built-in default is kThreaded in Release (NDEBUG) builds and kSwitch in
-// Debug builds.
-Engine default_engine();
-void set_default_engine(Engine engine);
-
 std::string_view engine_name(Engine engine);
 
 // Pipeline timing parameters (single-issue, in-order; the paper's baseline
@@ -103,7 +95,7 @@ struct CpuConfig {
   TimingConfig timing;
   RecoveryConfig recovery;
   std::uint64_t max_instructions = 200'000'000;  // watchdog for fault campaigns
-  Engine engine = default_engine();
+  Engine engine = Engine::kThreaded;
 };
 
 enum class ExitReason : std::uint8_t {

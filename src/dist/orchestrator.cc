@@ -283,7 +283,6 @@ void run_sessions(RunState& state, const std::vector<std::string>& worker_argv,
         }
         case WorkerSession::Event::Kind::kDone: {
           advanced = true;
-          state.result.worker_wall_ms += event.wall_ms;
           for (const auto& [name, value] : event.metrics) state.fleet[name] += value;
           WorkItem item = session.take_item();
           state.observe_assignment(item, slot.worker_id, slot.assign_t_us,

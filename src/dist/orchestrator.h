@@ -75,13 +75,10 @@ struct DispatchResult {
   std::size_t reused = 0;    // shards resumed from matching on-disk artifacts
   std::size_t launched = 0;  // session spawns, replacements included
   std::size_t retried = 0;   // re-enqueues after a failed attempt
-  // How each completed handshake obtained its golden state, and the summed
-  // worker-measured shard wall clock (done.wall_ms) — the denominator for an
-  // honest dispatch-tax number.
+  // How each completed handshake obtained its golden state.
   std::size_t golden_shipped = 0;
   std::size_t golden_cached = 0;
   std::size_t golden_derived = 0;
-  std::uint64_t worker_wall_ms = 0;
   // Summed orchestrator-observed assignment run wall, summed assign-time
   // queue waits, the dispatch's own elapsed wall, and the fleet size it ran
   // with — the inputs of the final summary's worker-utilization and

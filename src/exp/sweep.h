@@ -1,13 +1,12 @@
 // Unified sweep engine: sharded, resumable experiment campaigns.
 //
 // Every experiment in the paper's evaluation — the Table 1 overhead sweep,
-// the Figure 6 miss-rate curves, the block characterisation, the fault
-// campaigns, and the throughput bench — is the same shape: a deterministic
-// grid of independent cells, each computable from its index alone, whose
-// results are gathered in index order and rendered into one table. SweepSpec
-// captures that shape once, so scaling features (process sharding, partial-
-// summary artifacts, resume, multi-host fan-out) are written here once
-// instead of per sweep.
+// the Figure 6 miss-rate curves, the block characterisation, and the fault
+// campaigns — is the same shape: a deterministic grid of independent cells,
+// each computable from its index alone, whose results are gathered in index
+// order and rendered into one table. SweepSpec captures that shape once, so
+// scaling features (process sharding, partial-summary artifacts, resume,
+// multi-host fan-out) are written here once instead of per sweep.
 //
 // The determinism contract extends support/parallel.h's: a cell's result
 // depends only on its index (per-cell RNG streams come from

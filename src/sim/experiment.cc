@@ -1,12 +1,10 @@
 #include "sim/experiment.h"
 
-#include <chrono>
 #include <list>
 #include <map>
 #include <utility>
 
 #include "cfg/fht.h"
-#include "obs/metrics.h"
 #include "support/error.h"
 
 namespace cicmon::sim {
@@ -41,7 +39,8 @@ cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& con
 
 // --- Figure 6 -----------------------------------------------------------
 
-exp::SweepSpec fig6_sweep(std::vector<unsigned> entry_counts, double scale) {
+exp::SweepSpec fig6_sweep(std::vector<unsigned> entry_counts, double scale,
+                          cpu::Engine engine) {
   const auto infos = workloads::all_workloads();
   const std::size_t per_workload = entry_counts.size();
   exp::SweepSpec spec;
@@ -52,8 +51,9 @@ exp::SweepSpec fig6_sweep(std::vector<unsigned> entry_counts, double scale) {
     return std::string(infos[cell / per_workload].name) + "/entries" +
            std::to_string(entry_counts[cell % per_workload]);
   };
-  spec.run_cell = [infos, per_workload, entry_counts, scale](std::size_t cell) {
+  spec.run_cell = [infos, per_workload, entry_counts, scale, engine](std::size_t cell) {
     cpu::CpuConfig config;
+    config.engine = engine;
     config.monitoring = true;
     config.cic.iht_entries = entry_counts[cell % per_workload];
     exp::CellResult result;
@@ -96,7 +96,7 @@ constexpr unsigned kTable1Variants[] = {0U, 8U, 16U};
 constexpr std::size_t kTable1PerWorkload = std::size(kTable1Variants);
 }  // namespace
 
-exp::SweepSpec table1_sweep(double scale) {
+exp::SweepSpec table1_sweep(double scale, cpu::Engine engine) {
   const auto infos = workloads::all_workloads();
   exp::SweepSpec spec;
   spec.sweep = "table1";
@@ -107,9 +107,10 @@ exp::SweepSpec table1_sweep(double scale) {
     return std::string(infos[cell / kTable1PerWorkload].name) + "/" +
            (entries == 0 ? "baseline" : "cic" + std::to_string(entries));
   };
-  spec.run_cell = [infos, scale](std::size_t cell) {
+  spec.run_cell = [infos, scale, engine](std::size_t cell) {
     const unsigned entries = kTable1Variants[cell % kTable1PerWorkload];
     cpu::CpuConfig config;
+    config.engine = engine;
     if (entries != 0) {
       config.monitoring = true;
       config.cic.iht_entries = entries;
@@ -151,13 +152,15 @@ std::vector<Table1Row> table1_overheads(double scale, unsigned jobs) {
 // --- Block characterisation ---------------------------------------------
 
 BlockStats characterize_blocks(std::string_view workload,
-                               const std::vector<unsigned>& capacities, double scale) {
+                               const std::vector<unsigned>& capacities, double scale,
+                               cpu::Engine engine) {
   workloads::BuildOptions options;
   options.scale = scale;
   const casm_::Image image = workloads::build_workload(workload, options);
 
   // A large IHT so capacity effects do not perturb the reference stream.
   cpu::CpuConfig config;
+  config.engine = engine;
   config.monitoring = true;
   config.cic.iht_entries = 1024;
 
@@ -211,15 +214,16 @@ BlockStats characterize_blocks(std::string_view workload,
   return stats;
 }
 
-exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale) {
+exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale,
+                            cpu::Engine engine) {
   const auto infos = workloads::all_workloads();
   exp::SweepSpec spec;
   spec.sweep = "blocks";
   spec.params = {{"scale", exp::fmt_f64(scale)}, {"capacities", join_list(capacities)}};
   spec.cells = infos.size();
   spec.cell_key = [infos](std::size_t cell) { return std::string(infos[cell].name); };
-  spec.run_cell = [infos, capacities, scale](std::size_t cell) {
-    const BlockStats stats = characterize_blocks(infos[cell].name, capacities, scale);
+  spec.run_cell = [infos, capacities, scale, engine](std::size_t cell) {
+    const BlockStats stats = characterize_blocks(infos[cell].name, capacities, scale, engine);
     exp::CellResult result;
     // The mean is derived in the decoder from the two exact integers.
     result.u64 = {stats.static_regions, stats.dynamic_keys, stats.lookups, stats.instructions};
@@ -259,53 +263,6 @@ std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
 std::vector<BlockStats> characterize_all_blocks(const std::vector<unsigned>& capacities,
                                                 double scale, unsigned jobs) {
   return blocks_rows(exp::run_all(blocks_sweep(capacities, scale), jobs), capacities);
-}
-
-// --- Throughput bench ---------------------------------------------------
-
-exp::SweepSpec bench_sweep(double scale, unsigned best_of) {
-  const auto infos = workloads::all_workloads();
-  if (best_of == 0) best_of = 1;
-  exp::SweepSpec spec;
-  spec.sweep = "bench";
-  spec.params = {{"scale", exp::fmt_f64(scale)}, {"best_of", std::to_string(best_of)}};
-  spec.cells = infos.size() * 2;
-  spec.cell_key = [infos](std::size_t cell) {
-    return std::string(infos[cell / 2].name) + "/" + (cell % 2 == 0 ? "baseline" : "cic16");
-  };
-  spec.run_cell = [infos, scale, best_of](std::size_t cell) {
-    cpu::CpuConfig config;
-    if (cell % 2 == 1) {
-      config.monitoring = true;
-      config.cic.iht_entries = 16;
-    }
-    // Best-of-N: repeat the identical run and keep the fastest wall clock —
-    // the standard defense against first-run cache/page-fault noise that the
-    // BENCH_*.json methodology used to script with ad-hoc shell loops. The
-    // simulated results are deterministic, so every repeat retires the same
-    // instruction/cycle counts; only the wall time varies.
-    cpu::RunResult run;
-    double wall_ms = 0.0;
-    for (unsigned attempt = 0; attempt < best_of; ++attempt) {
-      const auto start = std::chrono::steady_clock::now();
-      run = run_workload(infos[cell / 2].name, config, scale);
-      const double attempt_ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-              .count();
-      if (attempt == 0 || attempt_ms < wall_ms) wall_ms = attempt_ms;
-    }
-    static const obs::TimerId k_cell_ms = obs::timer("bench.cell_ms");
-    static const obs::TimerId k_mips = obs::timer("bench.run_mips");
-    obs::record(k_cell_ms, wall_ms);
-    if (wall_ms > 0.0) {
-      obs::record(k_mips, static_cast<double>(run.instructions) / (wall_ms * 1000.0));
-    }
-    exp::CellResult result;
-    result.u64 = {run.instructions, run.cycles};
-    result.f64 = {wall_ms};
-    return result;
-  };
-  return spec;
 }
 
 }  // namespace cicmon::sim

@@ -1,8 +1,8 @@
 // Experiment runners for the paper's evaluation (§6).
 //
-// Each function reproduces the data behind one table or figure; the bench
-// binaries format these rows, and the integration tests assert their
-// shapes. All runs are deterministic for a given (scale, seed).
+// Each function reproduces the data behind one table or figure; the `cicmon`
+// CLI renders these rows, and the integration tests assert their shapes.
+// All runs are deterministic for a given (scale, seed), on either engine.
 //
 // Every sweep is described as an exp::SweepSpec — a deterministic grid of
 // (workload, config) cells — and executed by the unified sweep engine
@@ -12,7 +12,9 @@
 // decoders rebuild typed rows from a full (possibly merged) cell vector;
 // and the legacy entry points below are run-everything wrappers. `jobs`
 // follows the engine contract: 0 = CICMON_JOBS / hardware concurrency,
-// 1 = the exact legacy serial path.
+// 1 = the exact legacy serial path. `engine` picks how every cell's machine
+// executes; it is an execution strategy, so it never enters the sweep
+// parameters and never changes a cell.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,8 @@ struct Fig6Row {
   std::vector<double> miss_rates;  // one per entry count, same order as input
 };
 // Grid: one cell per (workload, entry count), f64 = {miss_rate}.
-exp::SweepSpec fig6_sweep(std::vector<unsigned> entry_counts, double scale = 1.0);
+exp::SweepSpec fig6_sweep(std::vector<unsigned> entry_counts, double scale = 1.0,
+                          cpu::Engine engine = cpu::Engine::kThreaded);
 std::vector<Fig6Row> fig6_rows(const std::vector<exp::CellResult>& cells,
                                std::size_t per_workload);
 std::vector<Fig6Row> fig6_miss_rates(const std::vector<unsigned>& entry_counts,
@@ -57,7 +60,7 @@ struct Table1Row {
 // Grid: three cells per workload (baseline, CIC8, CIC16), u64 = {cycles};
 // the overheads are derived in the decoder once a workload's baseline and
 // monitored cells are both in.
-exp::SweepSpec table1_sweep(double scale = 1.0);
+exp::SweepSpec table1_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
 std::vector<Table1Row> table1_rows(const std::vector<exp::CellResult>& cells);
 std::vector<Table1Row> table1_overheads(double scale = 1.0, unsigned jobs = 0);
 
@@ -76,26 +79,18 @@ struct BlockStats {
   std::vector<unsigned> capacities;
 };
 BlockStats characterize_blocks(std::string_view workload,
-                               const std::vector<unsigned>& capacities,
-                               double scale = 1.0);
+                               const std::vector<unsigned>& capacities, double scale = 1.0,
+                               cpu::Engine engine = cpu::Engine::kThreaded);
 
 // Grid: one cell per workload (each workload's reference stream is
 // inherently serial; the fan-out is across workloads). u64 =
 // {static_regions, dynamic_keys, lookups, instructions}, f64 = one LRU hit
 // rate per capacity.
-exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale = 1.0);
+exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale = 1.0,
+                            cpu::Engine engine = cpu::Engine::kThreaded);
 std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
                                     const std::vector<unsigned>& capacities);
 std::vector<BlockStats> characterize_all_blocks(const std::vector<unsigned>& capacities,
                                                 double scale = 1.0, unsigned jobs = 0);
-
-// --- Simulator throughput bench ------------------------------------------
-// Grid: two cells per workload (baseline, CIC16 monitored), u64 =
-// {instructions, cycles}, f64 = {host wall ms}. The u64 slots are simulated
-// results and deterministic; the wall clock is a host measurement and the
-// one payload the byte-identical-merge guarantee does not cover. `best_of`
-// repeats each cell's identical run N times and keeps the fastest wall clock
-// (simulated payloads are unaffected).
-exp::SweepSpec bench_sweep(double scale = 1.0, unsigned best_of = 1);
 
 }  // namespace cicmon::sim

@@ -1,11 +1,11 @@
 // Deterministic JSON writing and a small reader for machine artifacts.
 //
-// Every machine-readable document the repo emits (the `cicmon-bench-v1`
-// bench output, the `cicmon-shard-v1` partial-summary artifacts of the
-// sweep engine) flows through JsonWriter, so formatting is byte-stable
-// across subcommands and hosts: two-space indentation, keys in insertion
-// order, integers in decimal, and doubles in shortest round-trip form
-// (std::to_chars), which guarantees parse(format(x)) == x bitwise — the
+// The repo's machine-readable documents (the `cicmon-shard-v1` partial-
+// summary artifacts of the sweep engine, the session records and the
+// `cicmon-metrics-v1` summary) flow through JsonWriter, so formatting is
+// byte-stable across subcommands and hosts: two-space indentation, keys in
+// insertion order, integers in decimal, and doubles in shortest round-trip
+// form (std::to_chars), which guarantees parse(format(x)) == x bitwise — the
 // property the sweep engine's byte-identical merge rests on.
 //
 // JsonValue/parse_json is the matching reader, sized for those artifacts:

@@ -5,13 +5,12 @@
 //   cicmon table1    [--scale S] [--jobs N]
 //   cicmon fig6      [--scale S] [--jobs N] [--entries 1,8,16,32]
 //   cicmon blocks    [--scale S] [--jobs N] [--capacities 1,8,16,32]
-//   cicmon bench     [--scale S] [--jobs N] [--json PATH]
 //   cicmon campaign  [--workload W] [--site NAME] [--bits B] [--trials N]
 //                    [--seed X] [--scale S] [--jobs N] [--monitor on|off]
-//   cicmon dispatch  <table1|fig6|blocks|bench|campaign> [sweep options]
+//   cicmon dispatch  <table1|fig6|blocks|campaign> [sweep options]
 //                    [--workers K] [--shards N] [--transport TMPL]
 //                    [--retries R] [--timeout SEC] [--dir DIR] [--dry-run]
-//   cicmon worker    <table1|fig6|blocks|bench|campaign> [sweep options]
+//   cicmon worker    <table1|fig6|blocks|campaign> [sweep options]
 //   cicmon merge     SHARD.json|DIR [SHARD.json|DIR ...]
 //   cicmon workloads
 //
@@ -22,11 +21,10 @@
 // to the unsharded run. A sharded invocation whose artifact already exists
 // and matches is skipped (resume); corrupt or mismatched artifacts are
 // re-run. Determinism contract: everything a sweep subcommand prints to
-// stdout is identical at any --jobs value, shard count, and process
-// placement — host wall-clock measurements go to stderr (except `bench`,
-// whose stdout is a throughput report by nature). CICMON_JOBS is the
-// environment fallback; 0/unset resolves to hardware concurrency, 1 is the
-// serial path.
+// stdout is identical at any --jobs value, shard count, engine, and process
+// placement — host wall-clock measurements go to stderr, and host speed is
+// measured by perfbench/, not by the CLI. CICMON_JOBS is the environment
+// fallback; 0/unset resolves to hardware concurrency, 1 is the serial path.
 //
 // `cicmon dispatch <sweep> ...` is the scale-out driver: it over-decomposes
 // the sweep into shard work items and schedules them through src/dist/ onto
@@ -43,6 +41,7 @@
 // by hand (its stdout speaks the wire protocol).
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -65,7 +64,6 @@
 #include "obs/trace.h"
 #include "sim/experiment.h"
 #include "support/error.h"
-#include "support/json.h"
 #include "support/parallel.h"
 #include "support/strings.h"
 #include "support/subprocess.h"
@@ -76,9 +74,9 @@ namespace {
 
 using namespace cicmon;
 
-// Telemetry destinations, set at parse time like the --engine process-global:
-// every subcommand takes --trace/--metrics/--metrics-out, and main() emits
-// the summary after the command returns. Telemetry never writes to stdout —
+// Telemetry destinations, set at parse time: every subcommand takes
+// --trace/--metrics/--metrics-out, and main() emits the summary after the
+// command returns. Telemetry never writes to stdout —
 // the determinism contract covers it.
 std::string g_command;       // argv[1], recorded in trace/metrics headers
 std::string g_metrics_mode;  // "" (off), "json", or "table"
@@ -95,7 +93,6 @@ struct Options {
   bool monitor = true;
   std::vector<unsigned> entries{1, 8, 16, 32};
   std::vector<unsigned> capacities{1, 8, 16, 32};
-  std::string json_path;   // bench: also write machine-readable results here
   std::string shard_text;  // "--shard I/N"; empty = run every cell + render
   std::string out_path;    // shard artifact path; defaulted when empty
   bool force = false;      // rerun a shard even when its artifact matches
@@ -109,15 +106,10 @@ struct Options {
   std::string dir;             // shard artifact directory; defaulted when empty
   bool quiet = false;          // suppress dispatch progress/ETA on stderr
   bool dry_run = false;        // print the dispatch plan, launch nothing
-  // Engine selection, applied to the process-wide CpuConfig defaults at parse
-  // time (the sweep builders construct configs inside per-cell lambdas).
-  // Empty = build-type default; kept as text so dispatch can forward the
-  // explicit choice to its workers.
-  std::string engine_flag;
-  // bench: repeat each cell's identical run N times, keep the fastest wall
-  // clock (simulated results unchanged). Replaces the ad-hoc shell loops the
-  // BENCH_*.json methodology used to script.
-  unsigned best_of = 1;
+  // Execution engine for every machine the command builds: an execution
+  // strategy (byte-identical results either way), so it is passed to the
+  // sweep builders like the scale but never becomes a sweep parameter.
+  cpu::Engine engine = cpu::Engine::kThreaded;
   // Campaign checkpointing (fault::CheckpointConfig): a pure execution
   // strategy like the engine choice — byte-identical results on or off, at
   // any stride — so it is forwarded to dispatch workers but never becomes a
@@ -140,7 +132,6 @@ struct Options {
       "  table1      Table 1: cycle-count overhead (baseline vs CIC8/CIC16)\n"
       "  fig6        Figure 6: IHT miss rate vs table size\n"
       "  blocks      Section 6.1: executed-block counts and LRU locality\n"
-      "  bench       simulator throughput over all workloads\n"
       "  campaign    random fault-injection campaign\n"
       "  dispatch    scale a sweep out over worker processes or hosts\n"
       "  worker      persistent dispatch worker (serves shards over stdin/stdout;\n"
@@ -187,20 +178,12 @@ struct Options {
       "                   canonical hash of the campaign parameters; later\n"
       "                   runs with the same parameters load it instead of\n"
       "                   re-deriving; never changes any output\n"
-      "  --json PATH      bench: also write results as JSON to PATH;\n"
-      "                   campaign (direct or dispatched): write a campaign\n"
-      "                   section with the trials/sec trajectory metric (the\n"
-      "                   dispatched form adds the fleet telemetry) instead\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
       "                   handlers behind a tamper-safe translation cache) or\n"
       "                   'switch' (the per-uop predecode interpreter); both\n"
-      "                   produce byte-identical results (default: threaded in\n"
-      "                   Release builds, switch in Debug builds)\n"
-      "  --best-of N      bench: repeat each cell's identical run N times and\n"
-      "                   keep the fastest wall clock (default 1; simulated\n"
-      "                   instruction/cycle payloads are unaffected)\n"
+      "                   produce byte-identical results (default threaded)\n"
       "\n"
-      "sharding (table1/fig6/blocks/bench/campaign):\n"
+      "sharding (table1/fig6/blocks/campaign):\n"
       "  --shard I/N      run only the cells owned by shard I of N and write\n"
       "                   a cicmon-shard-v1 partial artifact, not the table\n"
       "  --out PATH       artifact path (default cicmon-<sweep>-shard-IofN.json);\n"
@@ -211,7 +194,7 @@ struct Options {
       "prints output byte-identical to the unsharded invocation. A directory\n"
       "argument is scanned for *.shard.json artifacts.\n"
       "\n"
-      "dispatch (cicmon dispatch <table1|fig6|blocks|bench|campaign> ...):\n"
+      "dispatch (cicmon dispatch <table1|fig6|blocks|campaign> ...):\n"
       "  --workers K      concurrent worker processes (default: hardware\n"
       "                   concurrency)\n"
       "  --shards N       work items; over-decomposed for load balancing\n"
@@ -272,19 +255,21 @@ std::vector<unsigned> parse_entry_list(const std::string& list) {
   }
 }
 
-unsigned parse_count(const char* text, long lo, long hi) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < lo || value > hi) usage(2);
+unsigned parse_count(const char* text, unsigned lo, unsigned hi) {
+  std::uint64_t value = 0;
+  if (!support::parse_u64(text, &value) || value < lo || value > hi) usage(2);
   return static_cast<unsigned>(value);
 }
 
 // Strict decimal number, finite only: converting an inf/nan duration to the
 // clock's integer representation is UB, and no workload has a nan scale.
+// from_chars takes no leading whitespace or '+', so the whole value must be
+// the number, as parse_u64 demands of the integer flags.
 double parse_finite(const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value)) usage(2);
+  const char* end = text + std::strlen(text);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) usage(2);
   return value;
 }
 
@@ -308,15 +293,15 @@ std::string did_you_mean(std::string_view given, std::span<const std::string_vie
   return "; did you mean '" + std::string(best) + "'?";
 }
 
-constexpr std::array<std::string_view, 11> kCommands = {
-    "table1", "fig6",  "blocks",    "bench", "campaign", "worker",
+constexpr std::array<std::string_view, 10> kCommands = {
+    "table1",   "fig6",  "blocks", "campaign",  "worker",
     "dispatch", "merge", "report", "workloads", "help"};
-constexpr std::array<std::string_view, 32> kFlags = {
+constexpr std::array<std::string_view, 30> kFlags = {
     "--scale", "--jobs",    "--entries", "--capacities", "--workload", "--site",
-    "--bits",  "--trials",  "--seed",    "--monitor",    "--json",     "--shard",
+    "--bits",  "--trials",  "--seed",    "--monitor",    "--shard",
     "--out",   "--force",   "--workers", "--shards",     "--transport", "--retries",
     "--timeout", "--dir",   "--quiet",   "--dry-run",    "--help",
-    "--engine", "--best-of", "--checkpoints", "--checkpoint-stride", "--golden-cache",
+    "--engine", "--checkpoints", "--checkpoint-stride", "--golden-cache",
     "--ship-golden", "--trace", "--metrics", "--metrics-out"};
 
 // `first` is the index of the first flag: 2 for `cicmon <cmd> ...`, 3 for
@@ -356,9 +341,6 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
       const std::string_view v = value();
       if (v != "on" && v != "off") usage(2);
       options.monitor = v == "on";
-    } else if (flag == "--json") {
-      options.json_path = value();
-      if (options.json_path.empty()) usage(2);
     } else if (flag == "--shard") {
       options.shard_text = value();
       exp::parse_shard(options.shard_text);  // reject malformed I/N up front
@@ -390,15 +372,12 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
     } else if (flag == "--engine") {
       const std::string_view v = value();
       if (v == "switch") {
-        cpu::set_default_engine(cpu::Engine::kSwitch);
+        options.engine = cpu::Engine::kSwitch;
       } else if (v == "threaded") {
-        cpu::set_default_engine(cpu::Engine::kThreaded);
+        options.engine = cpu::Engine::kThreaded;
       } else {
         usage(2);
       }
-      options.engine_flag = v;
-    } else if (flag == "--best-of") {
-      options.best_of = parse_count(value(), 1, 1000);
     } else if (flag == "--checkpoints") {
       const std::string_view v = value();
       if (v != "on" && v != "off") usage(2);
@@ -415,8 +394,8 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
     } else if (flag == "--trace") {
       const char* path = value();
       if (path[0] == '\0') usage(2);
-      // Opened at parse time, like --engine: the header event lands before
-      // any span the command emits.
+      // Opened at parse time: the header event lands before any span the
+      // command emits.
       if (!obs::open_trace(path, g_command)) {
         std::fprintf(stderr, "cicmon: cannot open trace file '%s'\n", path);
         std::exit(1);
@@ -548,130 +527,8 @@ void render_campaign(const exp::SweepParams& params,
               support::Table::fmt_pct(summary.detection_rate_total()).c_str());
 }
 
-int write_json_file(const std::string& path, const std::string& text) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cicmon: cannot write JSON to '%s'\n", path.c_str());
-    return 1;
-  }
-  std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
-  return 0;
-}
-
-// Writes the bench cells as a stable machine-readable JSON document (the
-// `cicmon-bench-v1` schema consumed by CI's regression gate and committed as
-// the BENCH_*.json trajectory artifacts). Simulated columns (instructions,
-// cycles) are deterministic; host_ms/mips are wall-clock measurements.
-int write_bench_json(const std::string& path, double scale, unsigned jobs, unsigned best_of,
-                     const std::vector<exp::CellResult>& cells, double total_minstr,
-                     double total_ms) {
-  const auto infos = workloads::all_workloads();
-  support::JsonWriter json;
-  json.begin_object();
-  json.key("schema");
-  json.value("cicmon-bench-v1");
-  json.key("scale");
-  json.value(scale);
-  json.key("jobs");
-  json.value_u64(jobs);
-  json.key("best_of");
-  json.value_u64(best_of);
-  json.key("engine");
-  json.value(std::string(cpu::engine_name(cpu::default_engine())));
-  json.key("workloads");
-  json.begin_array();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const double minstr = static_cast<double>(cells[i].u64.at(0)) / 1e6;
-    const double wall_ms = cells[i].f64.at(0);
-    json.begin_object();
-    json.key("benchmark");
-    json.value(infos[i / 2].name);
-    json.key("machine");
-    json.value(i % 2 == 0 ? "baseline" : "cic16");
-    json.key("instructions");
-    json.value_u64(cells[i].u64.at(0));
-    json.key("cycles");
-    json.value_u64(cells[i].u64.at(1));
-    json.key("host_ms");
-    json.value_fixed(wall_ms, 3);
-    json.key("mips");
-    json.value_fixed(minstr / (wall_ms / 1000.0), 3);
-    json.end_object();
-  }
-  json.end_array();
-  json.key("total");
-  json.begin_object();
-  json.key("minstr");
-  json.value_fixed(total_minstr, 3);
-  json.key("wall_ms");
-  json.value_fixed(total_ms, 1);
-  json.key("aggregate_mips");
-  json.value_fixed(total_minstr / (total_ms / 1000.0), 3);
-  json.end_object();
-  json.end_object();
-  return write_json_file(path, json.take());
-}
-
-// `total_ms` < 0 means "no whole-run measurement" (the merge path) and is
-// replaced by the sum of the per-cell wall clocks.
-int render_bench(const exp::SweepParams& params, const std::vector<exp::CellResult>& cells,
-                 double total_ms, unsigned jobs, const std::string& json_path) {
-  const auto infos = workloads::all_workloads();
-  support::check(cells.size() == infos.size() * 2,
-                 "bench cell vector does not match the workload grid");
-  for (const exp::CellResult& cell : cells) {
-    support::check(cell.u64.size() == 2 && cell.f64.size() == 1,
-                   "bench cell payload has the wrong shape");
-  }
-  // The merge path has no whole-run wall clock and no meaningful job count —
-  // the timings were produced by other processes at their own --jobs.
-  const bool merged = total_ms < 0;
-  // best_of comes from the sweep params so the merge path reports what the
-  // shards actually ran; artifacts from before the parameter existed ran
-  // exactly once.
-  unsigned best_of = 1;
-  for (const auto& [key, value] : params) {
-    if (key == "best_of") best_of = static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-  }
-  // Best-of keeps each cell's fastest attempt, but the whole-run clock paid
-  // for every attempt — rebuild the total from the per-cell bests (exactly
-  // what the merge path does) so the aggregate reflects the kept timings.
-  if (merged || best_of > 1) {
-    total_ms = 0;
-    for (const exp::CellResult& cell : cells) total_ms += cell.f64.at(0);
-  }
-  support::Table table({"benchmark", "machine", "instructions", "cycles", "host ms", "MIPS"});
-  double total_minstr = 0.0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const double minstr = static_cast<double>(cells[i].u64.at(0)) / 1e6;
-    const double wall_ms = cells[i].f64.at(0);
-    total_minstr += minstr;
-    table.add_row({std::string(infos[i / 2].name), i % 2 == 0 ? "baseline" : "cic16",
-                   support::Table::fmt_u64(cells[i].u64.at(0)),
-                   support::Table::fmt_u64(cells[i].u64.at(1)),
-                   support::Table::fmt(wall_ms, 1),
-                   support::Table::fmt(minstr / (wall_ms / 1000.0), 1)});
-  }
-  std::fputs(table.render().c_str(), stdout);
-  if (merged) {
-    std::printf("\ntotal: %.1f Minstr in %.0f ms wall (merged shards) = %.1f MIPS aggregate\n",
-                total_minstr, total_ms, total_minstr / (total_ms / 1000.0));
-  } else {
-    std::printf("\ntotal: %.1f Minstr in %.0f ms wall (%u jobs) = %.1f MIPS aggregate\n",
-                total_minstr, total_ms, jobs, total_minstr / (total_ms / 1000.0));
-  }
-  if (!json_path.empty()) {
-    // jobs 0 in the JSON marks a merged document for the same reason.
-    return write_bench_json(json_path, exp::parse_f64(exp::param(params, "scale")),
-                            merged ? 0 : jobs, best_of, cells, total_minstr, total_ms);
-  }
-  return 0;
-}
-
 int render_cells(const std::string& sweep, const exp::SweepParams& params,
-                 const std::vector<exp::CellResult>& cells, const Options& options,
-                 double bench_total_ms) {
+                 const std::vector<exp::CellResult>& cells) {
   if (sweep == "table1") {
     render_table1(cells);
     return 0;
@@ -688,10 +545,6 @@ int render_cells(const std::string& sweep, const exp::SweepParams& params,
     render_campaign(params, cells);
     return 0;
   }
-  if (sweep == "bench") {
-    return render_bench(params, cells, bench_total_ms, support::resolve_jobs(options.jobs),
-                        options.json_path);
-  }
   std::fprintf(stderr, "cicmon: cannot render sweep '%s'\n", sweep.c_str());
   return 1;
 }
@@ -706,12 +559,6 @@ bool sharded_mode(const Options& options) {
 // a matching one — resume), the direct path runs every cell and renders.
 int run_sweep_command(const exp::SweepSpec& spec, const Options& options) {
   if (sharded_mode(options)) {
-    if (!options.json_path.empty()) {
-      std::fprintf(stderr,
-                   "cicmon: --json cannot be combined with --shard/--out; merge the shard "
-                   "artifacts with 'cicmon merge ... --json PATH' instead\n");
-      return 2;
-    }
     const exp::Shard shard = options.shard_text.empty()
                                  ? exp::Shard{1, 1}
                                  : exp::parse_shard(options.shard_text);
@@ -726,12 +573,8 @@ int run_sweep_command(const exp::SweepSpec& spec, const Options& options) {
                  shard.count, reused ? "is already complete at" : "written to", path.c_str());
     return 0;
   }
-  const auto start = std::chrono::steady_clock::now();
   const std::uint64_t run_t_us = obs::trace_now_us();
   const std::vector<exp::CellResult> cells = exp::run_all(spec, options.jobs);
-  const double total_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
   if (obs::trace_enabled()) {
     obs::TraceArgs args;
     args.add("sweep", spec.sweep);
@@ -740,7 +583,7 @@ int run_sweep_command(const exp::SweepSpec& spec, const Options& options) {
     obs::trace_span("sweep.run", run_t_us, args);
   }
   obs::Span render_span("sweep.render");
-  return render_cells(spec.sweep, spec.params, cells, options, total_ms);
+  return render_cells(spec.sweep, spec.params, cells);
 }
 
 // A sweep spec plus whatever live state its run_cell borrows — the campaign
@@ -792,6 +635,7 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
   const casm_::Image image =
       workloads::build_workload(options.workload, {options.scale, 42});
   cpu::CpuConfig config;
+  config.engine = options.engine;
   config.monitoring = options.monitor;
   config.cic.iht_entries = 16;
   const fault::CheckpointConfig checkpoints{options.checkpoints, options.checkpoint_stride};
@@ -854,73 +698,22 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
   return {std::move(spec), std::move(runner), key, std::move(source)};
 }
 
-// The five dispatchable sweeps, by subcommand name. For "campaign" this pays
+// The four dispatchable sweeps, by subcommand name. For "campaign" this pays
 // for the golden derivation up front (wire blob, disk cache, or golden run)
 // — dispatch needs the exact params workers will record to validate their
 // artifacts against, and the derived golden state is what it ships.
 SweepBundle make_sweep(std::string_view command, const Options& options,
                        const std::string* shipped = nullptr) {
-  if (command == "table1") return {sim::table1_sweep(options.scale), nullptr, "", ""};
-  if (command == "fig6") return {sim::fig6_sweep(options.entries, options.scale), nullptr, "", ""};
-  if (command == "blocks") {
-    return {sim::blocks_sweep(options.capacities, options.scale), nullptr, "", ""};
+  if (command == "table1") {
+    return {sim::table1_sweep(options.scale, options.engine), nullptr, "", ""};
   }
-  if (command == "bench") {
-    return {sim::bench_sweep(options.scale, options.best_of), nullptr, "", ""};
+  if (command == "fig6") {
+    return {sim::fig6_sweep(options.entries, options.scale, options.engine), nullptr, "", ""};
+  }
+  if (command == "blocks") {
+    return {sim::blocks_sweep(options.capacities, options.scale, options.engine), nullptr, "", ""};
   }
   return make_campaign_sweep(options, shipped);
-}
-
-// Campaign counterpart of write_bench_json: the same cicmon-bench-v1 schema,
-// but carrying a "campaign" object instead of the workload grid, so the
-// campaign path has its own machine-readable perf trajectory number
-// (trials_per_sec — the figure BENCH_PR7.json tracks before/after
-// checkpointing). Everything except wall_ms/trials_per_sec is deterministic.
-int write_campaign_json(const std::string& path, const Options& options,
-                        const fault::CampaignRunner& runner, double wall_ms) {
-  support::JsonWriter json;
-  json.begin_object();
-  json.key("schema");
-  json.value("cicmon-bench-v1");
-  json.key("campaign");
-  json.begin_object();
-  json.key("workload");
-  json.value(options.workload);
-  json.key("scale");
-  json.value(options.scale);
-  json.key("site");
-  json.value(options.site);
-  json.key("bits");
-  json.value_u64(options.bits);
-  json.key("trials");
-  json.value_u64(options.trials);
-  json.key("seed");
-  json.value_u64(options.seed);
-  json.key("monitor");
-  json.value(options.monitor ? "on" : "off");
-  json.key("engine");
-  json.value(std::string(cpu::engine_name(cpu::default_engine())));
-  json.key("jobs");
-  json.value_u64(support::resolve_jobs(options.jobs));
-  json.key("checkpoints");
-  json.value(runner.checkpoints_enabled() ? "on" : "off");
-  json.key("checkpoint_stride");
-  json.value_u64(runner.checkpoint_stride());
-  json.key("snapshots");
-  json.value_u64(runner.snapshot_count());
-  json.key("restores");
-  json.value_u64(runner.restores());
-  json.key("skipped_instructions");
-  json.value_u64(runner.skipped_instructions());
-  json.key("golden_instructions");
-  json.value_u64(runner.golden_instructions());
-  json.key("wall_ms");
-  json.value_fixed(wall_ms, 1);
-  json.key("trials_per_sec");
-  json.value_fixed(static_cast<double>(options.trials) / (wall_ms / 1000.0), 1);
-  json.end_object();
-  json.end_object();
-  return write_json_file(path, json.take());
 }
 
 int cmd_campaign(const Options& options) {
@@ -955,9 +748,6 @@ int cmd_campaign(const Options& options) {
     obs::record(k_trials_per_sec, trials_per_sec);
     std::fprintf(stderr, "campaign: %u jobs, %.0f ms wall (%.1f trials/s)\n",
                  support::resolve_jobs(options.jobs), ms, trials_per_sec);
-    if (code == 0 && !options.json_path.empty()) {
-      return write_campaign_json(options.json_path, options, runner, ms);
-    }
   }
   return code;
 }
@@ -987,7 +777,7 @@ int cmd_report(const Options& options) {
 // True for names dispatch and the sharded subcommands produce by default:
 // "<sweep>-IofN.shard.json" and "cicmon-<sweep>-shard-IofN.json". The merge
 // validation rejects anything that slips through a looser match anyway; this
-// filter just keeps unrelated JSON (bench output, configs) out of the scan.
+// filter just keeps unrelated JSON (metrics sidecars, configs) out of the scan.
 bool looks_like_shard_artifact(const std::string& name) {
   return name.ends_with(".shard.json") ||
          (name.starts_with("cicmon-") && name.find("-shard-") != std::string::npos &&
@@ -1035,7 +825,7 @@ int cmd_merge(const Options& options) {
   const std::string sweep = artifacts.front().sweep;
   const exp::SweepParams params = artifacts.front().params;
   const std::vector<exp::CellResult> cells = exp::merge_artifacts(std::move(artifacts));
-  return render_cells(sweep, params, cells, options, /*bench_total_ms=*/-1.0);
+  return render_cells(sweep, params, cells);
 }
 
 // Serializes the sweep-defining options back into worker argv form. The
@@ -1054,15 +844,11 @@ std::vector<std::string> worker_sweep_flags(std::string_view command, const Opti
   };
   std::vector<std::string> flags{"--scale", exp::fmt_f64(options.scale)};
   // Engine selection does not shape the sweep (results are byte-identical
-  // either way), but an explicit choice should reach the workers so the whole
-  // dispatch runs the engine the user asked for.
-  if (!options.engine_flag.empty()) {
-    flags.insert(flags.end(), {"--engine", options.engine_flag});
-  }
-  // best_of is a bench sweep parameter: workers must run the same repeat
-  // count or their artifacts fail validation against the dispatch params.
-  if (command == "bench" && options.best_of != 1) {
-    flags.insert(flags.end(), {"--best-of", std::to_string(options.best_of)});
+  // either way), but it should reach the workers so the whole dispatch runs
+  // the engine the user asked for. Workers default to threaded, so only the
+  // other choice needs spelling out.
+  if (options.engine == cpu::Engine::kSwitch) {
+    flags.insert(flags.end(), {"--engine", std::string(cpu::engine_name(options.engine))});
   }
   if (command == "fig6") flags.insert(flags.end(), {"--entries", join(options.entries)});
   if (command == "blocks") flags.insert(flags.end(), {"--capacities", join(options.capacities)});
@@ -1089,10 +875,10 @@ std::vector<std::string> worker_sweep_flags(std::string_view command, const Opti
 // Validates argv[2] as a dispatchable sweep for `cicmon <what> <sweep> ...`
 // (shared by dispatch and worker, which parse their sweep flags at argv[3]).
 std::string_view parse_sweep_subcommand(int argc, char** argv, const char* what) {
-  constexpr std::array<std::string_view, 5> kDispatchable = {"table1", "fig6", "blocks", "bench",
+  constexpr std::array<std::string_view, 4> kDispatchable = {"table1", "fig6", "blocks",
                                                              "campaign"};
   if (argc < 3 || argv[2][0] == '-') {
-    std::fprintf(stderr, "cicmon: %s needs a sweep subcommand (table1|fig6|blocks|bench|campaign)\n",
+    std::fprintf(stderr, "cicmon: %s needs a sweep subcommand (table1|fig6|blocks|campaign)\n",
                  what);
     usage(2);
   }
@@ -1114,10 +900,10 @@ std::string_view parse_sweep_subcommand(int argc, char** argv, const char* what)
 int cmd_worker(int argc, char** argv) {
   const std::string_view sub = parse_sweep_subcommand(argc, argv, "serve");
   const Options options = parse_options(argc, argv, /*allow_positional=*/false, /*first=*/3);
-  if (sharded_mode(options) || !options.json_path.empty()) {
+  if (sharded_mode(options)) {
     std::fprintf(stderr,
-                 "cicmon: worker serves shards over its stdin — --shard/--out/--json do not "
-                 "apply (use the plain sweep subcommand for a one-shot shard)\n");
+                 "cicmon: worker serves shards over its stdin — --shard/--out do not apply "
+                 "(use the plain sweep subcommand for a one-shot shard)\n");
     return 2;
   }
   SweepBundle bundle;  // outlives serve_worker: the campaign spec borrows it
@@ -1161,79 +947,6 @@ int print_dispatch_plan(const exp::SweepSpec& spec, const std::vector<std::strin
   return 0;
 }
 
-// Dispatch counterpart of write_campaign_json: the same cicmon-bench-v1
-// schema and "campaign" object, but the throughput is the whole dispatch
-// (orchestrator wall clock over all trials) and a nested "dispatch" object
-// reports the fleet telemetry — including the summed worker-measured shard
-// wall clock (the useful work) that an honest dispatch-tax number divides
-// by. Everything except the wall-clock figures is deterministic.
-int write_dispatch_campaign_json(const std::string& path, const Options& options,
-                                 const fault::CampaignRunner& runner,
-                                 const dist::DispatchResult& result, double wall_ms) {
-  support::JsonWriter json;
-  json.begin_object();
-  json.key("schema");
-  json.value("cicmon-bench-v1");
-  json.key("campaign");
-  json.begin_object();
-  json.key("workload");
-  json.value(options.workload);
-  json.key("scale");
-  json.value(options.scale);
-  json.key("site");
-  json.value(options.site);
-  json.key("bits");
-  json.value_u64(options.bits);
-  json.key("trials");
-  json.value_u64(options.trials);
-  json.key("seed");
-  json.value_u64(options.seed);
-  json.key("monitor");
-  json.value(options.monitor ? "on" : "off");
-  json.key("engine");
-  json.value(std::string(cpu::engine_name(cpu::default_engine())));
-  json.key("checkpoints");
-  json.value(runner.checkpoints_enabled() ? "on" : "off");
-  json.key("checkpoint_stride");
-  json.value_u64(runner.checkpoint_stride());
-  json.key("snapshots");
-  json.value_u64(runner.snapshot_count());
-  json.key("golden_instructions");
-  json.value_u64(runner.golden_instructions());
-  json.key("dispatch");
-  json.begin_object();
-  json.key("shards");
-  json.value_u64(result.shard_count);
-  json.key("reused");
-  json.value_u64(result.reused);
-  json.key("launched");
-  json.value_u64(result.launched);
-  json.key("retried");
-  json.value_u64(result.retried);
-  json.key("golden_shipped");
-  json.value_u64(result.golden_shipped);
-  json.key("golden_cached");
-  json.value_u64(result.golden_cached);
-  json.key("golden_derived");
-  json.value_u64(result.golden_derived);
-  json.key("worker_wall_ms");
-  json.value_u64(result.worker_wall_ms);
-  json.key("busy_ms");
-  json.value_u64(result.busy_ms);
-  json.key("queue_wait_ms");
-  json.value_u64(result.queue_wait_ms);
-  json.key("elapsed_ms");
-  json.value_u64(result.elapsed_ms);
-  json.end_object();
-  json.key("wall_ms");
-  json.value_fixed(wall_ms, 1);
-  json.key("trials_per_sec");
-  json.value_fixed(static_cast<double>(options.trials) / (wall_ms / 1000.0), 1);
-  json.end_object();
-  json.end_object();
-  return write_json_file(path, json.take());
-}
-
 // `cicmon dispatch <sweep> ...`: scale the sweep out over worker processes
 // via src/dist/, then merge and render through the same funnel as the direct
 // and `merge` paths — stdout is byte-identical to the direct invocation.
@@ -1244,10 +957,6 @@ int cmd_dispatch(int argc, char** argv) {
     std::fprintf(stderr,
                  "cicmon: --shard/--out cannot be combined with dispatch — the orchestrator "
                  "shards for you (use --shards N and --dir DIR)\n");
-    return 2;
-  }
-  if (!options.json_path.empty() && sub != "campaign" && sub != "bench") {
-    std::fprintf(stderr, "cicmon: --json applies to dispatched bench and campaign only\n");
     return 2;
   }
 
@@ -1280,13 +989,9 @@ int cmd_dispatch(int argc, char** argv) {
 
   if (options.dry_run) return print_dispatch_plan(bundle.spec, worker_argv, transport, config);
 
-  const auto start = std::chrono::steady_clock::now();
   const std::uint64_t run_t_us = obs::trace_now_us();
   const dist::DispatchResult result =
       dist::dispatch_sweep(bundle.spec, worker_argv, transport, config);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
   if (obs::trace_enabled()) {
     obs::TraceArgs args;
     args.add("sweep", bundle.spec.sweep);
@@ -1333,13 +1038,7 @@ int cmd_dispatch(int argc, char** argv) {
                  result.workers_planned,
                  static_cast<unsigned long long>(result.elapsed_ms));
   }
-  const int code = render_cells(bundle.spec.sweep, bundle.spec.params, result.cells, options,
-                                /*bench_total_ms=*/-1.0);
-  if (code == 0 && sub == "campaign" && !options.json_path.empty()) {
-    return write_dispatch_campaign_json(options.json_path, options, *bundle.keepalive, result,
-                                        wall_ms);
-  }
-  return code;
+  return render_cells(bundle.spec.sweep, bundle.spec.params, result.cells);
 }
 
 int cmd_workloads() {
@@ -1357,15 +1056,8 @@ int run_command(int argc, char** argv, std::string_view command) {
   if (command == "worker") return cmd_worker(argc, argv);
   const Options options = parse_options(
       argc, argv, /*allow_positional=*/command == "merge" || command == "report");
-  if (command == "table1") return run_sweep_command(sim::table1_sweep(options.scale), options);
-  if (command == "fig6") {
-    return run_sweep_command(sim::fig6_sweep(options.entries, options.scale), options);
-  }
-  if (command == "blocks") {
-    return run_sweep_command(sim::blocks_sweep(options.capacities, options.scale), options);
-  }
-  if (command == "bench") {
-    return run_sweep_command(sim::bench_sweep(options.scale, options.best_of), options);
+  if (command == "table1" || command == "fig6" || command == "blocks") {
+    return run_sweep_command(make_sweep(command, options).spec, options);
   }
   if (command == "campaign") return cmd_campaign(options);
   if (command == "merge") return cmd_merge(options);

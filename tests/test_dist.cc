@@ -721,11 +721,13 @@ TEST(Cli, WorkerKilledMidGoldenChunkIsReplacedAndStillMergesByteIdentical) {
 
 TEST(Cli, MalformedNumbersAreUsageErrors) {
   // Every value must parse completely as a number in range. Lenient parsing
-  // ran nan/inf scales, read "12abc" as seed 12 and "-1" as seed 2^64 - 1.
+  // ran nan/inf scales, read "12abc" as seed 12 and "-1" as seed 2^64 - 1,
+  // and skipped leading whitespace and '+'.
   const std::string cli = CICMON_CLI_PATH;
   for (const std::string bad :
        {"--scale nan", "--scale inf", "--scale 1x", "--seed banana", "--seed 12abc", "--seed -1",
-        "--checkpoint-stride -1", "--jobs ''"}) {
+        "--checkpoint-stride -1", "--jobs ''", "--trials ' 5'", "--trials +5", "--bits ' 2'",
+        "--scale ' 0.02'", "--timeout ' 1'"}) {
     const int status = run_cli(cli + " campaign" + campaign_flags() + " " + bad +
                                " > /dev/null 2> /dev/null");
     EXPECT_EQ(support::describe_exit(status), "exit code 2") << bad;

@@ -330,6 +330,20 @@ TEST(RealSweeps, Table1MergeMatchesDirectRun) {
   }
 }
 
+TEST(RealSweeps, SweepCellsMatchAcrossEngines) {
+  // The engine is an execution strategy with the switch interpreter as its
+  // reference: no paper sweep's cells may move under the threaded engine, in
+  // any build type.
+  using cpu::Engine;
+  const std::vector<unsigned> sizes{1, 8, 16, 32};
+  EXPECT_EQ(run_all(sim::table1_sweep(0.02, Engine::kSwitch), 0),
+            run_all(sim::table1_sweep(0.02, Engine::kThreaded), 0));
+  EXPECT_EQ(run_all(sim::fig6_sweep(sizes, 0.02, Engine::kSwitch), 0),
+            run_all(sim::fig6_sweep(sizes, 0.02, Engine::kThreaded), 0));
+  EXPECT_EQ(run_all(sim::blocks_sweep(sizes, 0.02, Engine::kSwitch), 0),
+            run_all(sim::blocks_sweep(sizes, 0.02, Engine::kThreaded), 0));
+}
+
 TEST(RealSweeps, CampaignShardedSummaryMatchesRunRandom) {
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   cpu::CpuConfig config;
