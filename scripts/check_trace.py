@@ -14,7 +14,10 @@ Optional assertions for CI:
 
   --expect-span NAME=N     exactly N spans named NAME
   --expect-command CMD     header names subcommand CMD
-  --expect-counter NAME=N  the metrics footer records counter NAME == N
+  --expect-counter NAME=N  the metrics footer records counter NAME == N (the
+                           footer omits zero counters, so N=0 means absent)
+  --expect-counter-equals-instants NAME=INSTANT
+                           counter NAME equals the number of INSTANT instants
 
 Exits 0 when the trace is valid, 1 with a message on stderr otherwise.
 """
@@ -45,11 +48,21 @@ def main():
     parser.add_argument("trace", help="cicmon-trace-v1 JSONL file")
     parser.add_argument("--expect-span", action="append", default=[], metavar="NAME=N")
     parser.add_argument("--expect-counter", action="append", default=[], metavar="NAME=N")
+    parser.add_argument("--expect-counter-equals-instants", action="append", default=[],
+                        metavar="NAME=INSTANT")
     parser.add_argument("--expect-command", metavar="CMD")
     args = parser.parse_args()
 
     expect_spans = parse_expect(args.expect_span, "--expect-span")
     expect_counters = parse_expect(args.expect_counter, "--expect-counter")
+    counter_instants = {}
+    for item in args.expect_counter_equals_instants:
+        name, sep, instant = item.partition("=")
+        if not sep or not name or not instant:
+            print(f"check_trace: bad --expect-counter-equals-instants '{item}' "
+                  "(want NAME=INSTANT)", file=sys.stderr)
+            sys.exit(2)
+        counter_instants[name] = instant
 
     with open(args.trace, "r", encoding="utf-8") as handle:
         lines = [line for line in handle.read().split("\n") if line]
@@ -69,6 +82,7 @@ def main():
         fail(1, f"command is {command!r}, expected {args.expect_command!r}")
 
     span_counts = {}
+    instant_counts = {}
     events = 0
     metrics = None
     last_ev = None
@@ -103,6 +117,8 @@ def main():
             if not isinstance(dur_us, int) or dur_us < 0:
                 fail(line_no, f"span '{name}' has bad dur_us {dur_us!r}")
             span_counts[name] = span_counts.get(name, 0) + 1
+        else:
+            instant_counts[name] = instant_counts.get(name, 0) + 1
 
     if metrics is None:
         fail(len(lines), "no metrics footer")
@@ -114,9 +130,15 @@ def main():
         if got != want:
             fail(len(lines), f"expected {want} '{name}' span(s), found {got}")
     for name, want in expect_counters.items():
-        got = metrics["counters"].get(name)
+        got = metrics["counters"].get(name, 0)
         if got != want:
             fail(len(lines), f"expected counter {name}={want}, found {got!r}")
+    for name, instant in counter_instants.items():
+        got = metrics["counters"].get(name, 0)
+        want = instant_counts.get(instant, 0)
+        if got != want:
+            fail(len(lines), f"expected counter {name} to equal the {want} '{instant}' "
+                 f"instant(s), found {got!r}")
 
     print(f"check_trace: OK — {events} event(s), {sum(span_counts.values())} span(s), "
           f"{len(metrics['counters'])} counter(s)")

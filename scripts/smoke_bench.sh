@@ -77,22 +77,19 @@ for sub in "table1 --scale ${scale}" \
 done
 rm -rf "${engine_dir}"
 
-# Checkpoint A/B: restoring golden-run snapshots (at any stride) must
-# reproduce the full re-execution campaign summary byte for byte. The full
-# site x engine x stride grid runs in the campaign-checkpoints CI job; this
-# catches a broken restore path in every smoke pass.
+# Checkpoint A/B: restoring golden-run snapshots must reproduce the full
+# re-execution campaign summary byte for byte. The full site x engine grid
+# runs in the campaign-checkpoints CI job; this catches a broken restore path
+# in every smoke pass.
 if [[ -x ${build_dir}/cicmon ]]; then
-  echo "--- cicmon campaign checkpoints A/B (on vs off vs strided)"
+  echo "--- cicmon campaign checkpoints A/B (on vs off)"
   ckpt_dir=$(mktemp -d)
   base="campaign --workload bitcount --scale 0.02 --trials 50"
   if ! ${build_dir}/cicmon ${base} --checkpoints on 2> /dev/null \
          > "${ckpt_dir}/on.txt" ||
      ! ${build_dir}/cicmon ${base} --checkpoints off 2> /dev/null \
          > "${ckpt_dir}/off.txt" ||
-     ! ${build_dir}/cicmon ${base} --checkpoints on --checkpoint-stride 97 \
-         2> /dev/null > "${ckpt_dir}/strided.txt" ||
-     ! diff "${ckpt_dir}/on.txt" "${ckpt_dir}/off.txt" ||
-     ! diff "${ckpt_dir}/on.txt" "${ckpt_dir}/strided.txt"; then
+     ! diff "${ckpt_dir}/on.txt" "${ckpt_dir}/off.txt"; then
     echo "--- cicmon campaign checkpoints: summaries diverge or failed" >&2
     failures=$((failures + 1))
   fi
@@ -166,10 +163,9 @@ if [[ -x ${build_dir}/cicmon ]]; then
 fi
 
 # Dispatch must reproduce the direct run byte for byte with golden-state
-# shipping on (the default) and off (every worker derives locally), and
-# merge must accept the artifact directory. The wall-clock overhead vs the
-# direct run is printed; perfbench's dist.tax_cpu_frac measures the
-# dispatch tax.
+# shipping, and merge must accept the artifact directory. The wall-clock
+# overhead vs the direct run is printed; perfbench's dist.tax_cpu_frac
+# measures the dispatch tax.
 if [[ -x ${build_dir}/cicmon ]]; then
   echo "--- cicmon dispatch"
   dispatch_dir=$(mktemp -d)
@@ -181,15 +177,9 @@ if [[ -x ${build_dir}/cicmon ]]; then
     --workers 3 --shards 7 --dir "${dispatch_dir}/shards" --quiet \
     2> "${dispatch_dir}/sessions.err" > "${dispatch_dir}/sessions.txt"
   t2=$(date +%s%3N)
-  "${build_dir}/cicmon" dispatch campaign --workload bitcount --scale 0.02 --trials 200 \
-    --workers 3 --shards 7 --dir "${dispatch_dir}/shards-noship" --ship-golden off --quiet \
-    2> /dev/null > "${dispatch_dir}/noship.txt"
-  t3=$(date +%s%3N)
   direct_ms=$((t1 - t0))
   session_ms=$((t2 - t1))
-  noship_ms=$((t3 - t2))
   if ! diff "${dispatch_dir}/direct.txt" "${dispatch_dir}/sessions.txt" ||
-     ! diff "${dispatch_dir}/direct.txt" "${dispatch_dir}/noship.txt" ||
      ! "${build_dir}/cicmon" merge "${dispatch_dir}/shards" > "${dispatch_dir}/merged.txt" ||
      ! diff "${dispatch_dir}/direct.txt" "${dispatch_dir}/merged.txt"; then
     echo "--- cicmon dispatch: output differs from the direct run" >&2
@@ -199,7 +189,7 @@ if [[ -x ${build_dir}/cicmon ]]; then
     cat "${dispatch_dir}/sessions.err" >&2
     failures=$((failures + 1))
   else
-    echo "    direct ${direct_ms} ms, sessions ${session_ms} ms, ship-golden off ${noship_ms} ms (3 workers, 7 shards)"
+    echo "    direct ${direct_ms} ms, sessions ${session_ms} ms (3 workers, 7 shards)"
   fi
   # The --dry-run plan must print the session launch line without creating
   # anything.

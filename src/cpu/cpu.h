@@ -233,8 +233,9 @@ class Cpu final : private uop::Datapath {
   // hit / invalidation counts for the tamper tests).
   const uop::TranslationCache* translation_cache() const { return tcache_.get(); }
   // Predecode-cache probes and fills (cold slots or tag-mismatch redecodes).
-  // Only step() — the switch engine, golden recording and icache-line
-  // stepping — consults the cache; hits are lookups minus misses.
+  // Only the interpreter path — the switch engine's run/run_until, and
+  // step() on either engine — consults the cache; hits are lookups minus
+  // misses.
   std::uint64_t predecode_lookups() const { return predecode_lookups_; }
   std::uint64_t predecode_misses() const { return predecode_misses_; }
   // Translation-tag mismatches the threaded engine replayed via interpreter.

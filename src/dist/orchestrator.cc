@@ -259,18 +259,14 @@ void run_sessions(RunState& state, const std::vector<std::string>& worker_argv,
         case WorkerSession::Event::Kind::kReady: {
           advanced = true;
           handshake_failures = 0;
-          static const obs::CounterId k_golden[3] = {
+          static const obs::CounterId k_golden[2] = {
               obs::counter("dispatch.golden.shipped"),
-              obs::counter("dispatch.golden.cached"),
               obs::counter("dispatch.golden.derived")};
           if (event.golden == "shipped") {
             obs::bump(k_golden[0]);
             ++state.result.golden_shipped;
-          } else if (event.golden == "cached") {
-            obs::bump(k_golden[1]);
-            ++state.result.golden_cached;
           } else if (event.golden == "derived") {
-            obs::bump(k_golden[2]);
+            obs::bump(k_golden[1]);
             ++state.result.golden_derived;
           }
           if (obs::trace_enabled()) {

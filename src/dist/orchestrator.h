@@ -6,11 +6,10 @@
 // while pull scheduling keeps every worker busy), and schedules them onto
 // persistent worker sessions: each worker slot runs one long-lived `cicmon
 // worker <sweep> ...` process that derives the sweep ONCE and then serves
-// shard assignments over a framed pipe protocol (dist/session.h). With
-// protocol v2 even that one derivation is usually skipped: the orchestrator
-// ships its own golden state (already derived, or loaded from the
-// --golden-cache) down the pipe, so a worker goes from spawn to first shard
-// in the time it takes to stream a few MB. Any transport whose stdio reaches
+// shard assignments over a framed pipe protocol (dist/session.h). Even that
+// one derivation is usually skipped: the orchestrator ships the golden state
+// it already derived down the pipe, so a worker goes from spawn to first
+// shard in the time it takes to stream a few MB. Any transport whose stdio reaches
 // the worker (local pipes, ssh-style templates; dist/transport.h) carries
 // sessions; completed artifacts stream into an exp::MergeState so the
 // campaign's progress renders incrementally.
@@ -77,7 +76,6 @@ struct DispatchResult {
   std::size_t retried = 0;   // re-enqueues after a failed attempt
   // How each completed handshake obtained its golden state.
   std::size_t golden_shipped = 0;
-  std::size_t golden_cached = 0;
   std::size_t golden_derived = 0;
   // Summed orchestrator-observed assignment run wall, summed assign-time
   // queue waits, the dispatch's own elapsed wall, and the fleet size it ran

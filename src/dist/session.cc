@@ -23,7 +23,6 @@ const char* type_name(SessionMessage::Type type) {
   switch (type) {
     case SessionMessage::Type::kHello: return "hello";
     case SessionMessage::Type::kGoldenOffer: return "golden_offer";
-    case SessionMessage::Type::kGoldenAck: return "golden_ack";
     case SessionMessage::Type::kReady: return "ready";
     case SessionMessage::Type::kAssign: return "assign";
     case SessionMessage::Type::kDone: return "done";
@@ -163,13 +162,6 @@ std::string encode_golden_offer(const std::string& key, std::uint64_t bytes,
   return finish(json);
 }
 
-std::string encode_golden_ack(bool accept) {
-  support::JsonWriter json = begin("golden_ack");
-  json.key("accept");
-  json.value(accept);
-  return finish(json);
-}
-
 std::string encode_ready(const exp::SweepSpec& spec, const std::string& golden_source) {
   support::JsonWriter json = begin("ready");
   json.key("sweep");
@@ -255,9 +247,6 @@ SessionMessage decode_session_message(std::string_view payload) {
     msg.golden_chunks = root.at("chunks").as_u64();
     support::check(msg.offer_key.empty() == (msg.golden_chunks == 0),
                    "golden_offer key and chunk count disagree");
-  } else if (type == "golden_ack") {
-    msg.type = SessionMessage::Type::kGoldenAck;
-    msg.accept = root.at("accept").as_bool();
   } else if (type == "ready") {
     msg.type = SessionMessage::Type::kReady;
     msg.sweep = root.at("sweep").as_string();
@@ -341,7 +330,7 @@ int serve_worker(const WorkerSweepSource& source, unsigned jobs) {
   StdinFrames frames;
   std::string payload;
 
-  // Golden exchange: offer, ack, then exactly offer.chunks chunk frames.
+  // Golden exchange: the offer, then exactly offer.golden_chunks chunk frames.
   StdinFrames::Status status = frames.next(&payload);
   if (status == StdinFrames::Status::kDead) return 1;
   if (status == StdinFrames::Status::kEof) {
@@ -364,15 +353,9 @@ int serve_worker(const WorkerSweepSource& source, unsigned jobs) {
                  type_name(offer.type));
     return 1;
   }
-  const bool accept = !source.golden_key.empty() && offer.offer_key == source.golden_key &&
-                      offer.golden_chunks > 0;
-  if (!support::write_all(STDOUT_FILENO, support::wire_frame(encode_golden_ack(accept)))) {
-    std::fprintf(stderr, "cicmon worker: orchestrator went away\n");
-    return 1;
-  }
   std::string shipped;
   bool have_shipped = false;
-  if (accept) {
+  if (offer.golden_chunks > 0) {
     // Drain every promised chunk even if one is corrupt: the stream position
     // must stay in sync for the records that follow. Corruption downgrades
     // to local derivation, it does not kill the session.
@@ -556,31 +539,21 @@ WorkerSession::Event WorkerSession::pump(const exp::SweepSpec& spec, Clock::time
         // Offer the shipment only when the worker computes the same canonical
         // key: skew (different binary, different flags) downgrades to local
         // derivation on the worker's side of the wire.
-        offered_ = golden_ != nullptr && !golden_->empty() && !msg.golden_key.empty() &&
-                   msg.golden_key == golden_->key;
+        const bool offered = golden_ != nullptr && !golden_->empty() &&
+                             !msg.golden_key.empty() && msg.golden_key == golden_->key;
         const std::string frame = support::wire_frame(
-            offered_ ? encode_golden_offer(golden_->key, golden_->bytes,
-                                           golden_->frames.size())
-                     : encode_golden_offer("", 0, 0));
+            offered ? encode_golden_offer(golden_->key, golden_->bytes,
+                                          golden_->frames.size())
+                    : encode_golden_offer("", 0, 0));
         if (!support::write_all(child_.stdin_fd(), frame)) {
           return fail("worker went away before the golden offer");
         }
-        state_ = State::kShipping;
-        continue;  // the ack may already be buffered
-      }
-      case State::kShipping: {
-        if (msg.type != SessionMessage::Type::kGoldenAck) {
-          return fail(std::string("expected golden_ack, got ") + type_name(msg.type));
-        }
-        if (msg.accept) {
-          if (!offered_) {
-            return fail("worker accepted an empty golden offer");
-          }
+        if (offered) {
           // Blocking writes: the whole shipment streams here. A worker that
           // dies mid-stream surfaces as a failed write (EPIPE) and the
           // session is torn down with nothing in flight.
-          for (const std::string& frame : golden_->frames) {
-            if (!support::write_all(child_.stdin_fd(), frame)) {
+          for (const std::string& chunk : golden_->frames) {
+            if (!support::write_all(child_.stdin_fd(), chunk)) {
               return fail("worker died mid-golden-chunk");
             }
           }
@@ -650,12 +623,10 @@ WorkerSession::Event WorkerSession::pump(const exp::SweepSpec& spec, Clock::time
 void WorkerSession::shutdown(double grace_seconds) {
   if (state_ == State::kDead) return;
   if (child_.valid()) {
-    if (state_ == State::kIdle || state_ == State::kBusy || state_ == State::kDeriving) {
-      // A worker this far along is in (or headed for) the record loop, where
-      // a shutdown record is the polite exit. Earlier phases get plain EOF —
-      // a mid-chunk worker would read a record where a chunk was promised.
-      support::write_all(child_.stdin_fd(), support::wire_frame(encode_shutdown()));
-    }
+    // Every live worker reads a record next — the offer slot accepts a
+    // shutdown too, and a shipment is always written out in full before the
+    // session leaves kHandshaking — so the shutdown record is the polite exit.
+    support::write_all(child_.stdin_fd(), support::wire_frame(encode_shutdown()));
     // One bounded budget, escalating: stdin EOF is the polite exit signal
     // (a healthy worker is gone in milliseconds), SIGTERM fires halfway
     // through the grace window, SIGKILL ends it. Never more than

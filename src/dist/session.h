@@ -1,22 +1,18 @@
 // Persistent worker sessions: the protocol and both ends of the pipe.
 //
-// PR 4's orchestrator spawned one `cicmon <sweep> --shard I/N` process per
-// work item, so every item paid a process start-up and — for campaigns —
+// A process per work item would pay a process start-up and — for campaigns —
 // a full golden run before doing any monitored work. A persistent session
 // amortises both: the orchestrator spawns `cicmon worker <sweep> ...` once
 // per worker slot and shard assignments stream over the worker's stdin with
-// completed-artifact acks coming back over its stdout. Protocol v2 goes one
-// step further: the orchestrator has already derived the golden state (or
-// loaded it from the --golden-cache), so it *ships* it to each worker over
-// the wire, and the worker skips even its one golden run — the measured
-// residual of the v1 dispatch tax.
+// completed-artifact acks coming back over its stdout. The orchestrator has
+// already derived the golden state, so it *ships* it to each worker over the
+// wire, and the worker skips even its one golden run.
 //
 // The conversation, as length/checksum-framed records (support/wire.h):
 //
 //   worker  -> orchestrator   hello        {protocol, sweep, golden_key}
 //   orchestrator -> worker    golden_offer {key, bytes, chunks}
-//   worker  -> orchestrator   golden_ack   {accept}
-//   orchestrator -> worker    <chunks> binary cicmon-chunk frames (if accepted)
+//   orchestrator -> worker    <chunks> binary cicmon-chunk frames
 //   worker  -> orchestrator   ready        {sweep, cells, params, golden}
 //   orchestrator -> worker    assign       {shard, shard_count, out, force}
 //   worker  -> orchestrator   done         {shard, shard_count, out, reused, wall_ms}
@@ -31,17 +27,20 @@
 // the v1 hello was — a worker built from skewed flags or a different binary
 // fails before any shard is wasted on it.
 //
-// Golden shipping is strictly best-effort: a key mismatch, an empty offer,
-// or a shipment that fails its checksums downgrades the worker to local
-// derivation (golden: "derived" in the ready record) — never an error. The
-// trust rules stay PR 5's: any malformed frame, unexpected record, EOF
-// mid-record, or deadline overrun kills the whole session, because after a
-// protocol violation there is no way to know what the worker actually did —
-// the in-flight shard is re-enqueued through the ordinary retry budget and
-// a fresh session takes the slot. A worker that dies mid-golden-chunk is
-// the same case seen from the other side: the orchestrator's chunk write
-// fails, the session is torn down, and the handshake-failure budget bounds
-// how often that can repeat.
+// The orchestrator offers a non-empty shipment only when the hello's key
+// equals its own, and then streams exactly `chunks` chunk frames right behind
+// the offer; the worker drains them all. Golden shipping is strictly
+// best-effort: key skew (an empty offer) or a shipment that fails its
+// checksums downgrades the worker to local derivation (golden: "derived" in
+// the ready record) — never an error. Any malformed frame, unexpected
+// record, EOF mid-record, or deadline overrun kills the whole session,
+// because after a protocol violation there is no way to know what the worker
+// actually did — the in-flight shard is re-enqueued through the ordinary
+// retry budget and a fresh session takes the slot. A worker that dies
+// mid-golden-chunk is the same case seen from the other side: the
+// orchestrator's chunk write (or its wait for the ready record) fails, the
+// session is torn down, and the handshake-failure budget bounds how often
+// that can repeat.
 #pragma once
 
 #include <chrono>
@@ -60,16 +59,16 @@
 namespace cicmon::dist {
 
 // Message-content version, carried in the hello record. v2 split the
-// handshake into hello/ready around the golden-state exchange; the framing
-// has its own version token (support::kWireMagic).
-inline constexpr std::uint64_t kSessionProtocolVersion = 2;
+// handshake into hello/ready around the golden-state exchange; v3 streams the
+// chunks right behind the offer, with no accept/decline ack. The framing has
+// its own version token (support::kWireMagic).
+inline constexpr std::uint64_t kSessionProtocolVersion = 3;
 
 // One decoded protocol record. Which fields are meaningful depends on type.
 struct SessionMessage {
   enum class Type : std::uint8_t {
     kHello,
     kGoldenOffer,
-    kGoldenAck,
     kReady,
     kAssign,
     kDone,
@@ -86,12 +85,10 @@ struct SessionMessage {
   std::string offer_key;      // "" = nothing to ship
   std::uint64_t golden_bytes = 0;
   std::uint64_t golden_chunks = 0;
-  // golden_ack
-  bool accept = false;
   // ready
   exp::SweepParams params;
   std::uint64_t cells = 0;
-  std::string golden_source;  // "shipped" / "cached" / "derived" / ""
+  std::string golden_source;  // "shipped" / "derived" / ""
   // assign / done / error
   exp::Shard shard;
   std::string artifact_path;  // assign / done
@@ -109,7 +106,6 @@ struct SessionMessage {
 std::string encode_hello(const std::string& sweep, const std::string& golden_key);
 std::string encode_golden_offer(const std::string& key, std::uint64_t bytes,
                                 std::uint64_t chunks);
-std::string encode_golden_ack(bool accept);
 std::string encode_ready(const exp::SweepSpec& spec, const std::string& golden_source);
 std::string encode_assign(const exp::Shard& shard, const std::string& out, bool force);
 std::string encode_done(const exp::Shard& shard, const std::string& out, bool reused,
@@ -149,15 +145,15 @@ GoldenShipment make_golden_shipment(std::string key, std::string_view blob);
 
 // What `cicmon worker` serves. The sweep's *identity* is known before any
 // derivation (the light hello); the full SweepSpec is derived only after the
-// golden exchange, so an accepted shipment can spare the derivation cost.
+// golden exchange, so a shipment can spare the derivation cost.
 struct WorkerSweepSource {
   std::string sweep;       // sweep name, sent in the hello
-  std::string golden_key;  // canonical golden key; "" = nothing to accept
+  std::string golden_key;  // canonical golden key; "" = nothing to ship
   // Derives the full spec. `shipped` is a checksum-valid golden blob when
-  // one was accepted over the wire, null otherwise; implementations fall
+  // one arrived over the wire, null otherwise; implementations fall
   // back to local derivation when the blob fails to decode or import. On
   // return, `golden_source` (when non-null) is set to how golden state was
-  // obtained: "shipped", "cached", "derived", or "" for sweeps without one.
+  // obtained: "shipped", "derived", or "" for sweeps without one.
   std::function<exp::SweepSpec(const std::string* shipped, std::string* golden_source)>
       derive;
 };
@@ -195,8 +191,7 @@ class WorkerSession {
 
   enum class State : std::uint8_t {
     kHandshaking,  // spawned, waiting for a valid hello
-    kShipping,     // golden offer sent, waiting for the accept/decline ack
-    kDeriving,     // chunks done (or declined), waiting for the ready record
+    kDeriving,     // offer and chunks sent, waiting for the ready record
     kIdle,         // handshake done, no assignment outstanding
     kBusy,         // an assignment is in flight
     kDead,         // torn down; take_item() recovers any in-flight work
@@ -224,7 +219,7 @@ class WorkerSession {
   // launch). `golden` may be null or empty; when it matches the
   // worker's hello key the shipment is offered and its frames streamed.
   // `deadline` bounds the whole handshake, hello through ready — the
-  // derivation a declining worker performs is the expensive half, so the
+  // derivation an unshipped worker performs is the expensive half, so the
   // caller passes its per-item timeout. `grace_seconds` is the
   // SIGTERM-to-SIGKILL window every teardown uses.
   WorkerSession(support::ChildProcess child, const GoldenShipment* golden,
@@ -234,8 +229,7 @@ class WorkerSession {
   // True until the ready record lands — the phase whose failures the
   // orchestrator's handshake budget (not the per-item budget) bounds.
   bool pre_ready() const {
-    return state_ == State::kHandshaking || state_ == State::kShipping ||
-           state_ == State::kDeriving;
+    return state_ == State::kHandshaking || state_ == State::kDeriving;
   }
   bool has_item() const { return has_item_; }
   const WorkItem& item() const { return item_; }
@@ -263,7 +257,6 @@ class WorkerSession {
   support::ChildProcess child_;
   support::FrameReader reader_;
   const GoldenShipment* golden_ = nullptr;  // not owned; outlives the session
-  bool offered_ = false;                    // a non-empty offer went out
   State state_ = State::kHandshaking;
   WorkItem item_;
   bool has_item_ = false;

@@ -247,17 +247,9 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
 
   std::optional<cpu::RunResult> result;
   if (spec.site == FaultSite::kICacheLine) {
-    // Mid-run injection needs instruction-granular stepping, so this site
-    // walks the interpreter from the restored snapshot (or from zero with
-    // checkpoints off) until the trigger fires, then hands the rest of the
-    // run to the configured engine. Every other site's fault is armed before
-    // the run, so the whole trial executes through cpu.run() — the
-    // threaded-vs-switch A/B campaigns rely on trials actually exercising
-    // the engine under test.
+    // Run to the trigger on the configured engine, then flip resident bits.
     support::Rng icache_rng(spec.trigger_index * 0x9E3779B97F4A7C15ULL + spec.xor_mask);
-    while (!result.has_value() && cpu.instructions_retired() < spec.trigger_index) {
-      result = cpu.step();
-    }
+    result = cpu.run_until(spec.trigger_index);
     if (!result.has_value()) {
       mem::ICache* icache = cpu.fetch_path().icache();
       if (icache != nullptr) {

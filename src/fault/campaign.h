@@ -82,8 +82,8 @@ struct CampaignSummary {
 // Golden-run checkpointing (see fault/golden.h). Enabled by default: trials
 // restore the nearest snapshot before their trigger instead of re-simulating
 // the clean prefix. A pure execution strategy — like the engine choice or the
-// job count, it never changes a trial outcome (tests and CI enforce
-// byte-identity on/off at every stride) — so it is not a sweep parameter.
+// job count, it never changes a trial outcome (CI enforces byte-identity on
+// vs off, and tests also at fixed strides) — so it is not a sweep parameter.
 // Automatically disabled when recovery mode is configured (snapshots do not
 // cover the in-run block checkpoint).
 //
@@ -99,7 +99,9 @@ struct CampaignSummary {
 // or cache state, so those trials always run to their end.
 struct CheckpointConfig {
   bool enabled = true;
-  std::uint64_t stride = 0;  // snapshot spacing in instructions; 0 = automatic
+  // Snapshot spacing in instructions; 0 = automatic. The CLI always uses the
+  // automatic schedule; tests pin fixed strides.
+  std::uint64_t stride = 0;
 };
 
 class CampaignRunner {
@@ -110,7 +112,7 @@ class CampaignRunner {
   CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                  const CheckpointConfig& checkpoints = {});
 
-  // Builds a runner from shipped or cached golden state instead of deriving
+  // Builds a runner from shipped golden state instead of deriving
   // it: the loader run and the golden execution are both skipped (the uop
   // spec is rebuilt from the config, bit-identical by construction). `state`
   // must come from an identically configured runner's export_golden() — the
@@ -120,7 +122,7 @@ class CampaignRunner {
   CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                  const CheckpointConfig& checkpoints, const GoldenState& state);
 
-  // Snapshot of everything the constructor derived, for shipping/caching.
+  // Snapshot of everything the constructor derived, for shipping.
   GoldenState export_golden() const;
 
   // Runs one trial with an explicit fault. Thread-safe: trials share only

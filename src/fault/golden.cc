@@ -23,9 +23,8 @@ CheckpointedGolden::CheckpointedGolden(const cpu::CpuConfig& config,
   std::uint64_t next_due = stride_;
   std::optional<cpu::RunResult> done;
   while (!done.has_value()) {
-    done = cpu.step();
+    done = cpu.run_until(next_due);  // pauses exactly at next_due
     if (done.has_value()) break;
-    if (cpu.instructions_retired() < next_due) continue;
     if (auto_stride && snapshots_.size() >= kAutoMaxSnapshots) {
       // Budget reached: double the stride and thin to the surviving grid
       // (every other snapshot, starting at 0), exactly what recording at the

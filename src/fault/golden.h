@@ -43,8 +43,9 @@ class CheckpointedGolden {
                      std::uint64_t stride);
 
   // The golden run's final result (this class doubles as THE golden run —
-  // recording uses the single-step interface, whose results are bit-identical
-  // to any engine's run()).
+  // recording pauses the configured engine with run_until at each snapshot
+  // boundary, and a pause leaves exactly the state an uninterrupted run has
+  // there).
   const cpu::RunResult& result() const { return result_; }
 
   std::uint64_t stride() const { return stride_; }

@@ -1,9 +1,6 @@
 #include "fault/golden_ser.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "support/error.h"
 #include "support/wire.h"
@@ -375,16 +372,6 @@ std::string encode_golden(const GoldenState& state, std::string_view key) {
   return out;
 }
 
-bool golden_blob_valid(std::string_view blob, std::string_view expected_key) {
-  const std::size_t header = kGoldenMagic.size() + expected_key.size();
-  if (blob.size() < header + 8) return false;
-  if (blob.substr(0, kGoldenMagic.size()) != kGoldenMagic) return false;
-  if (blob.substr(kGoldenMagic.size(), expected_key.size()) != expected_key) return false;
-  const std::string_view body = blob.substr(0, blob.size() - 8);
-  Cursor tail(blob.substr(blob.size() - 8));
-  return tail.u64() == support::wire_checksum(body);
-}
-
 GoldenState decode_golden(std::string_view blob, std::string_view expected_key) {
   support::check(blob.size() >= kGoldenMagic.size() + 16 + 8, "golden blob truncated");
   support::check(blob.substr(0, kGoldenMagic.size()) == kGoldenMagic,
@@ -419,36 +406,6 @@ GoldenState decode_golden(std::string_view blob, std::string_view expected_key) 
   state.result = get_result(&in);
   support::check(in.exhausted(), "golden blob has trailing bytes");
   return state;
-}
-
-std::string golden_cache_path(const std::string& dir, std::string_view key) {
-  return dir + "/" + std::string(key) + ".golden";
-}
-
-std::string load_cached_golden(const std::string& dir, std::string_view key) {
-  std::ifstream file(golden_cache_path(dir, key), std::ios::binary);
-  if (!file) return {};
-  std::string blob((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
-  if (!golden_blob_valid(blob, key)) return {};  // truncated or corrupt: ignore
-  return blob;
-}
-
-void store_cached_golden(const std::string& dir, std::string_view key,
-                         std::string_view blob) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  support::check(!ec && std::filesystem::is_directory(dir),
-                 "golden cache: cannot create directory '" + dir + "'");
-  const std::string path = golden_cache_path(dir, key);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    support::check(static_cast<bool>(file), "golden cache: cannot write '" + tmp + "'");
-    file.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    support::check(static_cast<bool>(file), "golden cache: short write to '" + tmp + "'");
-  }
-  support::check(std::rename(tmp.c_str(), path.c_str()) == 0,
-                 "golden cache: cannot rename '" + tmp + "' to '" + path + "'");
 }
 
 }  // namespace cicmon::fault

@@ -7,7 +7,7 @@
 // clocks, plus the final RunResult). Deriving it costs one full clean
 // execution per process — the measured residual of the dispatch tax. This
 // module serializes it once so the orchestrator can ship it to every worker
-// over the session wire, and cache it on disk across invocations.
+// over the session wire.
 //
 // Record layout (all integers little-endian):
 //
@@ -72,11 +72,11 @@ struct GoldenState {
 // Canonical golden key: 16 lowercase hex digits of the FNV-1a64 hash over
 // "name=value\n" lines in the given order. The caller lists exactly the
 // fields the golden state depends on — workload identity and scale, the
-// campaign's fault/seed parameters, the monitor configuration, and the
-// checkpoint schedule — and nothing execution-strategy-shaped (engine,
-// translate cache, jobs), which never changes the state. Orchestrator and
-// worker build the key from their own flags; a mismatch means config skew
-// and downgrades shipping to local derivation.
+// campaign's fault/seed parameters, the monitor configuration, and whether
+// checkpoints are recorded — and nothing execution-strategy-shaped (engine,
+// jobs), which never changes the state. Orchestrator and worker build the
+// key from their own flags; a mismatch means config skew and downgrades
+// shipping to local derivation.
 std::string golden_key(const std::vector<std::pair<std::string, std::string>>& fields);
 
 // Serializes `state` into a cicmon-golden-v1 blob carrying `key` (which must
@@ -87,25 +87,5 @@ std::string encode_golden(const GoldenState& state, std::string_view key);
 // and that the embedded key equals `expected_key`. Throws CicError on any
 // violation.
 GoldenState decode_golden(std::string_view blob, std::string_view expected_key);
-
-// Cheap acceptance test: magic + key + whole-record checksum, no parsing.
-// What the cache and the worker use to reject truncated or corrupt blobs.
-bool golden_blob_valid(std::string_view blob, std::string_view expected_key);
-
-// --- Content-addressed on-disk cache ---------------------------------------
-
-// DIR/<key>.golden
-std::string golden_cache_path(const std::string& dir, std::string_view key);
-
-// Loads and validates the cached blob for `key`. Returns the blob, or an
-// empty string when the file is missing, truncated, or corrupt — a bad cache
-// entry is ignored (the caller re-derives and rewrites), never trusted.
-std::string load_cached_golden(const std::string& dir, std::string_view key);
-
-// Writes the blob atomically (temp file + rename), creating DIR if needed.
-// Throws CicError on I/O failure — an explicitly requested cache that cannot
-// be written is an operator error worth surfacing.
-void store_cached_golden(const std::string& dir, std::string_view key,
-                         std::string_view blob);
 
 }  // namespace cicmon::fault

@@ -34,9 +34,7 @@
 // incrementally as artifacts land, then renders — stdout is byte-identical
 // to the direct invocation. For campaigns the orchestrator ships its own
 // derived golden state down each session's pipe (fault/golden_ser.h), so
-// workers skip their golden runs entirely; --golden-cache DIR additionally
-// persists the encoded golden state on disk, keyed by a canonical hash of
-// the campaign parameters, so repeated dispatches skip the derivation too.
+// workers skip their golden runs entirely.
 // `cicmon worker` is the session server side and is not meant to be invoked
 // by hand (its stdout speaks the wire protocol).
 #include <algorithm>
@@ -110,18 +108,11 @@ struct Options {
   // strategy (byte-identical results either way), so it is passed to the
   // sweep builders like the scale but never becomes a sweep parameter.
   cpu::Engine engine = cpu::Engine::kThreaded;
-  // Campaign checkpointing (fault::CheckpointConfig): a pure execution
-  // strategy like the engine choice — byte-identical results on or off, at
-  // any stride — so it is forwarded to dispatch workers but never becomes a
+  // Campaign checkpointing (fault::CheckpointConfig, automatic stride): a
+  // pure execution strategy like the engine choice — byte-identical results
+  // on or off — so it is forwarded to dispatch workers but never becomes a
   // sweep parameter.
   bool checkpoints = true;
-  std::uint64_t checkpoint_stride = 0;  // 0 = automatic schedule
-  // Campaign golden-state reuse (fault/golden_ser.h): a content-addressed
-  // on-disk cache, and whether dispatch offers its golden state to session
-  // workers over the wire. Both are execution strategies — byte-identical
-  // results on or off, enforced by tests.
-  std::string golden_cache;  // --golden-cache DIR; empty = no disk cache
-  bool ship_golden = true;   // --ship-golden on|off (dispatch only)
 };
 
 [[noreturn]] void usage(int code) {
@@ -169,15 +160,6 @@ struct Options {
       "                   of re-simulating the clean prefix; never changes a\n"
       "                   trial outcome (default on; off exists for A/B checks\n"
       "                   and is forced under recovery mode)\n"
-      "  --checkpoint-stride N\n"
-      "                   campaign snapshot spacing in retired instructions;\n"
-      "                   0 = automatic bounded-memory schedule (default 0)\n"
-      "  --golden-cache DIR\n"
-      "                   campaign: cache the derived golden state (image,\n"
-      "                   snapshots, golden result) on disk, keyed by a\n"
-      "                   canonical hash of the campaign parameters; later\n"
-      "                   runs with the same parameters load it instead of\n"
-      "                   re-deriving; never changes any output\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
       "                   handlers behind a tamper-safe translation cache) or\n"
       "                   'switch' (the per-uop predecode interpreter); both\n"
@@ -209,11 +191,6 @@ struct Options {
       "  --dir DIR        shard artifact directory (default cicmon-dispatch);\n"
       "                   valid artifacts already there are reused (resume)\n"
       "  --quiet          suppress the live progress/ETA lines on stderr\n"
-      "  --ship-golden on|off\n"
-      "                   campaign: offer the orchestrator's derived golden\n"
-      "                   state to each session worker over the wire so the\n"
-      "                   worker skips its own golden run (default on; off\n"
-      "                   exists for A/B byte-identity checks)\n"
       "  --dry-run        print the planned shard grid and the command each\n"
       "                   worker slot launches, then exit without launching\n"
       "  --jobs under dispatch sets each worker's thread count\n"
@@ -296,13 +273,12 @@ std::string did_you_mean(std::string_view given, std::span<const std::string_vie
 constexpr std::array<std::string_view, 10> kCommands = {
     "table1",   "fig6",  "blocks", "campaign",  "worker",
     "dispatch", "merge", "report", "workloads", "help"};
-constexpr std::array<std::string_view, 30> kFlags = {
+constexpr std::array<std::string_view, 27> kFlags = {
     "--scale", "--jobs",    "--entries", "--capacities", "--workload", "--site",
     "--bits",  "--trials",  "--seed",    "--monitor",    "--shard",
     "--out",   "--force",   "--workers", "--shards",     "--transport", "--retries",
     "--timeout", "--dir",   "--quiet",   "--dry-run",    "--help",
-    "--engine", "--checkpoints", "--checkpoint-stride", "--golden-cache",
-    "--ship-golden", "--trace", "--metrics", "--metrics-out"};
+    "--engine", "--checkpoints", "--trace", "--metrics", "--metrics-out"};
 
 // `first` is the index of the first flag: 2 for `cicmon <cmd> ...`, 3 for
 // `cicmon dispatch <cmd> ...`.
@@ -382,15 +358,6 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
       const std::string_view v = value();
       if (v != "on" && v != "off") usage(2);
       options.checkpoints = v == "on";
-    } else if (flag == "--checkpoint-stride") {
-      if (!support::parse_u64(value(), &options.checkpoint_stride)) usage(2);
-    } else if (flag == "--golden-cache") {
-      options.golden_cache = value();
-      if (options.golden_cache.empty()) usage(2);
-    } else if (flag == "--ship-golden") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      options.ship_golden = v == "on";
     } else if (flag == "--trace") {
       const char* path = value();
       if (path[0] == '\0') usage(2);
@@ -589,19 +556,19 @@ int run_sweep_command(const exp::SweepSpec& spec, const Options& options) {
 // A sweep spec plus whatever live state its run_cell borrows — the campaign
 // spec captures its CampaignRunner by reference, so the two travel together.
 // For campaigns, golden_key/golden_source record the canonical identity of
-// the golden state and where this process got it (derived, disk cache, or a
-// blob shipped over the session wire).
+// the golden state and where this process got it (derived, or a blob
+// shipped over the session wire).
 struct SweepBundle {
   exp::SweepSpec spec;
   std::unique_ptr<fault::CampaignRunner> keepalive;
   std::string golden_key;     // campaign only; "" otherwise
-  std::string golden_source;  // "shipped" / "cached" / "derived"; "" otherwise
+  std::string golden_source;  // "shipped" / "derived"; "" otherwise
 };
 
 // The canonical golden-state identity: every parameter the derived golden
 // state depends on, and nothing else. Execution strategies (engine, jobs)
 // are deliberately excluded — they never change the golden state, so a
-// cache or shipment produced under one strategy serves every other.
+// shipment produced under one strategy serves every other.
 std::string campaign_golden_key(const Options& options) {
   return fault::golden_key({
       {"workload", options.workload},
@@ -612,16 +579,14 @@ std::string campaign_golden_key(const Options& options) {
       {"seed", std::to_string(options.seed)},
       {"monitor", options.monitor ? "on" : "off"},
       {"checkpoints", options.checkpoints ? "on" : "off"},
-      {"checkpoint_stride", std::to_string(options.checkpoint_stride)},
   });
 }
 
 // Builds the campaign runner the cheapest honest way available: import a
-// blob `shipped` over the session wire, else the --golden-cache entry, else
-// derive (golden run) and populate the cache. Every failure short of
-// derivation failing is a downgrade, not an error — the artifact checks
-// protect the results, so a corrupt blob or cache file just costs the
-// derivation it was meant to save.
+// blob `shipped` over the session wire, else derive it (golden run). A
+// rejected blob is a downgrade, not an error — the artifact checks protect
+// the results, so a corrupt shipment just costs the derivation it was meant
+// to save.
 SweepBundle make_campaign_sweep(const Options& options, const std::string* shipped) {
   // Validate the site and workload before paying for the golden run.
   const fault::FaultSite site = parse_site(options.site);
@@ -638,11 +603,11 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
   config.engine = options.engine;
   config.monitoring = options.monitor;
   config.cic.iht_entries = 16;
-  const fault::CheckpointConfig checkpoints{options.checkpoints, options.checkpoint_stride};
+  const fault::CheckpointConfig checkpoints{options.checkpoints};
   const std::string key = campaign_golden_key(options);
 
-  // Covers the whole golden acquisition: wire import, cache load, or the
-  // golden run itself; the args say which way it went.
+  // Covers the whole golden acquisition: wire import or the golden run
+  // itself; the args say which way it went.
   obs::Span golden_span("campaign.golden");
   std::unique_ptr<fault::CampaignRunner> runner;
   std::string source;
@@ -657,30 +622,9 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
       runner.reset();
     }
   }
-  if (runner == nullptr && !options.golden_cache.empty()) {
-    // load_cached_golden already validated magic/key/checksum; decode can
-    // still reject structure, and a stale or truncated entry is overwritten
-    // below by the fresh derivation.
-    const std::string blob = fault::load_cached_golden(options.golden_cache, key);
-    if (!blob.empty()) {
-      try {
-        const fault::GoldenState state = fault::decode_golden(blob, key);
-        runner = std::make_unique<fault::CampaignRunner>(image, config, checkpoints, state);
-        source = "cached";
-      } catch (const support::CicError& error) {
-        std::fprintf(stderr, "cicmon: cached golden state rejected (%s); deriving locally\n",
-                     error.what());
-        runner.reset();
-      }
-    }
-  }
   if (runner == nullptr) {
     runner = std::make_unique<fault::CampaignRunner>(image, config, checkpoints);
     source = "derived";
-    if (!options.golden_cache.empty()) {
-      fault::store_cached_golden(options.golden_cache, key,
-                                 fault::encode_golden(runner->export_golden(), key));
-    }
   }
 
   golden_span.args().add("source", source);
@@ -699,7 +643,7 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
 }
 
 // The four dispatchable sweeps, by subcommand name. For "campaign" this pays
-// for the golden derivation up front (wire blob, disk cache, or golden run)
+// for the golden derivation up front (wire blob or golden run)
 // — dispatch needs the exact params workers will record to validate their
 // artifacts against, and the derived golden state is what it ships.
 SweepBundle make_sweep(std::string_view command, const Options& options,
@@ -861,13 +805,7 @@ std::vector<std::string> worker_sweep_flags(std::string_view command, const Opti
                   // Like --engine: an execution strategy, not a sweep
                   // parameter — forwarded so the workers accelerate (or A/B)
                   // the same way the user asked the orchestrator to.
-                  "--checkpoints", options.checkpoints ? "on" : "off",
-                  "--checkpoint-stride", std::to_string(options.checkpoint_stride)});
-    if (!options.golden_cache.empty()) {
-      // Workers share the disk cache: one that is not shipped the golden
-      // state (--ship-golden off, key skew) loads it instead of deriving it.
-      flags.insert(flags.end(), {"--golden-cache", options.golden_cache});
-    }
+                  "--checkpoints", options.checkpoints ? "on" : "off"});
   }
   return flags;
 }
@@ -893,10 +831,9 @@ std::string_view parse_sweep_subcommand(int argc, char** argv, const char* what)
 
 // `cicmon worker <sweep> ...`: the persistent-session server. Sends a light
 // hello (sweep name + golden key), then derives the sweep once — from a
-// golden blob the orchestrator ships, from the --golden-cache, or the hard
-// way — and serves shard assignments over stdin/stdout until the
-// orchestrator shuts it down. stdout belongs to the wire protocol, so this
-// subcommand never renders anything.
+// golden blob the orchestrator ships, or the hard way — and serves shard
+// assignments over stdin/stdout until the orchestrator shuts it down. stdout
+// belongs to the wire protocol, so this subcommand never renders anything.
 int cmd_worker(int argc, char** argv) {
   const std::string_view sub = parse_sweep_subcommand(argc, argv, "serve");
   const Options options = parse_options(argc, argv, /*allow_positional=*/false, /*first=*/3);
@@ -979,7 +916,7 @@ int cmd_dispatch(int argc, char** argv) {
   config.artifact_dir = options.dir.empty() ? "cicmon-dispatch" : options.dir;
   config.force = options.force;
   config.progress = !options.quiet;
-  if (options.ship_golden && bundle.keepalive != nullptr && !bundle.golden_key.empty()) {
+  if (bundle.keepalive != nullptr && !bundle.golden_key.empty()) {
     obs::Span encode_span("dispatch.golden_encode");
     config.golden = std::make_shared<dist::GoldenShipment>(dist::make_golden_shipment(
         bundle.golden_key,
@@ -1013,9 +950,8 @@ int cmd_dispatch(int argc, char** argv) {
     return 1;
   }
   std::string golden_note;
-  if (result.golden_shipped + result.golden_cached + result.golden_derived > 0) {
+  if (result.golden_shipped + result.golden_derived > 0) {
     golden_note = ", golden " + std::to_string(result.golden_shipped) + " shipped/" +
-                  std::to_string(result.golden_cached) + " cached/" +
                   std::to_string(result.golden_derived) + " derived";
   }
   std::fprintf(stderr,

@@ -3,7 +3,7 @@
 // worker subprocesses — the orchestrator's failure paths.
 //
 // The session tests run the real `cicmon worker` binary over pipes, plus sh
-// saboteurs speaking just enough of the wire protocol to misbehave: the v2
+// saboteurs speaking just enough of the wire protocol to misbehave: the
 // handshake rejects protocol/spec skew but only *downgrades* on golden-key
 // skew, and every adversarial input — truncated frame, checksum mismatch,
 // garbage line, oversized record, hung worker, acked invalid artifact,
@@ -12,7 +12,7 @@
 // direct run's cells. An exhausted attempt budget is reported as a failure
 // while completed shards stay resumable. The Cli.* tests run the real
 // `cicmon dispatch` binary end to end and byte-diff its stdout against the
-// direct run with golden shipping on, off, cached, and sabotaged. (CI
+// direct run with golden shipping on, key-skewed, and sabotaged. (CI
 // repeats that over a multi-host-style template transport.)
 #include <gtest/gtest.h>
 
@@ -210,10 +210,6 @@ TEST(Session, MessagesRoundTripThroughEncodeDecode) {
   // The empty offer ("nothing to ship") is a valid record too.
   EXPECT_EQ(decode_session_message(encode_golden_offer("", 0, 0)).golden_chunks, 0U);
 
-  const SessionMessage ack = decode_session_message(encode_golden_ack(true));
-  EXPECT_EQ(ack.type, SessionMessage::Type::kGoldenAck);
-  EXPECT_TRUE(ack.accept);
-
   const SessionMessage ready = decode_session_message(encode_ready(spec, "shipped"));
   EXPECT_EQ(ready.type, SessionMessage::Type::kReady);
   EXPECT_EQ(ready.sweep, "table1");
@@ -379,17 +375,16 @@ std::string read_frame_to(const std::string& sink) {
   return "read magic len sum && head -c $((len + 1)) > \"" + sink + "\"\n";
 }
 
-// The worker half of a v2 handshake, as precomputed frames plus the script
-// lines that replay it: hello out, consume the golden offer, decline it,
-// report ready — enough for a /bin/sh "worker" to reach the assignment loop
-// exactly as the real binary does.
+// The worker half of a handshake, as precomputed frames plus the script
+// lines that replay it: hello out (with no golden key, so the offer is
+// empty and no chunks follow), consume the offer, report ready — enough for
+// a /bin/sh "worker" to reach the assignment loop exactly as the real binary
+// does.
 std::string scripted_handshake(const std::string& dir, const exp::SweepSpec& spec) {
   write_file(dir + "/hello.bin", support::wire_frame(encode_hello(spec.sweep, "")));
-  write_file(dir + "/ack.bin", support::wire_frame(encode_golden_ack(false)));
   write_file(dir + "/ready.bin", support::wire_frame(encode_ready(spec, "derived")));
   return "cat \"" + dir + "/hello.bin\"\n" + read_frame_to("/dev/null") + "cat \"" + dir +
-         "/ack.bin\"\n"
-         "cat \"" + dir + "/ready.bin\"\n";
+         "/ready.bin\"\n";
 }
 
 TEST(Sessions, IdleSessionIsNotKilledByItsCompletedAssignmentsDeadline) {
@@ -464,8 +459,8 @@ TEST(Sessions, FailedAssignWriteLeavesTheItemWithTheCaller) {
   EXPECT_EQ(item.shard.index, 1U);
 }
 
-// A saboteur session: speaks a valid v2 handshake (precomputed by the test,
-// declining the golden offer), consumes its first assignment into
+// A saboteur session: speaks a valid handshake (precomputed by the test,
+// with an empty golden offer), consumes its first assignment into
 // DIR/assign.rec, runs `sabotage` instead of serving it, and exits. Every
 // later launch (the mkdir is atomic, so exactly one saboteur fires) execs the
 // real worker binary, which serves the retried shard properly.
@@ -596,9 +591,10 @@ TEST(Sessions, ProtocolVersionSkewIsASetupErrorNotARetryLoop) {
   const exp::SweepSpec spec = session_sweep();
   // A "worker" from the future: hello with protocol 99, every launch.
   std::string hello = encode_hello(spec.sweep, "");
-  const std::string::size_type pos = hello.find("\"protocol\": 2");
+  const std::string current = "\"protocol\": " + std::to_string(kSessionProtocolVersion);
+  const std::string::size_type pos = hello.find(current);
   ASSERT_NE(pos, std::string::npos);
-  hello.replace(pos, 13, "\"protocol\": 99");
+  hello.replace(pos, current.size(), "\"protocol\": 99");
   std::ofstream out(dir + "/hello.bin", std::ios::binary);
   out << support::wire_frame(hello);
   out.close();
@@ -668,38 +664,24 @@ TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
   const std::string direct = read_file(dir + "/direct.txt");
   ASSERT_FALSE(direct.empty());
 
-  // Shipping on (the default), with a disk cache.
+  // Both workers take the wire shipment instead of paying a golden run.
   ASSERT_TRUE(support::exit_ok(run_cli(
       cli + " dispatch campaign" + campaign_flags() + " --workers 2 --shards 4 --quiet" +
-      " --dir " + dir + "/a1 --golden-cache " + dir + "/cache > " + dir + "/ship.txt 2> " +
-      dir + "/ship.err")));
+      " --dir " + dir + "/a1 > " + dir + "/ship.txt 2> " + dir + "/ship.err")));
   EXPECT_EQ(read_file(dir + "/ship.txt"), direct);
-  // Both workers took the wire shipment instead of paying a golden run.
-  EXPECT_NE(read_file(dir + "/ship.err").find("2 shipped"), std::string::npos)
+  EXPECT_NE(read_file(dir + "/ship.err").find("golden 2 shipped/0 derived"), std::string::npos)
       << read_file(dir + "/ship.err");
-  // The orchestrator's derivation landed in the content-addressed cache.
-  bool cached = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir + "/cache")) {
-    cached |= entry.path().string().ends_with(".golden");
-  }
-  EXPECT_TRUE(cached);
 
-  // Shipping off: every worker derives locally — byte-identical output.
+  // Key skew: the template gives every worker --checkpoints off, so its
+  // golden key differs from the orchestrator's, no offer goes out, and both
+  // workers derive locally — still byte-identical output.
   ASSERT_TRUE(support::exit_ok(run_cli(
       cli + " dispatch campaign" + campaign_flags() + " --workers 2 --shards 4 --quiet" +
-      " --ship-golden off --dir " + dir + "/a2 > " + dir + "/noship.txt 2> " + dir +
-      "/noship.err")));
-  EXPECT_EQ(read_file(dir + "/noship.txt"), direct);
-  EXPECT_NE(read_file(dir + "/noship.err").find("2 derived"), std::string::npos)
-      << read_file(dir + "/noship.err");
-
-  // A rerun against the same cache starts from the cached blob (orchestrator
-  // side) and still ships — and still matches byte for byte.
-  ASSERT_TRUE(support::exit_ok(run_cli(
-      cli + " dispatch campaign" + campaign_flags() + " --workers 2 --shards 4 --quiet" +
-      " --dir " + dir + "/a3 --golden-cache " + dir + "/cache > " + dir + "/cachehit.txt 2> " +
-      dir + "/cachehit.err")));
-  EXPECT_EQ(read_file(dir + "/cachehit.txt"), direct);
+      " --transport '{cmd} --checkpoints off' --dir " + dir + "/a2 > " + dir +
+      "/skew.txt 2> " + dir + "/skew.err")));
+  EXPECT_EQ(read_file(dir + "/skew.txt"), direct);
+  EXPECT_NE(read_file(dir + "/skew.err").find("golden 0 shipped/2 derived"), std::string::npos)
+      << read_file(dir + "/skew.err");
 }
 
 TEST(Cli, WorkerKilledMidGoldenChunkIsReplacedAndStillMergesByteIdentical) {
@@ -726,8 +708,8 @@ TEST(Cli, MalformedNumbersAreUsageErrors) {
   const std::string cli = CICMON_CLI_PATH;
   for (const std::string bad :
        {"--scale nan", "--scale inf", "--scale 1x", "--seed banana", "--seed 12abc", "--seed -1",
-        "--checkpoint-stride -1", "--jobs ''", "--trials ' 5'", "--trials +5", "--bits ' 2'",
-        "--scale ' 0.02'", "--timeout ' 1'"}) {
+        "--jobs ''", "--trials ' 5'", "--trials +5", "--bits ' 2'", "--scale ' 0.02'",
+        "--timeout ' 1'"}) {
     const int status = run_cli(cli + " campaign" + campaign_flags() + " " + bad +
                                " > /dev/null 2> /dev/null");
     EXPECT_EQ(support::describe_exit(status), "exit code 2") << bad;

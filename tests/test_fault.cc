@@ -245,28 +245,33 @@ TEST(Campaign, ICacheResidentFaultCaught) {
 
 TEST(Campaign, CheckpointsDoNotChangeCampaignResults) {
   // The campaign accelerator's core contract: restoring golden-run snapshots
-  // (at any stride, including a pathological one) must reproduce the full
-  // re-execution outcome counts bit for bit, at every site and on both
-  // engines. The memory-text rows also pin down the shared COW image, which
-  // checkpoint-off trials read through as well.
+  // (at any stride: the automatic one, a pathological prime and a coarse
+  // one) must reproduce the full re-execution outcome counts bit for bit, at
+  // every site and on both engines. The memory-text rows also pin down the
+  // shared COW image, which checkpoint-off trials read through as well.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
     cpu::CpuConfig config = monitored_config();
     config.icache.enabled = true;  // exercise the icache-line site too
     config.engine = engine;
     CampaignRunner fast(image, config);  // checkpoints default on, auto stride
-    CampaignRunner strided(image, config, {true, 97});
+    CampaignRunner prime(image, config, {true, 97});
+    CampaignRunner coarse(image, config, {true, 4096});
     CampaignRunner slow(image, config, {false, 0});
     ASSERT_TRUE(fast.checkpoints_enabled());
     ASSERT_FALSE(slow.checkpoints_enabled());
+    // The golden run is long enough for restores past snapshot 0 at 4096.
+    ASSERT_GT(coarse.snapshot_count(), 2U);
     for (const FaultSite site :
          {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kFetchBusPaired,
           FaultSite::kPostIdLatch, FaultSite::kICacheLine}) {
       const CampaignSummary a = fast.run_random(site, 1, 60, 13);
-      const CampaignSummary b = strided.run_random(site, 1, 60, 13);
+      for (CampaignRunner* strided : {&prime, &coarse}) {
+        EXPECT_TRUE(summaries_identical(a, strided->run_random(site, 1, 60, 13)))
+            << fault_site_name(site) << " (stride " << strided->checkpoint_stride()
+            << "), engine " << cpu::engine_name(engine);
+      }
       const CampaignSummary c = slow.run_random(site, 1, 60, 13);
-      EXPECT_TRUE(summaries_identical(a, b))
-          << fault_site_name(site) << " (stride 97), engine " << cpu::engine_name(engine);
       EXPECT_TRUE(summaries_identical(a, c))
           << fault_site_name(site) << " (checkpoints off), engine "
           << cpu::engine_name(engine);
