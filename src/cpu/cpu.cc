@@ -102,7 +102,7 @@ Cpu::Cpu(const CpuConfig& config, const casm_::Image& image, const LoadedImage* 
   predecode_.resize((text_end_ - text_base_) / 4);
   fast_fetch_ = is_canonical_fetch(spec_->fetch, spec_->monitoring_embedded);
   if (config_.engine == Engine::kThreaded && fast_fetch_) {
-    fused_ = uop::build_fused_table(*spec_);
+    if (!fused_) fused_ = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*spec_));
     tcache_ = std::make_unique<uop::TranslationCache>(text_base_, text_end_, true);
     threaded_ = true;
   }
@@ -511,7 +511,7 @@ void Cpu::publish_metrics() const {
   static const obs::CounterId k_predecode_hits = obs::counter("engine.predecode.hits");
   static const obs::CounterId k_tcache_hits = obs::counter("engine.tcache.hits");
   static const obs::CounterId k_tcache_translations = obs::counter("engine.tcache.translations");
-  static const obs::CounterId k_tcache_invalidations = obs::counter("engine.tcache.invalidations");
+  static const obs::CounterId k_tcache_resets = obs::counter("engine.tcache.resets");
   static const obs::CounterId k_tcache_mismatches = obs::counter("engine.tcache.mismatches");
   obs::bump(k_runs);
   obs::bump(k_instructions, result_.instructions);
@@ -522,15 +522,12 @@ void Cpu::publish_metrics() const {
   if (tcache_ != nullptr) {
     static const obs::CounterId k_chain_follows = obs::counter("engine.chain.follows");
     static const obs::CounterId k_chain_breaks = obs::counter("engine.chain.breaks");
-    static const obs::CounterId k_chain_severed = obs::counter("engine.chain.severed");
-    const uop::TranslationCache::Stats& stats = tcache_->stats();
-    obs::bump(k_tcache_hits, stats.hits);
-    obs::bump(k_tcache_translations, stats.translations);
-    obs::bump(k_tcache_invalidations, stats.invalidations);
+    obs::bump(k_tcache_hits, tcache_hits_);
+    obs::bump(k_tcache_translations, tcache_->stats().translations);
+    obs::bump(k_tcache_resets, tcache_resets_);
     obs::bump(k_tcache_mismatches, tcache_mismatches_);
     obs::bump(k_chain_follows, chain_follows_);
     obs::bump(k_chain_breaks, chain_breaks_);
-    obs::bump(k_chain_severed, stats.chain_severed);
   }
 }
 
@@ -559,10 +556,10 @@ std::optional<RunResult> Cpu::stop_at_limit() {
 // Every handler runs the same prologue as step() — watchdog, checkpoint,
 // the real fetch path (hash step, bus, I-cache), stall accounting, post-ID
 // fault — then compares the word the pipeline carries against the entry's
-// translation tag. A mismatch means the text changed since translation (bus
-// tamper, cache-resident flip, memory rewrite, post-ID latch fault): the
-// block is invalidated and the fetched word executes through the interpreter,
-// so every fault path is bit-identical with the switch engine.
+// translation tag. A mismatch means the word diverged from the translated
+// text (bus tamper, cache-resident flip, memory rewrite, post-ID latch
+// fault): the fetched word executes through the interpreter, so every fault
+// path is bit-identical with the switch engine.
 
 void Cpu::monitor_block_end() {
   // The Figure 4 monitoring head of a flow-control instruction, verified
@@ -599,17 +596,22 @@ void Cpu::stop_in_block(const uop::TransEntry& e) {
   }
 }
 
-Cpu::FusedFlow Cpu::tampered_entry(std::uint32_t word) {
+Cpu::FusedFlow Cpu::tampered_entry(const uop::TransEntry& e, std::uint32_t word) {
   // The fetched word diverged from the translation tag. Execute the word the
   // pipeline actually carries through the interpreter (its program carries
   // the monitoring extension, so flow control still checks the block), then
-  // return to the block loop, which retranslates from current text.
+  // return to the block loop. A transient fault (bus, post-ID latch, I-cache)
+  // leaves every translation valid; rewritten text may sit in any block, so
+  // detach from the image and drop the private cache (`e` with it) whole.
   ++tcache_mismatches_;
-  tcache_->invalidate(cur_block_start_);
   ctx_.instr = isa::decode(word);
-  return exec_stages(&spec_->program(ctx_.instr.mnemonic)) == ExecStatus::kTerminated
-             ? FusedFlow::kDone
-             : FusedFlow::kRestart;
+  const ExecStatus status = exec_stages(&spec_->program(ctx_.instr.mnemonic));
+  if (memory_.read32(e.addr) != e.word) {
+    image_.reset();
+    tcache_->clear();
+    ++tcache_resets_;
+  }
+  return status == ExecStatus::kTerminated ? FusedFlow::kDone : FusedFlow::kRestart;
 }
 
 template <uop::FusedKind K, bool kBatched>
@@ -689,7 +691,7 @@ Cpu::FusedFlow Cpu::fused(const uop::TransEntry& e) {
       ctx_.instr_addr = e.addr;
       flush_batch(&e);
     }
-    return tampered_entry(word);
+    return tampered_entry(e, word);
   }
 
   // Straight-line kinds never redirect, raise, or read PPC/instr_addr, so a
@@ -816,7 +818,7 @@ std::optional<RunResult> Cpu::run_threaded() {
   const bool slow_only = config_.recovery.enabled && config_.monitoring;
   // A direct-edge block exit whose successor was not yet linked: the link is
   // installed right after the next lookup/translate produces that successor.
-  uop::TranslatedBlock* link_from = nullptr;
+  const uop::TranslatedBlock* link_from = nullptr;
   bool link_taken = false;
   while (running_) {
     if (result_.instructions >= limit_) return stop_at_limit();
@@ -826,18 +828,22 @@ std::optional<RunResult> Cpu::run_threaded() {
       break;
     }
 
-    uop::TranslatedBlock* block = tcache_->lookup(addr);
-    if (block == nullptr) {
+    // The frozen image first, then the private cache.
+    const uop::TranslatedBlock* block = image_ ? image_->lookup(addr) : nullptr;
+    if (block == nullptr) block = tcache_->lookup(addr);
+    if (block != nullptr) {
+      ++tcache_hits_;
+    } else {
       // Translation peeks words straight out of memory: no bus traffic, no
       // I-cache fills, no hash folding. All architectural fetch effects
       // happen per entry inside the fused handlers, through the real fetch
       // path.
       block = tcache_->translate(
-          addr, *spec_, fused_, [this](std::uint32_t a) { return memory_.read32(a); });
+          addr, *spec_, *fused_, [this](std::uint32_t a) { return memory_.read32(a); });
     }
     if (link_from != nullptr) {
-      // chain() re-verifies that this block really is the recorded edge
-      // target before installing the link.
+      // chain() links two private blocks only, this one at the recorded edge
+      // target: image blocks keep just the links the golden run verified.
       tcache_->chain(link_from, link_taken, block);
       link_from = nullptr;
     }
@@ -913,7 +919,7 @@ std::optional<RunResult> Cpu::run_threaded() {
 
     if (flow == FusedFlow::kTaken || flow == FusedFlow::kFall) {
       const bool taken = flow == FusedFlow::kTaken;
-      uop::TranslatedBlock* next = taken ? block->taken : block->fall;
+      const uop::TranslatedBlock* next = taken ? block->taken : block->fall;
       if (next != nullptr) {
         // Chain follow: flow straight into the successor. The watchdog is
         // covered by the per-block precheck plus the unbatched terminator

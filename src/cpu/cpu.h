@@ -229,9 +229,14 @@ class Cpu final : private uop::Datapath {
   const cic::CodeIntegrityChecker* checker() const { return cic_ ? &*cic_ : nullptr; }
   const os::OsMonitor* os_monitor() const { return os_ ? &*os_ : nullptr; }
   bool running() const { return running_; }
-  // Null unless the threaded engine is active (its stats expose translation /
-  // hit / invalidation counts for the tamper tests).
+  // The private translation cache: null unless the threaded engine is active,
+  // and after freeze_translations().
   const uop::TranslationCache* translation_cache() const { return tcache_.get(); }
+  // Moves an ended run's cache out as a frozen, shareable translation image.
+  std::shared_ptr<const uop::TranslationCache> freeze_translations() {
+    support::check(!running_, "Cpu: translations freeze only after the run ended");
+    return std::move(tcache_);
+  }
   // Predecode-cache probes and fills (cold slots or tag-mismatch redecodes).
   // Only the interpreter path — the switch engine's run/run_until, and
   // step() on either engine — consults the cache; hits are lookups minus
@@ -240,6 +245,10 @@ class Cpu final : private uop::Datapath {
   std::uint64_t predecode_misses() const { return predecode_misses_; }
   // Translation-tag mismatches the threaded engine replayed via interpreter.
   std::uint64_t tcache_mismatches() const { return tcache_mismatches_; }
+  // Lookups the image or the private cache served, and mismatches on rewritten
+  // text (each detached this Cpu from the image and cleared the private cache).
+  std::uint64_t tcache_hits() const { return tcache_hits_; }
+  std::uint64_t tcache_resets() const { return tcache_resets_; }
   // Block transitions that flowed through a cached chain link, and direct-edge
   // block exits that returned to the dispatch loop instead (unlinked edge).
   std::uint64_t chain_follows() const { return chain_follows_; }
@@ -318,7 +327,7 @@ class Cpu final : private uop::Datapath {
   CICMON_HOT_INLINE void flush_batch(const uop::TransEntry* next);
   // True cycle count after entry `e` retires, while its batch is unflushed.
   CICMON_HOT_INLINE std::uint64_t batched_cycles(const uop::TransEntry* e) const;
-  FusedFlow tampered_entry(std::uint32_t word);
+  FusedFlow tampered_entry(const uop::TransEntry& e, std::uint32_t word);
   // An unbatched handler reached limit_ before entry `e`: watchdog or
   // run_until pause.
   void stop_in_block(const uop::TransEntry& e);
@@ -354,6 +363,8 @@ class Cpu final : private uop::Datapath {
   std::uint64_t predecode_lookups_ = 0;
   std::uint64_t predecode_misses_ = 0;
   std::uint64_t tcache_mismatches_ = 0;
+  std::uint64_t tcache_hits_ = 0;
+  std::uint64_t tcache_resets_ = 0;
 
   // True when the shared IF program structurally matches the canonical
   // Figure 1 shape (plus the Figure 3(b) monitoring tail when monitoring is
@@ -363,12 +374,13 @@ class Cpu final : private uop::Datapath {
   // source of truth for machine behaviour.
   bool fast_fetch_ = false;
 
-  // Threaded engine state: the per-mnemonic fused classification, the block
-  // translation cache, and the start address of the block being executed
-  // (the invalidation key on a tag mismatch). The engine only activates when
-  // the IF program is canonical (fast_fetch_): a reshaped fetch program must
-  // run through the interpreter.
-  uop::FusedTable fused_{};
+  // Threaded engine state: the per-mnemonic fused classification, the shared
+  // translation image (null once detached), the private block translation
+  // cache, and the start address of the block being executed. The engine only
+  // activates when the IF program is canonical (fast_fetch_): a reshaped
+  // fetch program must run through the interpreter.
+  std::shared_ptr<const uop::FusedTable> fused_;
+  std::shared_ptr<const uop::TranslationCache> image_;
   std::unique_ptr<uop::TranslationCache> tcache_;
   bool threaded_ = false;
   std::uint32_t cur_block_start_ = 0;

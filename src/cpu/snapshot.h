@@ -46,6 +46,11 @@ struct LoadedImage {
   cfg::FullHashTable fht;                             // empty when monitoring is off
   bool fht_was_attached = false;
   std::uint32_t entry = 0;
+  // Optional, attached by a campaign: build_fused_table(*spec), and a golden
+  // run's frozen translation cache (every block it entered, verified links and
+  // the mid-block starts where recording paused: where restored trials resume).
+  std::shared_ptr<const uop::FusedTable> fused;
+  std::shared_ptr<const uop::TranslationCache> translations;
 };
 
 // Runs the loader once for `config`/`image`: builds the uop spec (embedding

@@ -97,13 +97,16 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
 
   // Load once, share forever: every trial's CPU reads this frozen image
   // through copy-on-write pages instead of re-running the loader (and, when
-  // monitored, its whole-text hash computation).
+  // monitored, its whole-text hash computation), and shares one fused
+  // classification of the spec with the golden run.
   loaded_ = cpu::preload_image(config_, image_);
+  loaded_.fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*loaded_.spec));
 
   cpu::RunResult result;
   if (checkpoints_.enabled) {
     golden_ = std::make_unique<CheckpointedGolden>(config_, image_, loaded_,
                                                    checkpoints_.stride);
+    loaded_.translations = golden_->translations();
     result = golden_->result();
   } else {
     cpu::Cpu golden(config_, image_, &loaded_);
@@ -132,6 +135,7 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   loaded_.fht = cfg::FullHashTable::deserialize(state.fht_blob);
   loaded_.fht_was_attached = state.fht_was_attached;
   loaded_.entry = state.entry;
+  loaded_.fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*loaded_.spec));
 
   if (checkpoints_.enabled) {
     // The rebuild constructor re-validates the schedule and the clean exit.
@@ -272,6 +276,7 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   obs::bump(k_trials);
   obs::bump(k_cow_pages, cpu.memory().cow_pages_copied());
   cpu.publish_metrics();
+  if (loaded_.translations && cpu.tcache_resets() != 0) detached_.fetch_add(1);
 
   TrialResult out;
   out.spec = spec;

@@ -97,6 +97,8 @@ struct CampaignSummary {
 // boundaries later), so a trial that never re-converges pays O(log n)
 // compares. Memory-text and icache-line corruption stays resident in memory
 // or cache state, so those trials always run to their end.
+// Trials also read the recording's frozen translation cache as a shared image
+// until a text write detaches them; shipped golden state brings no image.
 struct CheckpointConfig {
   bool enabled = true;
   // Snapshot spacing in instructions; 0 = automatic. The CLI always uses the
@@ -155,6 +157,12 @@ class CampaignRunner {
   bool checkpoints_enabled() const { return checkpoints_.enabled; }
   std::uint64_t checkpoint_stride() const { return golden_ ? golden_->stride() : 0; }
   std::size_t snapshot_count() const { return golden_ ? golden_->snapshot_count() : 0; }
+  // Blocks the recording translated into the image (0 without one), and
+  // trials a text write detached from it.
+  std::uint64_t image_blocks() const {
+    return loaded_.translations ? loaded_.translations->stats().translations : 0;
+  }
+  std::uint64_t detached_trials() const { return detached_.load(std::memory_order_relaxed); }
   std::uint64_t restores() const { return restores_.load(std::memory_order_relaxed); }
   std::uint64_t skipped_instructions() const {
     return skipped_instructions_.load(std::memory_order_relaxed);
@@ -194,7 +202,7 @@ class CampaignRunner {
   casm_::Image image_;
   cpu::CpuConfig config_;
   CheckpointConfig checkpoints_;
-  cpu::LoadedImage loaded_;  // shared by every trial, checkpoints on or off
+  cpu::LoadedImage loaded_;  // shared by every trial; final before the first one
 
   std::unique_ptr<CheckpointedGolden> golden_;  // null when checkpoints off
   mutable std::once_flag icache_once_;
@@ -205,6 +213,7 @@ class CampaignRunner {
   mutable std::atomic<std::uint64_t> converged_{0};
   mutable std::atomic<std::uint64_t> convergence_checks_{0};
   mutable std::atomic<std::uint64_t> converged_skipped_instructions_{0};
+  mutable std::atomic<std::uint64_t> detached_{0};
 
   std::uint64_t golden_instructions_ = 0;
   std::string golden_console_;

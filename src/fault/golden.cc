@@ -46,6 +46,7 @@ CheckpointedGolden::CheckpointedGolden(const cpu::CpuConfig& config,
   result_ = *done;
   support::check(result_.reason == cpu::ExitReason::kExit,
                  "campaign golden run did not exit cleanly");
+  translations_ = cpu.freeze_translations();
 }
 
 CheckpointedGolden::CheckpointedGolden(std::vector<cpu::Snapshot> snapshots,

@@ -50,6 +50,8 @@ class CheckpointedGolden {
 
   std::uint64_t stride() const { return stride_; }
   std::size_t snapshot_count() const { return snapshots_.size(); }
+  // The recording's frozen translation cache; null on the switch engine or rebuilt.
+  std::shared_ptr<const uop::TranslationCache> translations() const { return translations_; }
 
   // The full schedule, for serialization (fault/golden_ser.h).
   const std::vector<cpu::Snapshot>& snapshots() const { return snapshots_; }
@@ -71,6 +73,7 @@ class CheckpointedGolden {
   std::vector<cpu::Snapshot> snapshots_;  // ascending in both clocks
   cpu::RunResult result_;
   std::uint64_t stride_ = 0;
+  std::shared_ptr<const uop::TranslationCache> translations_;
 };
 
 }  // namespace cicmon::fault

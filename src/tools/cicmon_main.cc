@@ -157,9 +157,10 @@ struct Options {
       "  --checkpoints on|off\n"
       "                   campaign: fast-forward each trial by restoring the\n"
       "                   nearest golden-run snapshot before its trigger instead\n"
-      "                   of re-simulating the clean prefix; never changes a\n"
-      "                   trial outcome (default on; off exists for A/B checks\n"
-      "                   and is forced under recovery mode)\n"
+      "                   of re-simulating the clean prefix, and reuse the golden\n"
+      "                   run's translated blocks; never changes a trial outcome\n"
+      "                   (default on; off is the full re-execution reference,\n"
+      "                   forced under recovery mode)\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
       "                   handlers behind a tamper-safe translation cache) or\n"
       "                   'switch' (the per-uop predecode interpreter); both\n"
@@ -666,20 +667,23 @@ int cmd_campaign(const Options& options) {
   const auto start = std::chrono::steady_clock::now();
   const int code = run_sweep_command(bundle.spec, options);
   // The acceleration report: how much clean-prefix simulation the snapshot
-  // restores avoided, and how much golden suffix the re-converged trials did
-  // not execute, in this process (a sharded invocation reports its own
-  // shard's share).
+  // restores avoided, how much golden suffix the re-converged trials did
+  // not execute, and how large the shared translation image is, in this
+  // process (a sharded invocation reports its own shard's share).
   if (runner.checkpoints_enabled()) {
     std::fprintf(stderr,
                  "campaign: checkpoints on, stride %llu, %zu snapshot(s); "
                  "%llu restore(s) skipped %llu instructions; "
-                 "%llu trial(s) re-converged, skipping %llu instructions\n",
+                 "%llu trial(s) re-converged, skipping %llu instructions; "
+                 "translation image %llu block(s), %llu trial(s) detached\n",
                  static_cast<unsigned long long>(runner.checkpoint_stride()),
                  runner.snapshot_count(),
                  static_cast<unsigned long long>(runner.restores()),
                  static_cast<unsigned long long>(runner.skipped_instructions()),
                  static_cast<unsigned long long>(runner.converged()),
-                 static_cast<unsigned long long>(runner.converged_skipped_instructions()));
+                 static_cast<unsigned long long>(runner.converged_skipped_instructions()),
+                 static_cast<unsigned long long>(runner.image_blocks()),
+                 static_cast<unsigned long long>(runner.detached_trials()));
   } else {
     std::fprintf(stderr, "campaign: checkpoints off (full re-execution per trial)\n");
   }

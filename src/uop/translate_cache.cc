@@ -115,42 +115,17 @@ void TranslationCache::resolve_edges(TranslatedBlock* block) const {
   }
 }
 
-void TranslationCache::chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to) {
+void TranslationCache::chain(const TranslatedBlock* from, bool taken_edge,
+                             const TranslatedBlock* to) {
+  TranslatedBlock* live = slots_[index(from->start)].get();
+  if (live != from || lookup(to->start) != to) return;  // not both live here
   if (taken_edge) {
-    if (!from->has_taken || from->taken != nullptr || to->start != from->taken_target) return;
-    from->taken = to;
+    if (!live->has_taken || live->taken != nullptr || to->start != live->taken_target) return;
+    live->taken = to;
   } else {
-    if (!from->has_fall || from->fall != nullptr || to->start != from->fall_target) return;
-    from->fall = to;
+    if (!live->has_fall || live->fall != nullptr || to->start != live->fall_target) return;
+    live->fall = to;
   }
-  to->preds.emplace_back(from, taken_edge);
-}
-
-void TranslationCache::sever_links(TranslatedBlock* block) {
-  // Outbound: the dying block must vanish from its successors' pred lists so
-  // no successor ever holds a pointer to freed memory. (A self-loop shows up
-  // in its own preds and is handled here, before the inbound walk.)
-  const auto drop_outbound = [this, block](TranslatedBlock* succ, bool taken_edge) {
-    if (succ == nullptr) return;
-    std::erase(succ->preds, std::pair<TranslatedBlock*, bool>{block, taken_edge});
-    ++stats_.chain_severed;
-  };
-  drop_outbound(block->taken, true);
-  drop_outbound(block->fall, false);
-  block->taken = nullptr;
-  block->fall = nullptr;
-  // Inbound: every predecessor whose edge points here loses the link — the
-  // next execution of that edge goes back through lookup/translate and
-  // re-verifies before re-chaining.
-  for (const auto& [pred, taken_edge] : block->preds) {
-    if (taken_edge) {
-      if (pred->taken == block) pred->taken = nullptr;
-    } else {
-      if (pred->fall == block) pred->fall = nullptr;
-    }
-    ++stats_.chain_severed;
-  }
-  block->preds.clear();
 }
 
 }  // namespace cicmon::uop

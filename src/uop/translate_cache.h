@@ -10,8 +10,11 @@
 // still goes through the real fetch path, and the engine compares the fetched
 // (and possibly tampered) word against the entry tag. Any divergence — bus
 // tamper, cache-resident flip, memory rewrite, post-ID latch fault — misses
-// the tag, invalidates the block, executes that one instruction through the
-// interpreter on the word the pipeline actually carries, and retranslates.
+// the tag and executes that one instruction through the interpreter on the
+// word the pipeline actually carries. A rewritten text word (memory no longer
+// equals the tag) also drops the whole private cache at once. A campaign's
+// trials first look blocks up in a shared frozen image of the golden run's
+// cache, which outlives them all.
 //
 // Superblock chaining: a block whose terminator has statically known
 // successors (direct branches: taken target and fall-through; jumps: target;
@@ -19,17 +22,14 @@
 // translation time. Once both blocks exist in the cache, the engine links
 // them (`chain`) and later executions flow straight from the terminator into
 // the successor without a dispatch-loop round trip or a cache lookup. The
-// severing invariant that keeps this tamper-safe: a non-null link always
-// points at a live cached block whose start equals the verified edge target.
-// `invalidate` (and any slot replacement) severs every inbound and outbound
-// link of the dying block first — a stale chain pointer into retranslated
-// text would be a correctness bug, not a slow path. Indirect edges
-// (jump-register, syscall, illegal) always return to the dispatch loop.
+// invariant: a link joins two live blocks of one cache, the target at the
+// verified edge address, and blocks only ever die all together — so no link
+// outlives its target. Indirect edges (jump-register, syscall, illegal)
+// always return to the dispatch loop.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -80,17 +80,14 @@ struct TranslatedBlock {
   std::uint32_t straight_len = 0;
   // Statically resolved successor edges of the terminator. `has_*` marks an
   // edge whose target is a valid text address; `*_target` is that address.
-  // `taken`/`fall` are the live chain links — null until `chain` verifies
-  // and installs them, nulled again whenever either endpoint invalidates.
+  // `taken`/`fall` are the chain links — null until `chain` verifies and
+  // installs them; they live and die with the cache that owns both blocks.
   bool has_taken = false;
   bool has_fall = false;
   std::uint32_t taken_target = 0;
   std::uint32_t fall_target = 0;
-  TranslatedBlock* taken = nullptr;
-  TranslatedBlock* fall = nullptr;
-  // Inbound links: every (pred, is-taken-edge) whose `taken`/`fall` points
-  // here, so invalidation can sever them in O(inbound degree).
-  std::vector<std::pair<TranslatedBlock*, bool>> preds;
+  const TranslatedBlock* taken = nullptr;
+  const TranslatedBlock* fall = nullptr;
 };
 
 // Translates one word at `addr`: decode, fused-table lookup, operand
@@ -101,10 +98,7 @@ TransEntry make_entry(std::uint32_t addr, std::uint32_t word, const IsaUopSpec& 
 class TranslationCache {
  public:
   struct Stats {
-    std::uint64_t translations = 0;   // blocks translated
-    std::uint64_t hits = 0;           // block lookups served from the cache
-    std::uint64_t invalidations = 0;  // blocks dropped on a tag mismatch
-    std::uint64_t chain_severed = 0;  // chain links cut by invalidations
+    std::uint64_t translations = 0;  // blocks translated
   };
 
   // The cache always caches; `cache` must be true. The parameter stays
@@ -114,19 +108,18 @@ class TranslationCache {
     support::check(cache, "TranslationCache has no uncached mode");
   }
 
-  // Returns the cached block starting at `addr`, or nullptr.
-  TranslatedBlock* lookup(std::uint32_t addr) {
-    TranslatedBlock* block = slots_[index(addr)].get();
-    if (block != nullptr) ++stats_.hits;
-    return block;
-  }
+  // Returns the cached block starting at `addr`, or nullptr. A pure read, so a
+  // frozen shared image serves it to any number of threads.
+  const TranslatedBlock* lookup(std::uint32_t addr) const { return slots_[index(addr)].get(); }
 
   // Translates the block starting at `addr`, reading text words through
   // `peek` (which must be free of architectural side effects), caches it and
-  // returns it. `addr` must be a valid text address.
+  // returns it. `addr` must be a valid text address with no cached block.
   template <typename PeekFn>
-  TranslatedBlock* translate(std::uint32_t addr, const IsaUopSpec& spec,
-                             const FusedTable& fused, PeekFn&& peek) {
+  const TranslatedBlock* translate(std::uint32_t addr, const IsaUopSpec& spec,
+                                   const FusedTable& fused, PeekFn&& peek) {
+    auto& slot = slots_[index(addr)];
+    support::check(slot == nullptr, "TranslationCache: block start already translated");
     TranslatedBlock block;
     block.start = addr;
     for (std::uint32_t a = addr;; a += 4) {
@@ -142,30 +135,17 @@ class TranslationCache {
     block.straight_len = static_cast<std::uint32_t>(block.entries.size() - 1);
     ++stats_.translations;
     resolve_edges(&block);
-    auto& slot = slots_[index(addr)];
-    // A live block in this slot (it should have been invalidated first, but
-    // never trust that) must drop out of the chain before it is freed.
-    if (slot != nullptr) sever_links(slot.get());
     slot = std::make_unique<TranslatedBlock>(std::move(block));
     return slot.get();
   }
 
-  // Links `from`'s taken or fall-through edge to `to`, after verifying that
-  // the edge exists, is not already linked, and that `to` really is the
-  // block at the precomputed target address.
-  void chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to);
+  // Links `from`'s taken or fall-through edge to `to` when both are live
+  // blocks of this cache (of the same text range) and the edge exists, is
+  // unlinked and targets `to`'s start; anything else gets no link.
+  void chain(const TranslatedBlock* from, bool taken_edge, const TranslatedBlock* to);
 
-  // Drops the block starting at `block_start` (a tag mismatched during its
-  // execution), severing every chain link into and out of it first. Other
-  // cached blocks overlapping the rewritten word are caught by their own
-  // entry tags when they next execute.
-  void invalidate(std::uint32_t block_start) {
-    ++stats_.invalidations;
-    auto& slot = slots_[index(block_start)];
-    if (slot != nullptr) {
-      sever_links(slot.get());
-      slot.reset();
-    }
+  void clear() {  // drops every block at once
+    for (auto& slot : slots_) slot.reset();
   }
 
   const Stats& stats() const { return stats_; }
@@ -175,8 +155,6 @@ class TranslationCache {
 
   // Computes the terminator's static successor edges (translate-time).
   void resolve_edges(TranslatedBlock* block) const;
-  // Cuts every inbound and outbound chain link of `block` (invalidation).
-  void sever_links(TranslatedBlock* block);
 
   std::uint32_t text_base_;
   std::uint32_t text_end_;

@@ -194,10 +194,10 @@ TEST(Campaign, ThreadedEngineDoesNotChangeCampaignResults) {
   // rewrites, per-fetch bus flips, post-ID latch faults, cache-resident
   // flips through a live I-cache), the fused handlers and the chained block
   // translation cache must reproduce the interpreter's outcome counts bit
-  // for bit (every injected fault that lands on a chained block must sever
-  // its links and replay through the interpreter identically). The
-  // interpreter decodes through its word-tagged predecode cache, so the
-  // same comparison holds that cache to the threaded engine's fresh decodes.
+  // for bit (every injected fault that lands on a translated block must
+  // replay through the interpreter identically). The interpreter decodes
+  // through its word-tagged predecode cache, so the same comparison holds
+  // that cache to the threaded engine's fresh decodes.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   cpu::CpuConfig interp = monitored_config();
   interp.icache.enabled = true;
@@ -398,6 +398,58 @@ TEST(Convergence, EveryTrialMatchesFullReExecution) {
     EXPECT_GT(converged[FaultSite::kPostIdLatch], 0U) << kernel;
     EXPECT_EQ(converged[FaultSite::kMemoryText], 0U) << kernel;
     EXPECT_EQ(converged[FaultSite::kICacheLine], 0U) << kernel;
+  }
+}
+
+TEST(Campaign, TranslationImageNeverChangesATrial) {
+  // The shared translation image is a pure execution strategy. A runner that
+  // recorded its own golden run attaches the recording's frozen cache; one
+  // built from that runner's export_golden() has none. Every trial at every
+  // site, on both machines, must agree between the two: outcome, exit
+  // reason and convergence point. The image must also have done work: the
+  // derived runner's trials translate fewer blocks.
+  const FaultSite sites[] = {FaultSite::kMemoryText, FaultSite::kFetchBus,
+                             FaultSite::kFetchBusPaired, FaultSite::kPostIdLatch,
+                             FaultSite::kICacheLine};
+  for (const char* kernel : {"dijkstra", "bitcount"}) {
+    const casm_::Image image = workloads::build_workload(kernel, {0.02, 42});
+    for (const bool monitoring : {true, false}) {
+      cpu::CpuConfig config = monitored_config();
+      config.monitoring = monitoring;
+      config.engine = cpu::Engine::kThreaded;
+      const CampaignRunner derived(image, config);
+      const CampaignRunner shipped(image, config, {}, derived.export_golden());
+      ASSERT_GT(derived.image_blocks(), 0U) << kernel;
+      ASSERT_EQ(shipped.image_blocks(), 0U) << kernel;
+      std::uint64_t translations[2] = {0, 0};
+      std::uint64_t resets = 0;
+      for (const FaultSite site : sites) {
+        const std::vector<FaultSpec> faults = random_faults(derived, image, site, 25, 29);
+        std::vector<TrialResult> got[2];
+        for (int r = 0; r < 2; ++r) {
+          const std::vector<std::uint64_t> before = obs::counter_values();
+          for (const FaultSpec& spec : faults) {
+            got[r].push_back((r == 0 ? derived : shipped).run_trial(spec));
+          }
+          for (const auto& [name, value] : obs::counter_delta(before)) {
+            if (name == "engine.tcache.translations") translations[r] += value;
+            if (r == 0 && name == "engine.tcache.resets") resets += value;
+          }
+        }
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+          EXPECT_EQ(got[0][i].outcome, got[1][i].outcome)
+              << kernel << " " << fault_site_name(site) << " trigger " << faults[i].trigger_index
+              << " mask " << support::hex32(faults[i].xor_mask) << " monitor " << monitoring;
+          EXPECT_EQ(got[0][i].exit_reason, got[1][i].exit_reason);
+          EXPECT_EQ(got[0][i].converged_at, got[1][i].converged_at);
+        }
+      }
+      EXPECT_LT(translations[0], translations[1]) << kernel << " monitor " << monitoring;
+      // Memory-text trials that reach their rewritten word detach.
+      EXPECT_LE(derived.detached_trials(), resets) << kernel << " monitor " << monitoring;
+      EXPECT_GT(derived.detached_trials(), 0U) << kernel << " monitor " << monitoring;
+      EXPECT_EQ(shipped.detached_trials(), 0U);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "casm/builder.h"
 #include "cpu/cpu.h"
+#include "cpu/snapshot.h"
 #include "isa/instruction.h"
 #include "mem/fetch_path.h"
 #include "support/error.h"
@@ -444,11 +445,11 @@ TEST(FusedClassifier, MutatedProgramFallsBackToGeneric) {
 //
 // The block-level translation cache is keyed by per-entry word tags, so any
 // divergence between the translated word and the word the pipeline actually
-// carries (bus tamper, memory rewrite, post-ID latch fault) must invalidate
-// the block, fall back to the interpreter for that instruction, and leave
-// every observable result bit-identical with the switch engine — whose
-// predecode cache is keyed the same way, so each comparison also checks
-// that a diverging word misses its predecode tag.
+// carries (bus tamper, memory rewrite, post-ID latch fault) must fall back
+// to the interpreter for that instruction and leave every observable result
+// bit-identical with the switch engine — whose predecode cache is keyed the
+// same way, so each comparison also checks that a diverging word misses its
+// predecode tag. Only a rewritten text word resets the cache.
 
 casm_::Image checked_sum_loop() {
   casm_::Asm a;
@@ -525,16 +526,17 @@ TEST(TranslationCache, CleanRunIdenticalAcrossEngines) {
   // the cache (a lookup hit or a chain link) thereafter.
   ASSERT_NE(cached.translation_cache(), nullptr);
   EXPECT_GT(cached.translation_cache()->stats().translations, 0U);
-  EXPECT_GT(cached.translation_cache()->stats().hits, 0U);
-  EXPECT_EQ(cached.translation_cache()->stats().invalidations, 0U);
+  EXPECT_GT(cached.tcache_hits(), 0U);
+  EXPECT_EQ(cached.tcache_mismatches(), 0U);
+  EXPECT_EQ(cached.tcache_resets(), 0U);
   EXPECT_EQ(interp.translation_cache(), nullptr);
 }
 
-TEST(TranslationCache, BusTamperMidRunInvalidatesAndMatchesInterpreter) {
+TEST(TranslationCache, BusTamperMidRunReplaysWithoutResetAndMatchesInterpreter) {
   // The tampered word arrives at an address whose translated block already
-  // carries the clean tag: the mismatch must invalidate the block, execute
-  // the corrupted word through the interpreter, and be detected exactly as
-  // on the switch engine.
+  // carries the clean tag: the mismatch must execute the corrupted word
+  // through the interpreter and be detected exactly as on the switch
+  // engine. Memory still holds the tag, so no translation is dropped.
   const casm_::Image image = checked_sum_loop();
   cpu::RunResult results[2];
   const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
@@ -544,10 +546,8 @@ TEST(TranslationCache, BusTamperMidRunInvalidatesAndMatchesInterpreter) {
     cpu.fetch_path().set_bus_tamper(&tamper);
     results[i] = cpu.run();
     if (cpu.translation_cache() != nullptr) {
-      EXPECT_GE(cpu.translation_cache()->stats().invalidations, 1U);
-      // By transfer 9 the loop block is chained (its predecessor's taken
-      // edge and its own self-loop): invalidation must sever those links.
-      EXPECT_GE(cpu.translation_cache()->stats().chain_severed, 2U);
+      EXPECT_GE(cpu.tcache_mismatches(), 1U);
+      EXPECT_EQ(cpu.tcache_resets(), 0U);
     }
   }
   EXPECT_EQ(results[0].reason, cpu::ExitReason::kMonitorTerminated);
@@ -608,10 +608,47 @@ TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
     cpu.set_post_id_fault({4, 1U << 16});
     results[i] = cpu.run();
     if (cpu.translation_cache() != nullptr) {
-      EXPECT_GE(cpu.translation_cache()->stats().invalidations, 1U);
+      EXPECT_GE(cpu.tcache_mismatches(), 1U);
+      EXPECT_EQ(cpu.tcache_resets(), 0U);  // the latch fault left the text intact
     }
   }
   EXPECT_EQ(results[0].iht.mismatches, 0U);  // escaped the monitor (§3.2)
+  expect_runs_identical(results[0], results[1]);
+}
+
+TEST(TranslationCache, ImageAttachedCpuResetsOnceOnTextRewrite) {
+  // A Cpu attached to a finished run's frozen image serves its blocks from
+  // it; a loop word rewritten mid-run detaches it and discards its private
+  // cache exactly once, and the rest of the run still equals the switch
+  // engine's under the same rewrite.
+  const casm_::Image image = checked_sum_loop();
+  const cpu::CpuConfig config = engine_config(cpu::Engine::kThreaded);
+  cpu::LoadedImage loaded = cpu::preload_image(config, image);
+  {
+    cpu::Cpu golden(config, image, &loaded);
+    EXPECT_THROW(golden.freeze_translations(), support::CicError);  // still running
+    ASSERT_EQ(golden.run().reason, cpu::ExitReason::kExit);
+    loaded.translations = golden.freeze_translations();
+  }
+  ASSERT_NE(loaded.translations, nullptr);
+  const std::uint32_t loop_word = casm_::kTextBase + 8;  // addu in the loop body
+
+  cpu::RunResult results[2];
+  const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
+  for (int i = 0; i < 2; ++i) {
+    cpu::Cpu cpu(engine_config(engines[i]), image, &loaded);
+    ASSERT_FALSE(cpu.run_until(30).has_value());
+    if (engines[i] == cpu::Engine::kThreaded) {
+      EXPECT_GT(cpu.tcache_hits(), 0U);
+      EXPECT_EQ(cpu.translation_cache()->stats().translations, 0U);  // all from the image
+    }
+    cpu.memory().write32(loop_word, cpu.memory().read32(loop_word) ^ (1U << 11));
+    results[i] = cpu.run();
+    if (engines[i] == cpu::Engine::kThreaded) {
+      EXPECT_EQ(cpu.tcache_resets(), 1U);
+    }
+  }
+  EXPECT_EQ(results[0].reason, cpu::ExitReason::kMonitorTerminated);
   expect_runs_identical(results[0], results[1]);
 }
 
@@ -626,13 +663,13 @@ TEST(TranslationCache, ChainedRunMatchesInterpreterAndFollowsLinks) {
   cpu::Cpu chained(engine_config(cpu::Engine::kThreaded), image);
   expect_runs_identical(interp.run(), chained.run());
   EXPECT_GT(chained.chain_follows(), 0U);
-  EXPECT_EQ(chained.translation_cache()->stats().chain_severed, 0U);
 }
 
-TEST(TranslationCache, InvalidateSeversInboundAndOutboundLinks) {
-  // Cache-level check of the severing invariant: links installed by chain()
-  // must be cut from both endpoints when either block invalidates — a stale
-  // pointer into retranslated text would be a correctness bug.
+TEST(TranslationCache, ChainLinksOnlyLiveBlocksOfThisCache) {
+  // The link invariant: a link joins two live blocks of one cache, the
+  // target at the verified edge address. chain() refuses anything else — a
+  // block of another cache (a shared image's, say) at either end, or a live
+  // block that is not at the edge target. Links die with clear().
   const IsaUopSpec spec = build_isa_uops();
   const FusedTable fused = build_fused_table(spec);
   const std::uint32_t base = 0x00400000;
@@ -643,9 +680,12 @@ TEST(TranslationCache, InvalidateSeversInboundAndOutboundLinks) {
   };
   const auto peek = [&](std::uint32_t a) { return words[(a - base) / 4]; };
   TranslationCache tc(base, base + 12, /*cache=*/true);
-  TranslatedBlock* branch = tc.translate(base, spec, fused, peek);
-  TranslatedBlock* target = tc.translate(base + 8, spec, fused, peek);
-  TranslatedBlock* skipped = tc.translate(base + 4, spec, fused, peek);
+  TranslationCache other(base, base + 12, /*cache=*/true);
+  const TranslatedBlock* branch = tc.translate(base, spec, fused, peek);
+  const TranslatedBlock* target = tc.translate(base + 8, spec, fused, peek);
+  const TranslatedBlock* skipped = tc.translate(base + 4, spec, fused, peek);
+  const TranslatedBlock* foreign = other.translate(base + 8, spec, fused, peek);
+  const TranslatedBlock* foreign_branch = other.translate(base, spec, fused, peek);
   ASSERT_TRUE(branch->has_taken);
   EXPECT_EQ(branch->taken_target, base + 8);
   ASSERT_TRUE(branch->has_fall);
@@ -654,44 +694,42 @@ TEST(TranslationCache, InvalidateSeversInboundAndOutboundLinks) {
   EXPECT_FALSE(skipped->has_fall);
   EXPECT_FALSE(target->has_fall);  // its fall-through would leave text
 
+  tc.chain(branch, /*taken_edge=*/true, foreign);  // the edge target, another cache
+  EXPECT_EQ(branch->taken, nullptr);
+  tc.chain(foreign_branch, /*taken_edge=*/true, target);  // source of another cache
+  EXPECT_EQ(foreign_branch->taken, nullptr);
+  tc.chain(branch, /*taken_edge=*/true, skipped);  // live, but not at the target
+  EXPECT_EQ(branch->taken, nullptr);
   tc.chain(branch, /*taken_edge=*/true, target);
   tc.chain(branch, /*taken_edge=*/false, skipped);
   EXPECT_EQ(branch->taken, target);
   EXPECT_EQ(branch->fall, skipped);
-  ASSERT_EQ(target->preds.size(), 1U);
-  ASSERT_EQ(skipped->preds.size(), 1U);
 
-  // Invalidating the taken successor severs the inbound link...
-  tc.invalidate(base + 8);
-  EXPECT_EQ(branch->taken, nullptr);
-  EXPECT_EQ(branch->fall, skipped);  // the other edge survives
-  EXPECT_EQ(tc.lookup(base + 8), nullptr);
-  EXPECT_EQ(tc.stats().chain_severed, 1U);
-  // ...and invalidating the predecessor severs its outbound link.
-  tc.invalidate(base);
-  EXPECT_TRUE(skipped->preds.empty());
-  EXPECT_EQ(tc.stats().chain_severed, 2U);
+  tc.clear();
+  for (const std::uint32_t start : {base, base + 4, base + 8}) {
+    EXPECT_EQ(tc.lookup(start), nullptr);
+  }
+  const TranslatedBlock* fresh = tc.translate(base, spec, fused, peek);
+  EXPECT_EQ(fresh->taken, nullptr);
+  EXPECT_EQ(other.lookup(base + 8), foreign);  // another cache is untouched
 }
 
-TEST(TranslationCache, SelfLoopChainSeversCleanly) {
-  // A one-instruction loop links its own taken edge to itself: invalidation
-  // must cut both directions of that link without touching freed storage.
+TEST(TranslationCache, TranslateIntoOccupiedSlotThrows) {
+  // Blocks are never replaced one at a time: a second translation of a live
+  // block start is a bug, not a refresh.
   const IsaUopSpec spec = build_isa_uops();
   const FusedTable fused = build_fused_table(spec);
   const std::uint32_t base = 0x00400000;
   const std::uint32_t word =
       isa::encode_i(isa::Mnemonic::kBeq, 0, 0, 0xFFFF);  // beq $0, $0, .
+  const auto peek = [&](std::uint32_t) { return word; };
   TranslationCache tc(base, base + 8, /*cache=*/true);
-  TranslatedBlock* loop =
-      tc.translate(base, spec, fused, [&](std::uint32_t) { return word; });
-  ASSERT_TRUE(loop->has_taken);
-  EXPECT_EQ(loop->taken_target, base);
-  tc.chain(loop, /*taken_edge=*/true, loop);
+  const TranslatedBlock* loop = tc.translate(base, spec, fused, peek);
+  tc.chain(loop, /*taken_edge=*/true, loop);  // a self-loop is a legal link
   EXPECT_EQ(loop->taken, loop);
-  ASSERT_EQ(loop->preds.size(), 1U);
-  tc.invalidate(base);
-  EXPECT_EQ(tc.lookup(base), nullptr);
-  EXPECT_EQ(tc.stats().chain_severed, 1U);
+  EXPECT_THROW(tc.translate(base, spec, fused, peek), support::CicError);
+  EXPECT_EQ(tc.lookup(base), loop);
+  EXPECT_EQ(tc.stats().translations, 1U);
 }
 
 TEST(TranslationCache, HasNoUncachedMode) {
