@@ -843,7 +843,8 @@ std::optional<RunResult> Cpu::run_threaded() {
     }
     if (link_from != nullptr) {
       // chain() links two private blocks only, this one at the recorded edge
-      // target: image blocks keep just the links the golden run verified.
+      // target. Image blocks were sealed when frozen: an edge between two of
+      // them is already linked, and an edge leaving the image stays a break.
       tcache_->chain(link_from, link_taken, block);
       link_from = nullptr;
     }

@@ -232,9 +232,11 @@ class Cpu final : private uop::Datapath {
   // The private translation cache: null unless the threaded engine is active,
   // and after freeze_translations().
   const uop::TranslationCache* translation_cache() const { return tcache_.get(); }
-  // Moves an ended run's cache out as a frozen, shareable translation image.
+  // Moves an ended run's cache out as a frozen, shareable translation image,
+  // sealed: every static edge between two of its blocks is linked.
   std::shared_ptr<const uop::TranslationCache> freeze_translations() {
     support::check(!running_, "Cpu: translations freeze only after the run ended");
+    if (tcache_ != nullptr) tcache_->seal();
     return std::move(tcache_);
   }
   // Predecode-cache probes and fills (cold slots or tag-mismatch redecodes).

@@ -46,9 +46,11 @@ struct LoadedImage {
   cfg::FullHashTable fht;                             // empty when monitoring is off
   bool fht_was_attached = false;
   std::uint32_t entry = 0;
-  // Optional, attached by a campaign: build_fused_table(*spec), and a golden
-  // run's frozen translation cache (every block it entered, verified links and
-  // the mid-block starts where recording paused: where restored trials resume).
+  // Optional, attached by a campaign: build_fused_table(*spec), and the golden
+  // run's sealed translation image (every block it entered, including the
+  // mid-block starts where recording paused, where restored trials resume,
+  // with every static edge between two of them linked). A runner built from
+  // shipped golden state rebuilds the same image from its block starts.
   std::shared_ptr<const uop::FusedTable> fused;
   std::shared_ptr<const uop::TranslationCache> translations;
 };

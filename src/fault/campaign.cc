@@ -138,9 +138,12 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   loaded_.fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*loaded_.spec));
 
   if (checkpoints_.enabled) {
-    // The rebuild constructor re-validates the schedule and the clean exit.
-    golden_ = std::make_unique<CheckpointedGolden>(state.snapshots, state.result,
-                                                   state.stride);
+    // The rebuild constructor re-validates the schedule, the image starts and
+    // the clean exit, then rebuilds the image from the starts.
+    golden_ = std::make_unique<CheckpointedGolden>(config_, image_, loaded_, state.snapshots,
+                                                   state.result, state.stride,
+                                                   state.image_starts);
+    loaded_.translations = golden_->translations();
   } else {
     support::check(state.result.reason == cpu::ExitReason::kExit,
                    "campaign golden run did not exit cleanly");
@@ -161,6 +164,7 @@ GoldenState CampaignRunner::export_golden() const {
     state.snapshots = golden_->snapshots();
     state.stride = golden_->stride();
   }
+  if (loaded_.translations) state.image_starts = loaded_.translations->starts();
   state.result = golden_result_;
   return state;
 }

@@ -97,8 +97,10 @@ struct CampaignSummary {
 // boundaries later), so a trial that never re-converges pays O(log n)
 // compares. Memory-text and icache-line corruption stays resident in memory
 // or cache state, so those trials always run to their end.
-// Trials also read the recording's frozen translation cache as a shared image
-// until a text write detaches them; shipped golden state brings no image.
+// Trials also read the golden run's sealed translation image as a shared
+// first-level block cache until a text write detaches them. Shipped golden
+// state carries the image's block starts, and the runner rebuilds the same
+// image from them, so a fleet worker's trials translate what direct ones do.
 struct CheckpointConfig {
   bool enabled = true;
   // Snapshot spacing in instructions; 0 = automatic. The CLI always uses the
@@ -116,10 +118,11 @@ class CampaignRunner {
 
   // Builds a runner from shipped golden state instead of deriving
   // it: the loader run and the golden execution are both skipped (the uop
-  // spec is rebuilt from the config, bit-identical by construction). `state`
-  // must come from an identically configured runner's export_golden() — the
-  // golden key (fault/golden_ser.h) enforces that at the shipping layer, and
-  // this constructor throws on anything structurally inconsistent, which the
+  // spec is rebuilt from the config, bit-identical by construction, and the
+  // translation image from its shipped block starts). `state` must come from
+  // an identically configured runner's export_golden() — the golden key
+  // (fault/golden_ser.h) enforces that at the shipping layer, and this
+  // constructor throws on anything structurally inconsistent, which the
   // caller treats as "fall back to local derivation".
   CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                  const CheckpointConfig& checkpoints, const GoldenState& state);
@@ -157,10 +160,10 @@ class CampaignRunner {
   bool checkpoints_enabled() const { return checkpoints_.enabled; }
   std::uint64_t checkpoint_stride() const { return golden_ ? golden_->stride() : 0; }
   std::size_t snapshot_count() const { return golden_ ? golden_->snapshot_count() : 0; }
-  // Blocks the recording translated into the image (0 without one), and
-  // trials a text write detached from it.
+  // Blocks in the translation image (0 without one), and trials a text write
+  // detached from it.
   std::uint64_t image_blocks() const {
-    return loaded_.translations ? loaded_.translations->stats().translations : 0;
+    return loaded_.translations ? loaded_.translations->starts().size() : 0;
   }
   std::uint64_t detached_trials() const { return detached_.load(std::memory_order_relaxed); }
   std::uint64_t restores() const { return restores_.load(std::memory_order_relaxed); }

@@ -37,10 +37,17 @@ class CheckpointedGolden {
   // instead of re-running the golden execution. `snapshots` must be the
   // schedule a recording constructor produced: non-empty, ascending in both
   // clocks, snapshot 0 at instruction 0; `stride` is the resolved (possibly
-  // auto-doubled) spacing it recorded at. Throws on a malformed schedule or
-  // a non-clean result — the shipping layer treats that as "derive locally".
-  CheckpointedGolden(std::vector<cpu::Snapshot> snapshots, cpu::RunResult result,
-                     std::uint64_t stride);
+  // auto-doubled) spacing it recorded at. `image_starts` are the recording's
+  // translation-image block starts: word-aligned text addresses, strictly
+  // ascending. When `config`'s engine translates, they are translated from
+  // `loaded`'s pages (with its spec and fused table) and sealed into the same
+  // image the recording froze. Throws on a malformed schedule, a malformed
+  // start or a non-clean result, before translating anything — the shipping
+  // layer treats that as "derive locally".
+  CheckpointedGolden(const cpu::CpuConfig& config, const casm_::Image& image,
+                     const cpu::LoadedImage& loaded, std::vector<cpu::Snapshot> snapshots,
+                     cpu::RunResult result, std::uint64_t stride,
+                     const std::vector<std::uint32_t>& image_starts);
 
   // The golden run's final result (this class doubles as THE golden run —
   // recording pauses the configured engine with run_until at each snapshot
@@ -50,7 +57,7 @@ class CheckpointedGolden {
 
   std::uint64_t stride() const { return stride_; }
   std::size_t snapshot_count() const { return snapshots_.size(); }
-  // The recording's frozen translation cache; null on the switch engine or rebuilt.
+  // The recorded or rebuilt translation image, sealed; null on the switch engine.
   std::shared_ptr<const uop::TranslationCache> translations() const { return translations_; }
 
   // The full schedule, for serialization (fault/golden_ser.h).

@@ -1,21 +1,23 @@
-// cicmon-golden-v1 — versioned, checksummed golden-state serialization.
+// cicmon-golden-v2 — versioned, checksummed golden-state serialization.
 //
-// A campaign's golden state is everything PR 7 computes before the first
-// trial: the post-loader image (frozen copy-on-write page base + recovered
-// FHT + entry point) and the checkpointed golden run (the snapshot schedule
-// with COW page deltas, checker/IHT state, RNG state, and both trigger
-// clocks, plus the final RunResult). Deriving it costs one full clean
+// A campaign's golden state is everything a campaign computes before the
+// first trial: the post-loader image (frozen copy-on-write page base +
+// recovered FHT + entry point), the checkpointed golden run (the snapshot
+// schedule with COW page deltas, checker/IHT state, RNG state, and both
+// trigger clocks, plus the final RunResult), and the block starts of the
+// golden run's translation image. Deriving it costs one full clean
 // execution per process — the measured residual of the dispatch tax. This
 // module serializes it once so the orchestrator can ship it to every worker
 // over the session wire.
 //
 // Record layout (all integers little-endian):
 //
-//     "cicmon-golden-v1"        16-byte magic
+//     "cicmon-golden-v2"        16-byte magic
 //     key                       16-byte canonical golden key (hex digits)
 //     image section             entry, fht_was_attached, FHT blob, pages
 //     golden-run section        stride, snapshots[]
 //     result section            the golden RunResult
+//     image-starts section      u64 count, then that many u32 block starts
 //     checksum                  FNV-1a64 over every preceding byte
 //
 // Zero pages of the image base are elided (an unbacked base page reads as
@@ -26,7 +28,9 @@
 // (the byte-identity contract extends to the shipped blob itself).
 //
 // Deliberately NOT serialized: the uop spec (rebuilt from the config via
-// build_isa_uops + embed_monitoring, bit-identical by construction) and the
+// build_isa_uops + embed_monitoring, bit-identical by construction), the
+// translated blocks themselves (a worker re-translates the shipped starts
+// from its own pages and seals them, which yields the same image), and the
 // lazy icache-golden recording (derived per process on the first
 // icache-line trial; shipping it would double most blobs for a site few
 // campaigns attack).
@@ -48,8 +52,9 @@
 
 namespace cicmon::fault {
 
-// Leading magic of every cicmon-golden-v1 blob (exactly 16 bytes).
-inline constexpr std::string_view kGoldenMagic = "cicmon-golden-v1";
+// Leading magic of every cicmon-golden-v2 blob (exactly 16 bytes). A blob of
+// another version fails this check, so the worker derives locally.
+inline constexpr std::string_view kGoldenMagic = "cicmon-golden-v2";
 
 // Everything a worker needs to skip its golden run. `snapshots` is empty
 // and `stride` is 0 when the campaign runs with checkpoints off (the golden
@@ -67,6 +72,11 @@ struct GoldenState {
 
   // The golden run's final result.
   cpu::RunResult result;
+
+  // Block starts of the golden run's translation image, ascending. Empty
+  // without an image: on the switch engine, with checkpoints off and under
+  // recovery. The only section that depends on the engine.
+  std::vector<std::uint32_t> image_starts;
 };
 
 // Canonical golden key: 16 lowercase hex digits of the FNV-1a64 hash over
@@ -79,13 +89,14 @@ struct GoldenState {
 // shipping to local derivation.
 std::string golden_key(const std::vector<std::pair<std::string, std::string>>& fields);
 
-// Serializes `state` into a cicmon-golden-v1 blob carrying `key` (which must
+// Serializes `state` into a cicmon-golden-v2 blob carrying `key` (which must
 // be a 16-character golden_key output).
 std::string encode_golden(const GoldenState& state, std::string_view key);
 
 // Parses a blob, verifying magic, whole-record checksum, structural sanity,
 // and that the embedded key equals `expected_key`. Throws CicError on any
-// violation.
+// violation. The image starts are range-checked by the runner that uses
+// them, against its own text (fault::CheckpointedGolden).
 GoldenState decode_golden(std::string_view blob, std::string_view expected_key);
 
 }  // namespace cicmon::fault

@@ -14,7 +14,10 @@
 // word the pipeline actually carries. A rewritten text word (memory no longer
 // equals the tag) also drops the whole private cache at once. A campaign's
 // trials first look blocks up in a shared frozen image of the golden run's
-// cache, which outlives them all.
+// cache, which outlives them all. The image is sealed (`seal`) before it is
+// shared, so it is a pure function of its block starts (`starts`) and the
+// text: a worker that translates the same starts from the same text and
+// seals gets the same blocks and links.
 //
 // Superblock chaining: a block whose terminator has statically known
 // successors (direct branches: taken target and fall-through; jumps: target;
@@ -144,9 +147,15 @@ class TranslationCache {
   // unlinked and targets `to`'s start; anything else gets no link.
   void chain(const TranslatedBlock* from, bool taken_edge, const TranslatedBlock* to);
 
+  // Links every static edge whose target is a block start of this cache.
+  void seal();
+
   void clear() {  // drops every block at once
     for (auto& slot : slots_) slot.reset();
   }
+
+  // Start addresses of the live blocks, ascending.
+  std::vector<std::uint32_t> starts() const;
 
   const Stats& stats() const { return stats_; }
 

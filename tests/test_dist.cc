@@ -12,8 +12,10 @@
 // direct run's cells. An exhausted attempt budget is reported as a failure
 // while completed shards stay resumable. The Cli.* tests run the real
 // `cicmon dispatch` binary end to end and byte-diff its stdout against the
-// direct run with golden shipping on, key-skewed, and sabotaged. (CI
-// repeats that over a multi-host-style template transport.)
+// direct run with golden shipping on (where the fleet's engine counters must
+// also equal the direct run's), across engines, key-skewed, with malformed
+// image starts, and sabotaged. (CI repeats that over a multi-host-style
+// template transport.)
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -23,7 +25,9 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/orchestrator.h"
@@ -31,10 +35,15 @@
 #include "dist/transport.h"
 #include "dist/work_queue.h"
 #include "exp/sweep.h"
+#include "fault/campaign.h"
+#include "fault/golden_ser.h"
 #include "sim/experiment.h"
 #include "support/error.h"
+#include "support/json.h"
+#include "support/strings.h"
 #include "support/subprocess.h"
 #include "support/wire.h"
+#include "workloads/workloads.h"
 
 #ifndef CICMON_CLI_PATH
 #define CICMON_CLI_PATH "./cicmon"  // CMake injects the real binary location
@@ -656,21 +665,51 @@ std::string campaign_flags() {
   return " --workload bitcount --scale 0.02 --site memory-text --trials 48 --seed 9";
 }
 
+// One counter of a `--metrics json` sidecar (throws when it is absent).
+std::uint64_t metrics_counter(const std::string& path, const std::string& name) {
+  return support::parse_json(read_file(path)).at("counters").at(name).as_u64();
+}
+
 TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
   const std::string dir = make_test_dir("cli_golden");
   const std::string cli = CICMON_CLI_PATH;
-  ASSERT_TRUE(support::exit_ok(
-      run_cli(cli + " campaign" + campaign_flags() + " > " + dir + "/direct.txt 2>/dev/null")));
+  ASSERT_TRUE(support::exit_ok(run_cli(cli + " campaign" + campaign_flags() +
+                                       " --metrics json --metrics-out " + dir +
+                                       "/direct.json > " + dir + "/direct.txt 2>/dev/null")));
   const std::string direct = read_file(dir + "/direct.txt");
   ASSERT_FALSE(direct.empty());
 
-  // Both workers take the wire shipment instead of paying a golden run.
+  // Both workers take the wire shipment instead of paying a golden run, and
+  // rebuild its translation image, so the fleet's trials translate and chain
+  // exactly what the direct run's trials do.
   ASSERT_TRUE(support::exit_ok(run_cli(
       cli + " dispatch campaign" + campaign_flags() + " --workers 2 --shards 4 --quiet" +
-      " --dir " + dir + "/a1 > " + dir + "/ship.txt 2> " + dir + "/ship.err")));
+      " --metrics json --metrics-out " + dir + "/ship.json --dir " + dir + "/a1 > " + dir +
+      "/ship.txt 2> " + dir + "/ship.err")));
   EXPECT_EQ(read_file(dir + "/ship.txt"), direct);
   EXPECT_NE(read_file(dir + "/ship.err").find("golden 2 shipped/0 derived"), std::string::npos)
       << read_file(dir + "/ship.err");
+  for (const std::string counter : {"engine.tcache.translations", "engine.chain.follows"}) {
+    const std::uint64_t want = metrics_counter(dir + "/direct.json", counter);
+    EXPECT_GT(want, 0U) << counter;
+    EXPECT_EQ(metrics_counter(dir + "/ship.json", "fleet." + counter), want) << counter;
+  }
+
+  // Cross-engine: the key excludes the engine, so switch workers take a
+  // threaded orchestrator's blob (and ignore its image starts), and threaded
+  // workers take a switch orchestrator's blob (which carries none).
+  const std::pair<const char*, const char*> legs[] = {
+      {"switch-workers", " --transport '{cmd} --engine switch'"},
+      {"threaded-workers", " --engine switch --transport '{cmd} --engine threaded'"}};
+  for (const auto& [tag, engines] : legs) {
+    const std::string out = dir + "/" + tag;
+    ASSERT_TRUE(support::exit_ok(run_cli(
+        cli + " dispatch campaign" + campaign_flags() + " --workers 2 --shards 4 --quiet" +
+        engines + " --dir " + out + " > " + out + ".txt 2> " + out + ".err")));
+    EXPECT_EQ(read_file(out + ".txt"), direct) << tag;
+    EXPECT_NE(read_file(out + ".err").find("golden 2 shipped/0 derived"), std::string::npos)
+        << tag << ": " << read_file(out + ".err");
+  }
 
   // Key skew: the template gives every worker --checkpoints off, so its
   // golden key differs from the orchestrator's, no offer goes out, and both
@@ -682,6 +721,51 @@ TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
   EXPECT_EQ(read_file(dir + "/skew.txt"), direct);
   EXPECT_NE(read_file(dir + "/skew.err").find("golden 0 shipped/2 derived"), std::string::npos)
       << read_file(dir + "/skew.err");
+}
+
+TEST(Cli, MalformedImageStartsAreRejectedAndTheWorkerDerivesLocally) {
+  // A golden blob with a valid checksum and the worker's own key, whose last
+  // image start is unaligned. (The GoldenSer tests cover every malformed
+  // shape at the import; one is enough to drive the worker's fallback.) The
+  // real worker must reject it before translating, say so, derive locally,
+  // and still produce the direct cells. The orchestrator side is built as
+  // `cicmon dispatch` builds it for campaign_flags(); if it drifted from the
+  // CLI, the handshake would fail or no offer would go out, and the
+  // rejection line below would be missing.
+  const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
+  cpu::CpuConfig machine;
+  machine.monitoring = true;
+  machine.cic.iht_entries = 16;
+  const fault::CampaignRunner runner(image, machine);
+  exp::SweepSpec spec = runner.sweep(fault::FaultSite::kMemoryText, 1, 48, 9);
+  spec.params.emplace_back("workload", "bitcount");
+  spec.params.emplace_back("scale", exp::fmt_f64(0.02));
+  spec.params.emplace_back("monitor", "on");
+  spec.params.emplace_back("golden_instructions", std::to_string(runner.golden_instructions()));
+  const std::string key = fault::golden_key(
+      {{"workload", "bitcount"}, {"scale", exp::fmt_f64(0.02)}, {"site", "memory-text"},
+       {"bits", "1"}, {"trials", "48"}, {"seed", "9"}, {"monitor", "on"},
+       {"checkpoints", "on"}});
+  const std::string flags = campaign_flags();
+  std::vector<std::string> worker = {CICMON_CLI_PATH, "worker", "campaign"};
+  for (const std::string_view flag : support::split(flags, " ")) worker.emplace_back(flag);
+
+  fault::GoldenState state = runner.export_golden();
+  ASSERT_FALSE(state.image_starts.empty());
+  state.image_starts.back() += 2;
+  const std::string dir = make_test_dir("cli_bad_starts");
+  DispatchConfig config = test_config(dir, 1, 2);
+  config.golden = std::make_shared<GoldenShipment>(
+      make_golden_shipment(key, fault::encode_golden(state, key)));
+  const DispatchResult result =
+      dispatch_sweep(spec, worker, Transport("{cmd} 2>> " + dir + "/worker.err"), config);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.golden_shipped, 0U);
+  EXPECT_EQ(result.golden_derived, 1U);
+  EXPECT_EQ(result.cells, exp::run_all(spec, 1));
+  const std::string log = read_file(dir + "/worker.err");
+  EXPECT_NE(log.find("shipped golden state rejected (golden image starts"), std::string::npos)
+      << log;
 }
 
 TEST(Cli, WorkerKilledMidGoldenChunkIsReplacedAndStillMergesByteIdentical) {

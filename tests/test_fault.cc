@@ -402,53 +402,75 @@ TEST(Convergence, EveryTrialMatchesFullReExecution) {
 }
 
 TEST(Campaign, TranslationImageNeverChangesATrial) {
-  // The shared translation image is a pure execution strategy. A runner that
-  // recorded its own golden run attaches the recording's frozen cache; one
-  // built from that runner's export_golden() has none. Every trial at every
-  // site, on both machines, must agree between the two: outcome, exit
-  // reason and convergence point. The image must also have done work: the
-  // derived runner's trials translate fewer blocks.
+  // The shared translation image is a pure execution strategy. Three runners
+  // of one campaign: one that recorded its own golden run and attaches the
+  // recording's sealed image; one built from that runner's shipped state
+  // (export, encode, decode), which rebuilds the image from its block
+  // starts; and one built from the same state with the starts cleared, which
+  // has no image. Every trial at every site, on both machines, must agree
+  // across all three: outcome, exit reason and convergence point. The
+  // recorded and rebuilt images must also do identical engine work per trial
+  // (an image is a pure function of its starts and the text), and only the
+  // image-less runner translates more.
   const FaultSite sites[] = {FaultSite::kMemoryText, FaultSite::kFetchBus,
                              FaultSite::kFetchBusPaired, FaultSite::kPostIdLatch,
                              FaultSite::kICacheLine};
+  const std::string key = golden_key({{"test", "translation-image"}});
   for (const char* kernel : {"dijkstra", "bitcount"}) {
     const casm_::Image image = workloads::build_workload(kernel, {0.02, 42});
     for (const bool monitoring : {true, false}) {
       cpu::CpuConfig config = monitored_config();
       config.monitoring = monitoring;
       config.engine = cpu::Engine::kThreaded;
-      const CampaignRunner derived(image, config);
-      const CampaignRunner shipped(image, config, {}, derived.export_golden());
-      ASSERT_GT(derived.image_blocks(), 0U) << kernel;
-      ASSERT_EQ(shipped.image_blocks(), 0U) << kernel;
-      std::uint64_t translations[2] = {0, 0};
-      std::uint64_t resets = 0;
+      const CampaignRunner recorded(image, config);
+      const GoldenState shipped = decode_golden(encode_golden(recorded.export_golden(), key), key);
+      GoldenState bare = shipped;
+      bare.image_starts.clear();
+      const CampaignRunner rebuilt(image, config, {}, shipped);
+      const CampaignRunner imageless(image, config, {}, bare);
+      const CampaignRunner* runners[3] = {&recorded, &rebuilt, &imageless};
+      ASSERT_GT(recorded.image_blocks(), 0U) << kernel;
+      ASSERT_EQ(shipped.image_starts.size(), recorded.image_blocks()) << kernel;
+      EXPECT_EQ(rebuilt.image_blocks(), recorded.image_blocks()) << kernel;
+      EXPECT_EQ(imageless.image_blocks(), 0U) << kernel;
+      std::uint64_t translations[3] = {0, 0, 0};
+      std::uint64_t resets[3] = {0, 0, 0};
       for (const FaultSite site : sites) {
-        const std::vector<FaultSpec> faults = random_faults(derived, image, site, 25, 29);
-        std::vector<TrialResult> got[2];
-        for (int r = 0; r < 2; ++r) {
-          const std::vector<std::uint64_t> before = obs::counter_values();
-          for (const FaultSpec& spec : faults) {
-            got[r].push_back((r == 0 ? derived : shipped).run_trial(spec));
-          }
-          for (const auto& [name, value] : obs::counter_delta(before)) {
-            if (name == "engine.tcache.translations") translations[r] += value;
-            if (r == 0 && name == "engine.tcache.resets") resets += value;
-          }
-        }
+        const std::vector<FaultSpec> faults = random_faults(recorded, image, site, 25, 29);
         for (std::size_t i = 0; i < faults.size(); ++i) {
-          EXPECT_EQ(got[0][i].outcome, got[1][i].outcome)
-              << kernel << " " << fault_site_name(site) << " trigger " << faults[i].trigger_index
-              << " mask " << support::hex32(faults[i].xor_mask) << " monitor " << monitoring;
-          EXPECT_EQ(got[0][i].exit_reason, got[1][i].exit_reason);
-          EXPECT_EQ(got[0][i].converged_at, got[1][i].converged_at);
+          TrialResult got[3];
+          std::vector<std::pair<std::string, std::uint64_t>> engine[3];
+          for (int r = 0; r < 3; ++r) {
+            const std::vector<std::uint64_t> before = obs::counter_values();
+            got[r] = runners[r]->run_trial(faults[i]);
+            for (const auto& [name, value] : obs::counter_delta(before)) {
+              if (name.rfind("engine.", 0) == 0) engine[r].emplace_back(name, value);
+              if (name == "engine.tcache.translations") translations[r] += value;
+              if (name == "engine.tcache.resets") resets[r] += value;
+            }
+          }
+          const std::string where = std::string(kernel) + " " +
+                                    std::string(fault_site_name(site)) + " trigger " +
+                                    std::to_string(faults[i].trigger_index) + " mask " +
+                                    support::hex32(faults[i].xor_mask) + " monitor " +
+                                    (monitoring ? "on" : "off");
+          for (int r = 1; r < 3; ++r) {
+            EXPECT_EQ(got[0].outcome, got[r].outcome) << where << " runner " << r;
+            EXPECT_EQ(got[0].exit_reason, got[r].exit_reason) << where << " runner " << r;
+            EXPECT_EQ(got[0].converged_at, got[r].converged_at) << where << " runner " << r;
+          }
+          EXPECT_EQ(engine[0], engine[1]) << where;
         }
       }
-      EXPECT_LT(translations[0], translations[1]) << kernel << " monitor " << monitoring;
-      // Memory-text trials that reach their rewritten word detach.
-      EXPECT_LE(derived.detached_trials(), resets) << kernel << " monitor " << monitoring;
-      EXPECT_GT(derived.detached_trials(), 0U) << kernel << " monitor " << monitoring;
-      EXPECT_EQ(shipped.detached_trials(), 0U);
+      EXPECT_EQ(translations[0], translations[1]) << kernel << " monitor " << monitoring;
+      EXPECT_LT(translations[0], translations[2]) << kernel << " monitor " << monitoring;
+      // Memory-text trials that reach their rewritten word detach, and each
+      // detach is published as at least one cache reset.
+      EXPECT_GT(recorded.detached_trials(), 0U) << kernel << " monitor " << monitoring;
+      EXPECT_EQ(rebuilt.detached_trials(), recorded.detached_trials());
+      EXPECT_LE(recorded.detached_trials(), resets[0]) << kernel << " monitor " << monitoring;
+      EXPECT_LE(rebuilt.detached_trials(), resets[1]) << kernel << " monitor " << monitoring;
+      EXPECT_EQ(imageless.detached_trials(), 0U);
     }
   }
 }
