@@ -43,18 +43,12 @@ run() {
   fi
 }
 
-# Table/figure benches take the scale as their single positional argument.
-run fault_detection "${scale}"
-run ablation_hash "${scale}"
-run ablation_os_cost "${scale}"
-run ablation_replacement "${scale}"
-run table2_area_timing
-
 # The unified CLI, one subcommand each (campaign sized to stay cheap).
-run cicmon table1 --scale "${scale}"
-run cicmon fig6 --scale "${scale}"
-run cicmon blocks --scale "${scale}"
+for sweep in table1 fig6 blocks faults ablation-hash ablation-os-cost ablation-replacement; do
+  run cicmon "${sweep}" --scale "${scale}"
+done
 run cicmon campaign --workload bitcount --scale 0.02 --trials 50
+run cicmon table2
 run cicmon workloads
 
 # Engine A/B at smoke scale: the threaded engine (fused handlers behind the

@@ -37,116 +37,103 @@ cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& con
   return result;
 }
 
-// --- Figure 6 -----------------------------------------------------------
-
-exp::SweepSpec fig6_sweep(std::vector<unsigned> entry_counts, double scale,
-                          cpu::Engine engine) {
-  const auto infos = workloads::all_workloads();
-  const std::size_t per_workload = entry_counts.size();
-  exp::SweepSpec spec;
-  spec.sweep = "fig6";
-  spec.params = {{"scale", exp::fmt_f64(scale)}, {"entries", join_list(entry_counts)}};
-  spec.cells = infos.size() * per_workload;
-  spec.cell_key = [infos, per_workload, entry_counts](std::size_t cell) {
-    return std::string(infos[cell / per_workload].name) + "/entries" +
-           std::to_string(entry_counts[cell % per_workload]);
-  };
-  spec.run_cell = [infos, per_workload, entry_counts, scale, engine](std::size_t cell) {
-    cpu::CpuConfig config;
-    config.engine = engine;
-    config.monitoring = true;
-    config.cic.iht_entries = entry_counts[cell % per_workload];
-    exp::CellResult result;
-    result.f64 = {run_workload(infos[cell / per_workload].name, config, scale).iht.miss_rate()};
-    return result;
-  };
-  return spec;
-}
-
-std::vector<Fig6Row> fig6_rows(const std::vector<exp::CellResult>& cells,
-                               std::size_t per_workload) {
-  const auto infos = workloads::all_workloads();
-  support::check(per_workload > 0 && cells.size() == infos.size() * per_workload,
-                 "fig6 cell vector does not match the workload grid");
-  std::vector<Fig6Row> rows;
-  rows.reserve(infos.size());
-  for (std::size_t w = 0; w < infos.size(); ++w) {
-    Fig6Row row;
-    row.workload = std::string(infos[w].name);
-    for (std::size_t e = 0; e < per_workload; ++e) {
-      const exp::CellResult& cell = cells[w * per_workload + e];
-      support::check(cell.f64.size() == 1, "fig6 cell payload has the wrong shape");
-      row.miss_rates.push_back(cell.f64[0]);
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<Fig6Row> fig6_miss_rates(const std::vector<unsigned>& entry_counts, double scale,
-                                     unsigned jobs) {
-  return fig6_rows(exp::run_all(fig6_sweep(entry_counts, scale), jobs), entry_counts.size());
-}
-
-// --- Table 1 ------------------------------------------------------------
+// --- Machine-variant grids ----------------------------------------------
 
 namespace {
-// Three cells per workload: baseline (monitoring off), CIC8, CIC16.
-constexpr unsigned kTable1Variants[] = {0U, 8U, 16U};
-constexpr std::size_t kTable1PerWorkload = std::size(kTable1Variants);
-}  // namespace
 
-exp::SweepSpec table1_sweep(double scale, cpu::Engine engine) {
+// One machine of a variant grid: its cell-key suffix and configuration (the
+// builder sets the engine).
+struct Variant {
+  std::string name;
+  cpu::CpuConfig config;
+};
+
+Variant monitored(unsigned entries) {
+  Variant variant{"cic" + std::to_string(entries), {}};
+  variant.config.monitoring = true;
+  variant.config.cic.iht_entries = entries;
+  return variant;
+}
+
+exp::SweepSpec variant_sweep(std::string sweep, exp::SweepParams params,
+                             std::vector<Variant> variants, double scale, cpu::Engine engine) {
   const auto infos = workloads::all_workloads();
   exp::SweepSpec spec;
-  spec.sweep = "table1";
-  spec.params = {{"scale", exp::fmt_f64(scale)}};
-  spec.cells = infos.size() * kTable1PerWorkload;
-  spec.cell_key = [infos](std::size_t cell) {
-    const unsigned entries = kTable1Variants[cell % kTable1PerWorkload];
-    return std::string(infos[cell / kTable1PerWorkload].name) + "/" +
-           (entries == 0 ? "baseline" : "cic" + std::to_string(entries));
+  spec.sweep = std::move(sweep);
+  spec.params = std::move(params);
+  spec.cells = infos.size() * variants.size();
+  spec.cell_key = [infos, variants](std::size_t cell) {
+    return std::string(infos[cell / variants.size()].name) + "/" +
+           variants[cell % variants.size()].name;
   };
-  spec.run_cell = [infos, scale, engine](std::size_t cell) {
-    const unsigned entries = kTable1Variants[cell % kTable1PerWorkload];
-    cpu::CpuConfig config;
+  spec.run_cell = [infos, variants, scale, engine](std::size_t cell) {
+    cpu::CpuConfig config = variants[cell % variants.size()].config;
     config.engine = engine;
-    if (entries != 0) {
-      config.monitoring = true;
-      config.cic.iht_entries = entries;
-    }
+    const cpu::RunResult run = run_workload(infos[cell / variants.size()].name, config, scale);
     exp::CellResult result;
-    result.u64 = {run_workload(infos[cell / kTable1PerWorkload].name, config, scale).cycles};
+    result.u64 = {run.cycles};
+    result.f64 = {run.iht.miss_rate()};
     return result;
   };
   return spec;
 }
 
-std::vector<Table1Row> table1_rows(const std::vector<exp::CellResult>& cells) {
+}  // namespace
+
+std::vector<VariantRow> variant_rows(const std::vector<exp::CellResult>& cells,
+                                     std::size_t variants) {
   const auto infos = workloads::all_workloads();
-  support::check(cells.size() == infos.size() * kTable1PerWorkload,
-                 "table1 cell vector does not match the workload grid");
-  for (const exp::CellResult& cell : cells) {
-    support::check(cell.u64.size() == 1, "table1 cell payload has the wrong shape");
-  }
-  std::vector<Table1Row> rows;
-  rows.reserve(infos.size());
-  for (std::size_t w = 0; w < infos.size(); ++w) {
-    Table1Row row;
-    row.workload = std::string(infos[w].name);
-    row.cycles_baseline = cells[w * kTable1PerWorkload].u64[0];
-    row.cycles_cic8 = cells[w * kTable1PerWorkload + 1].u64[0];
-    row.cycles_cic16 = cells[w * kTable1PerWorkload + 2].u64[0];
-    const double baseline = static_cast<double>(row.cycles_baseline);
-    row.overhead_cic8 = static_cast<double>(row.cycles_cic8) / baseline - 1.0;
-    row.overhead_cic16 = static_cast<double>(row.cycles_cic16) / baseline - 1.0;
-    rows.push_back(std::move(row));
+  support::check(variants > 0 && cells.size() == infos.size() * variants,
+                 "variant cell vector does not match the workload grid");
+  std::vector<VariantRow> rows;
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    support::check(cells[cell].u64.size() == 1 && cells[cell].f64.size() == 1,
+                   "variant cell payload has the wrong shape");
+    if (cell % variants == 0) {
+      rows.push_back({std::string(infos[cell / variants].name), {}, {}});
+    }
+    rows.back().cycles.push_back(cells[cell].u64[0]);
+    rows.back().miss_rates.push_back(cells[cell].f64[0]);
   }
   return rows;
 }
 
-std::vector<Table1Row> table1_overheads(double scale, unsigned jobs) {
-  return table1_rows(exp::run_all(table1_sweep(scale), jobs));
+exp::SweepSpec table1_sweep(double scale, cpu::Engine engine) {
+  return variant_sweep("table1", {{"scale", exp::fmt_f64(scale)}},
+                       {{"baseline", {}}, monitored(8), monitored(16)}, scale, engine);
+}
+
+exp::SweepSpec fig6_sweep(const std::vector<unsigned>& entry_counts, double scale,
+                          cpu::Engine engine) {
+  std::vector<Variant> variants;
+  for (const unsigned entries : entry_counts) variants.push_back(monitored(entries));
+  return variant_sweep("fig6",
+                       {{"scale", exp::fmt_f64(scale)}, {"entries", join_list(entry_counts)}},
+                       std::move(variants), scale, engine);
+}
+
+exp::SweepSpec os_cost_sweep(double scale, cpu::Engine engine) {
+  std::vector<Variant> variants{{"baseline", {}}};
+  for (const std::uint64_t cost : kOsCosts) {
+    for (const unsigned entries : {8U, 16U}) {
+      variants.push_back(monitored(entries));
+      variants.back().name += "/exc" + std::to_string(cost);
+      variants.back().config.os.exception_cycles = cost;
+    }
+  }
+  return variant_sweep("ablation-os-cost", {{"scale", exp::fmt_f64(scale)}},
+                       std::move(variants), scale, engine);
+}
+
+exp::SweepSpec replacement_sweep(double scale, cpu::Engine engine) {
+  std::vector<Variant> variants{{"baseline", {}}};
+  for (const ReplacementPolicy& policy : kReplacementPolicies) {
+    variants.push_back({policy.name, monitored(8).config});
+    variants.back().config.cic.replace_policy = policy.victim;
+    variants.back().config.os.refill_mode = policy.refill;
+  }
+  return variant_sweep("ablation-replacement", {{"scale", exp::fmt_f64(scale)}},
+                       std::move(variants), scale, engine);
 }
 
 // --- Block characterisation ---------------------------------------------
@@ -260,9 +247,94 @@ std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
   return rows;
 }
 
-std::vector<BlockStats> characterize_all_blocks(const std::vector<unsigned>& capacities,
-                                                double scale, unsigned jobs) {
-  return blocks_rows(exp::run_all(blocks_sweep(capacities, scale), jobs), capacities);
+// --- Campaign grids -----------------------------------------------------
+
+namespace {
+
+// One whole campaign: the machine (the builder sets the engine) and the
+// faults it injects.
+struct CampaignCell {
+  cpu::CpuConfig config;
+  fault::FaultSite site;
+  unsigned bits;
+};
+
+CampaignCell campaign_cell(bool monitoring, hash::HashKind kind, std::uint32_t key,
+                           fault::FaultSite site, unsigned bits) {
+  CampaignCell cell{{}, site, bits};
+  cell.config.monitoring = monitoring;
+  cell.config.cic.iht_entries = 16;
+  cell.config.cic.hash_kind = kind;
+  cell.config.cic.hash_key = key;
+  return cell;
+}
+
+exp::SweepSpec campaign_grid(std::string sweep, std::vector<CampaignCell> grid,
+                             unsigned trials, std::uint64_t seed, double scale,
+                             cpu::Engine engine) {
+  exp::SweepSpec spec;
+  spec.sweep = std::move(sweep);
+  spec.params = {{"scale", exp::fmt_f64(scale)}};
+  spec.cells = grid.size();
+  spec.cell_key = [grid](std::size_t cell) {
+    const CampaignCell& c = grid[cell];
+    return std::string(hash::hash_kind_name(c.config.cic.hash_kind)) +
+           (c.config.monitoring ? "/on/" : "/off/") +
+           std::string(fault::fault_site_name(c.site)) + "/" + std::to_string(c.bits) + "b";
+  };
+  spec.run_cell = [grid, trials, seed, scale, engine](std::size_t cell) {
+    cpu::CpuConfig config = grid[cell].config;
+    config.engine = engine;
+    fault::CampaignRunner runner(workloads::build_workload("sha", {scale, 42}), config);
+    const fault::CampaignSummary s =
+        runner.run_random(grid[cell].site, grid[cell].bits, trials, seed, /*jobs=*/1);
+    exp::CellResult result;
+    result.u64 = {s.detected_mismatch, s.detected_miss, s.detected_baseline,
+                  s.wrong_output,      s.benign,        s.hang};
+    return result;
+  };
+  return spec;
+}
+
+}  // namespace
+
+std::vector<fault::CampaignSummary> campaign_rows(const std::vector<exp::CellResult>& cells,
+                                                  std::size_t campaigns) {
+  support::check(cells.size() == campaigns, "campaign cell vector does not match the grid");
+  std::vector<fault::CampaignSummary> rows;
+  for (const exp::CellResult& cell : cells) {
+    support::check(cell.u64.size() == 6 && cell.f64.empty(),
+                   "campaign grid cell payload has the wrong shape");
+    const std::vector<std::uint64_t>& n = cell.u64;
+    rows.push_back(
+        {n[0] + n[1] + n[2] + n[3] + n[4] + n[5], n[0], n[1], n[2], n[3], n[4], n[5]});
+  }
+  return rows;
+}
+
+exp::SweepSpec faults_sweep(double scale, cpu::Engine engine) {
+  std::vector<CampaignCell> grid;
+  for (const fault::FaultSite site : kFaultSites) {
+    for (const bool monitoring : {true, false}) {
+      grid.push_back(campaign_cell(monitoring, hash::HashKind::kXor, 0, site, 1));
+    }
+  }
+  for (const hash::HashKind kind : kFaultHashes) {
+    for (const auto& [site, bits] : kStrengthColumns) {
+      grid.push_back(campaign_cell(true, kind, 0, site, bits));
+    }
+  }
+  return campaign_grid("faults", std::move(grid), 120, 2026, scale, engine);
+}
+
+exp::SweepSpec hash_ablation_sweep(double scale, cpu::Engine engine) {
+  std::vector<CampaignCell> grid;
+  for (const hash::HashKind kind : hash::all_hash_kinds()) {
+    for (const unsigned bits : kAblationBits) {
+      grid.push_back(campaign_cell(true, kind, 0x5EED, fault::FaultSite::kFetchBus, bits));
+    }
+  }
+  return campaign_grid("ablation-hash", std::move(grid), 100, 7, scale, engine);
 }
 
 }  // namespace cicmon::sim

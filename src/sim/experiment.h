@@ -8,21 +8,21 @@
 // (workload, config) cells — and executed by the unified sweep engine
 // (exp/sweep.h), which provides the parallel fan-out, process sharding,
 // partial-summary artifacts, resume, and byte-identical merge for all of
-// them at once. The `*_sweep` builders expose the grids; the `*_rows`
-// decoders rebuild typed rows from a full (possibly merged) cell vector;
-// and the legacy entry points below are run-everything wrappers. `jobs`
-// follows the engine contract: 0 = CICMON_JOBS / hardware concurrency,
-// 1 = the exact legacy serial path. `engine` picks how every cell's machine
-// executes; it is an execution strategy, so it never enters the sweep
-// parameters and never changes a cell.
+// them at once. The `*_sweep` builders expose the grids, and the `*_rows`
+// decoders rebuild typed rows from a full (possibly merged) cell vector.
+// `engine` picks how every cell's machine executes; it is an execution
+// strategy, so it never enters the sweep parameters and never changes a
+// cell.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/cpu.h"
 #include "exp/sweep.h"
+#include "fault/campaign.h"
 #include "support/stats.h"
 #include "workloads/workloads.h"
 
@@ -35,34 +35,56 @@ namespace cicmon::sim {
 cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& config,
                             double scale = 1.0, std::uint64_t seed = 42);
 
-// --- Figure 6: IHT miss rate vs table size -------------------------------
-struct Fig6Row {
-  std::string workload;
-  std::vector<double> miss_rates;  // one per entry count, same order as input
-};
-// Grid: one cell per (workload, entry count), f64 = {miss_rate}.
-exp::SweepSpec fig6_sweep(std::vector<unsigned> entry_counts, double scale = 1.0,
-                          cpu::Engine engine = cpu::Engine::kThreaded);
-std::vector<Fig6Row> fig6_rows(const std::vector<exp::CellResult>& cells,
-                               std::size_t per_workload);
-std::vector<Fig6Row> fig6_miss_rates(const std::vector<unsigned>& entry_counts,
-                                     double scale = 1.0, unsigned jobs = 0);
+// --- Machine-variant grids (Table 1, Figure 6, §6.1 and §7 ablations) ----
+//
+// One cell per (workload, machine variant), u64 = {cycles}, f64 = {IHT miss
+// rate}. Overhead sweeps put the unmonitored baseline first, so each
+// workload's baseline runs once per grid.
 
-// --- Table 1: cycle-count overhead ---------------------------------------
-struct Table1Row {
+// One workload's runs, in the sweep's variant order.
+struct VariantRow {
   std::string workload;
-  std::uint64_t cycles_baseline = 0;  // monitoring off
-  std::uint64_t cycles_cic8 = 0;
-  std::uint64_t cycles_cic16 = 0;
-  double overhead_cic8 = 0.0;   // fraction
-  double overhead_cic16 = 0.0;
+  std::vector<std::uint64_t> cycles;
+  std::vector<double> miss_rates;
+  // Cycle overhead of variant `v` over variant 0, the baseline (fraction).
+  double overhead(std::size_t v) const {
+    return static_cast<double>(cycles[v]) / static_cast<double>(cycles[0]) - 1.0;
+  }
 };
-// Grid: three cells per workload (baseline, CIC8, CIC16), u64 = {cycles};
-// the overheads are derived in the decoder once a workload's baseline and
-// monitored cells are both in.
+// Decodes any variant grid, one row per workload in all_workloads() order.
+std::vector<VariantRow> variant_rows(const std::vector<exp::CellResult>& cells,
+                                     std::size_t variants);
+
+// Table 1 cycle overheads. Variants: baseline, CIC8, CIC16.
 exp::SweepSpec table1_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
-std::vector<Table1Row> table1_rows(const std::vector<exp::CellResult>& cells);
-std::vector<Table1Row> table1_overheads(double scale = 1.0, unsigned jobs = 0);
+
+// Figure 6 IHT miss rates. Variants: one monitored machine per entry count.
+exp::SweepSpec fig6_sweep(const std::vector<unsigned>& entry_counts, double scale = 1.0,
+                          cpu::Engine engine = cpu::Engine::kThreaded);
+
+// §6.1 ablation, Table 1 against the OS exception-handling cost. Variants:
+// baseline, then CIC8 and CIC16 at each cost (100 is the paper's, and Table
+// 1's).
+inline constexpr std::uint64_t kOsCosts[] = {20, 50, 100, 200, 400};
+exp::SweepSpec os_cost_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
+
+// §7 ablation, IHT victim policy x OS refill mode at 8 entries. Variants:
+// baseline, then one per policy; the first is Table 1's CIC8 machine.
+struct ReplacementPolicy {
+  const char* name;
+  cic::ReplacePolicy victim;
+  os::RefillMode refill;
+};
+inline constexpr ReplacementPolicy kReplacementPolicies[] = {
+    {"lru + demand fill", cic::ReplacePolicy::kLru, os::RefillMode::kSingleEntry},
+    {"fifo + demand fill", cic::ReplacePolicy::kFifo, os::RefillMode::kSingleEntry},
+    {"random + demand fill", cic::ReplacePolicy::kRandom, os::RefillMode::kSingleEntry},
+    {"lru + replace-half (paper)", cic::ReplacePolicy::kLru,
+     os::RefillMode::kReplaceHalfPrefetch},
+    {"lru + replace-half backward", cic::ReplacePolicy::kLru,
+     os::RefillMode::kReplaceHalfPrefetchBackward}};
+exp::SweepSpec replacement_sweep(double scale = 1.0,
+                                 cpu::Engine engine = cpu::Engine::kThreaded);
 
 // --- Workload characterisation (§6.1 block counts / locality) ------------
 struct BlockStats {
@@ -90,7 +112,39 @@ exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale = 1.0
                             cpu::Engine engine = cpu::Engine::kThreaded);
 std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
                                     const std::vector<unsigned>& capacities);
-std::vector<BlockStats> characterize_all_blocks(const std::vector<unsigned>& capacities,
-                                                double scale = 1.0, unsigned jobs = 0);
+
+// --- §6.3 fault tables and the hash ablation: grids of whole campaigns ----
+//
+// One cell runs one campaign on sha (image seed 42) against a 16-entry IHT,
+// u64 = its six outcome counts in fault::Outcome order.
+
+// Decodes a campaign grid of `campaigns` cells, one summary per cell.
+std::vector<fault::CampaignSummary> campaign_rows(const std::vector<exp::CellResult>& cells,
+                                                  std::size_t campaigns);
+
+// §6.3 fault tables, 120 trials at seed 2026 per campaign: single-bit faults
+// at every site, monitor on then off (XOR HASHFU); then, per hash unit,
+// single-word and paired fetch-bus faults. Single-word faults (any mask)
+// always change a XOR fold, so every unit detects them; the discriminating
+// pattern is the paired same-lane corruption of two words in one block,
+// which aliases under plain XOR.
+inline constexpr fault::FaultSite kFaultSites[] = {
+    fault::FaultSite::kMemoryText, fault::FaultSite::kFetchBus,
+    fault::FaultSite::kFetchBusPaired, fault::FaultSite::kICacheLine,
+    fault::FaultSite::kPostIdLatch};
+inline constexpr hash::HashKind kFaultHashes[] = {
+    hash::HashKind::kXor,         hash::HashKind::kAdd,        hash::HashKind::kRotXor,
+    hash::HashKind::kRotXorKeyed, hash::HashKind::kFletcher32, hash::HashKind::kCrc32};
+inline constexpr std::pair<fault::FaultSite, unsigned> kStrengthColumns[] = {
+    {fault::FaultSite::kFetchBus, 1},       {fault::FaultSite::kFetchBus, 4},
+    {fault::FaultSite::kFetchBusPaired, 1}, {fault::FaultSite::kFetchBusPaired, 2},
+    {fault::FaultSite::kFetchBusPaired, 4}};
+exp::SweepSpec faults_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
+
+// Hash ablation: every hash unit (key 0x5EED) against fetch-bus faults of
+// each width, 100 trials at seed 7; the CLI adds the area and timing columns.
+inline constexpr unsigned kAblationBits[] = {2, 4};
+exp::SweepSpec hash_ablation_sweep(double scale = 1.0,
+                                   cpu::Engine engine = cpu::Engine::kThreaded);
 
 }  // namespace cicmon::sim

@@ -5,14 +5,16 @@
 //   cicmon table1    [--scale S] [--jobs N]
 //   cicmon fig6      [--scale S] [--jobs N] [--entries 1,8,16,32]
 //   cicmon blocks    [--scale S] [--jobs N] [--capacities 1,8,16,32]
+//   cicmon faults | ablation-hash | ablation-os-cost | ablation-replacement
+//                    [--scale S] [--jobs N]
 //   cicmon campaign  [--workload W] [--site NAME] [--bits B] [--trials N]
 //                    [--seed X] [--scale S] [--jobs N] [--monitor on|off]
-//   cicmon dispatch  <table1|fig6|blocks|campaign> [sweep options]
+//   cicmon dispatch  <sweep> [sweep options]
 //                    [--workers K] [--shards N] [--transport TMPL]
 //                    [--retries R] [--timeout SEC] [--dir DIR] [--dry-run]
-//   cicmon worker    <table1|fig6|blocks|campaign> [sweep options]
+//   cicmon worker    <sweep> [sweep options]
 //   cicmon merge     SHARD.json|DIR [SHARD.json|DIR ...]
-//   cicmon workloads
+//   cicmon table2 | workloads
 //
 // Every sweep subcommand also takes `--shard I/N [--out PATH] [--force]`,
 // which runs only the cells owned by shard I of N and persists them as a
@@ -46,11 +48,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "area/area_model.h"
 #include "cpu/cpu.h"
 #include "dist/orchestrator.h"
 #include "dist/session.h"
@@ -71,6 +75,7 @@
 namespace {
 
 using namespace cicmon;
+using support::Table;
 
 // Telemetry destinations, set at parse time: every subcommand takes
 // --trace/--metrics/--metrics-out, and main() emits the summary after the
@@ -123,6 +128,11 @@ struct Options {
       "  table1      Table 1: cycle-count overhead (baseline vs CIC8/CIC16)\n"
       "  fig6        Figure 6: IHT miss rate vs table size\n"
       "  blocks      Section 6.1: executed-block counts and LRU locality\n"
+      "  table2      Table 2: cycle time and cell area of the monitored variants\n"
+      "  faults      Section 6.3: fault outcomes by site, detection by hash\n"
+      "  ablation-hash         HASHFU cost vs detection strength\n"
+      "  ablation-os-cost      Table 1 vs the OS exception-handling cost\n"
+      "  ablation-replacement  IHT victim policy x OS refill mode\n"
       "  campaign    random fault-injection campaign\n"
       "  dispatch    scale a sweep out over worker processes or hosts\n"
       "  worker      persistent dispatch worker (serves shards over stdin/stdout;\n"
@@ -166,7 +176,8 @@ struct Options {
       "                   'switch' (the per-uop predecode interpreter); both\n"
       "                   produce byte-identical results (default threaded)\n"
       "\n"
-      "sharding (table1/fig6/blocks/campaign):\n"
+      "sharding (every sweep: table1 fig6 blocks faults ablation-hash\n"
+      "ablation-os-cost ablation-replacement campaign):\n"
       "  --shard I/N      run only the cells owned by shard I of N and write\n"
       "                   a cicmon-shard-v1 partial artifact, not the table\n"
       "  --out PATH       artifact path (default cicmon-<sweep>-shard-IofN.json);\n"
@@ -177,7 +188,7 @@ struct Options {
       "prints output byte-identical to the unsharded invocation. A directory\n"
       "argument is scanned for *.shard.json artifacts.\n"
       "\n"
-      "dispatch (cicmon dispatch <table1|fig6|blocks|campaign> ...):\n"
+      "dispatch (cicmon dispatch <sweep> ...):\n"
       "  --workers K      concurrent worker processes (default: hardware\n"
       "                   concurrency)\n"
       "  --shards N       work items; over-decomposed for load balancing\n"
@@ -271,9 +282,13 @@ std::string did_you_mean(std::string_view given, std::span<const std::string_vie
   return "; did you mean '" + std::string(best) + "'?";
 }
 
-constexpr std::array<std::string_view, 10> kCommands = {
-    "table1",   "fig6",  "blocks", "campaign",  "worker",
-    "dispatch", "merge", "report", "workloads", "help"};
+// Every command; the first eight are the sweep subcommands, which run,
+// shard, merge and dispatch through the sweep engine.
+constexpr std::array<std::string_view, 15> kCommands = {
+    "table1", "fig6", "blocks", "faults", "ablation-hash", "ablation-os-cost",
+    "ablation-replacement", "campaign", "table2", "worker", "dispatch", "merge",
+    "report", "workloads", "help"};
+constexpr std::span<const std::string_view> kSweeps(kCommands.data(), 8);
 constexpr std::array<std::string_view, 27> kFlags = {
     "--scale", "--jobs",    "--entries", "--capacities", "--workload", "--site",
     "--bits",  "--trials",  "--seed",    "--monitor",    "--shard",
@@ -407,42 +422,43 @@ fault::FaultSite parse_site(const std::string& name) {
 // rendering depends only on (params, cells) — that shared funnel is what
 // makes the merged output byte-identical to the unsharded run.
 
-void render_table1(const std::vector<exp::CellResult>& cells) {
-  const auto rows = sim::table1_rows(cells);
-  support::Table table(
-      {"benchmark", "cycles (no CIC)", "CIC8", "CIC16", "ovh CIC8", "ovh CIC16"});
+using Cells = std::vector<exp::CellResult>;
+
+// Averages sum the workloads' overheads in all_workloads() order, then
+// divide; the ablations below repeat that arithmetic exactly.
+void render_table1(const exp::SweepParams&, const Cells& cells) {
+  const auto rows = sim::variant_rows(cells, 3);
+  Table table({"benchmark", "cycles (no CIC)", "CIC8", "CIC16", "ovh CIC8", "ovh CIC16"});
   double sum8 = 0, sum16 = 0;
-  for (const sim::Table1Row& row : rows) {
-    table.add_row({row.workload, support::Table::fmt_u64(row.cycles_baseline),
-                   support::Table::fmt_u64(row.cycles_cic8),
-                   support::Table::fmt_u64(row.cycles_cic16),
-                   support::Table::fmt_pct(row.overhead_cic8),
-                   support::Table::fmt_pct(row.overhead_cic16)});
-    sum8 += row.overhead_cic8;
-    sum16 += row.overhead_cic16;
+  for (const sim::VariantRow& row : rows) {
+    table.add_row({row.workload, Table::fmt_u64(row.cycles[0]), Table::fmt_u64(row.cycles[1]),
+                   Table::fmt_u64(row.cycles[2]), Table::fmt_pct(row.overhead(1)),
+                   Table::fmt_pct(row.overhead(2))});
+    sum8 += row.overhead(1);
+    sum16 += row.overhead(2);
   }
   const double n = static_cast<double>(rows.size());
-  table.add_row({"average", "-", "-", "-", support::Table::fmt_pct(sum8 / n),
-                 support::Table::fmt_pct(sum16 / n)});
+  table.add_row(
+      {"average", "-", "-", "-", Table::fmt_pct(sum8 / n), Table::fmt_pct(sum16 / n)});
   std::fputs(table.render().c_str(), stdout);
 }
 
-void render_fig6(const exp::SweepParams& params, const std::vector<exp::CellResult>& cells) {
+void render_fig6(const exp::SweepParams& params, const Cells& cells) {
   const std::vector<unsigned> entries =
       parse_unsigned_list(exp::param(params, "entries"), "artifact parameter 'entries'");
-  const auto rows = sim::fig6_rows(cells, entries.size());
+  const auto rows = sim::variant_rows(cells, entries.size());
   std::vector<std::string> headers{"benchmark"};
   for (const unsigned entry : entries) headers.push_back(std::to_string(entry));
-  support::Table table(headers);
-  for (const sim::Fig6Row& row : rows) {
+  Table table(headers);
+  for (const sim::VariantRow& row : rows) {
     std::vector<std::string> line{row.workload};
-    for (const double rate : row.miss_rates) line.push_back(support::Table::fmt_pct(rate));
+    for (const double rate : row.miss_rates) line.push_back(Table::fmt_pct(rate));
     table.add_row(line);
   }
   std::fputs(table.render().c_str(), stdout);
 }
 
-void render_blocks(const exp::SweepParams& params, const std::vector<exp::CellResult>& cells) {
+void render_blocks(const exp::SweepParams& params, const Cells& cells) {
   const std::vector<unsigned> capacities =
       parse_unsigned_list(exp::param(params, "capacities"), "artifact parameter 'capacities'");
   const auto rows = sim::blocks_rows(cells, capacities);
@@ -451,20 +467,19 @@ void render_blocks(const exp::SweepParams& params, const std::vector<exp::CellRe
   for (const unsigned capacity : capacities) {
     headers.push_back("LRU hit@" + std::to_string(capacity));
   }
-  support::Table table(headers);
+  Table table(headers);
   for (const sim::BlockStats& stats : rows) {
-    std::vector<std::string> line{stats.workload, support::Table::fmt_u64(stats.static_regions),
-                                  support::Table::fmt_u64(stats.dynamic_keys),
-                                  support::Table::fmt_u64(stats.lookups),
-                                  support::Table::fmt(stats.mean_block_instructions, 1)};
-    for (const double rate : stats.lru_hit_rate) line.push_back(support::Table::fmt_pct(rate));
+    std::vector<std::string> line{stats.workload, Table::fmt_u64(stats.static_regions),
+                                  Table::fmt_u64(stats.dynamic_keys),
+                                  Table::fmt_u64(stats.lookups),
+                                  Table::fmt(stats.mean_block_instructions, 1)};
+    for (const double rate : stats.lru_hit_rate) line.push_back(Table::fmt_pct(rate));
     table.add_row(line);
   }
   std::fputs(table.render().c_str(), stdout);
 }
 
-void render_campaign(const exp::SweepParams& params,
-                     const std::vector<exp::CellResult>& cells) {
+void render_campaign(const exp::SweepParams& params, const Cells& cells) {
   const fault::CampaignSummary summary = fault::CampaignRunner::summary_from_cells(cells);
   const std::string_view golden_text = exp::param(params, "golden_instructions");
   std::uint64_t golden = 0;
@@ -482,39 +497,154 @@ void render_campaign(const exp::SweepParams& params,
               std::string(exp::param(params, "seed")).c_str(),
               std::string(exp::param(params, "monitor")).c_str());
 
-  support::Table table({"outcome", "count"});
-  table.add_row({"detected-mismatch", support::Table::fmt_u64(summary.detected_mismatch)});
-  table.add_row({"detected-miss", support::Table::fmt_u64(summary.detected_miss)});
-  table.add_row({"detected-baseline", support::Table::fmt_u64(summary.detected_baseline)});
-  table.add_row({"wrong-output", support::Table::fmt_u64(summary.wrong_output)});
-  table.add_row({"benign", support::Table::fmt_u64(summary.benign)});
-  table.add_row({"hang", support::Table::fmt_u64(summary.hang)});
+  Table table({"outcome", "count"});
+  table.add_row({"detected-mismatch", Table::fmt_u64(summary.detected_mismatch)});
+  table.add_row({"detected-miss", Table::fmt_u64(summary.detected_miss)});
+  table.add_row({"detected-baseline", Table::fmt_u64(summary.detected_baseline)});
+  table.add_row({"wrong-output", Table::fmt_u64(summary.wrong_output)});
+  table.add_row({"benign", Table::fmt_u64(summary.benign)});
+  table.add_row({"hang", Table::fmt_u64(summary.hang)});
   std::fputs(table.render().c_str(), stdout);
   std::printf("\ndetection: %s effective, %s of all trials\n",
-              support::Table::fmt_pct(summary.detection_rate_effective()).c_str(),
-              support::Table::fmt_pct(summary.detection_rate_total()).c_str());
+              Table::fmt_pct(summary.detection_rate_effective()).c_str(),
+              Table::fmt_pct(summary.detection_rate_total()).c_str());
+}
+
+// The paper tables below print a banner, their tables and a closing note.
+void print_banner(const char* title, const char* reproduces) {
+  std::printf("=== %s ===\nreproduces: %s\n\n", title, reproduces);
+}
+
+void render_faults(const exp::SweepParams&, const Cells& cells) {
+  const auto rows = sim::campaign_rows(
+      cells, 2 * std::size(sim::kFaultSites) +
+                 std::size(sim::kFaultHashes) * std::size(sim::kStrengthColumns));
+  auto next = rows.begin();  // cells come in the sweep builder's loop order
+  print_banner("Fault-injection outcomes by site and hash strength",
+               "Section 6.3 (error model and detection analysis)");
+  Table sites({"site", "monitor", "mismatch", "miss", "baseline", "wrong-out", "benign",
+               "hang", "detect(effective)"});
+  for (const fault::FaultSite site : sim::kFaultSites) {
+    for (const char* monitor : {"on", "off"}) {
+      const fault::CampaignSummary& s = *next++;
+      std::vector<std::string> line{std::string(fault::fault_site_name(site)), monitor};
+      for (const std::uint64_t count : {s.detected_mismatch, s.detected_miss, s.detected_baseline,
+                                        s.wrong_output, s.benign, s.hang}) {
+        line.push_back(Table::fmt_u64(count));
+      }
+      line.push_back(Table::fmt_pct(s.detection_rate_effective()));
+      sites.add_row(line);
+    }
+  }
+  std::fputs(sites.render().c_str(), stdout);
+  std::fputs("\npaper claims: flips before the check point (memory/bus/icache) are\n"
+             "caught by the monitor; post-ID flips escape it (only baseline traps).\n\n",
+             stdout);
+  Table hashes({"hash", "1-word 1b", "1-word 4b", "paired 1b", "paired 2b", "paired 4b"});
+  for (const hash::HashKind kind : sim::kFaultHashes) {
+    std::vector<std::string> line{std::string(hash::hash_kind_name(kind))};
+    for (std::size_t c = 0; c < std::size(sim::kStrengthColumns); ++c) {
+      line.push_back(Table::fmt_pct((next++)->detection_rate_effective()));
+    }
+    hashes.add_row(line);
+  }
+  std::fputs(hashes.render().c_str(), stdout);
+  std::fputs("\npaper claims: XOR always detects odd-weight errors; even-weight errors\n"
+             "can alias (same-lane pairs), which the rotate/keyed variants close.\n",
+             stdout);
+}
+
+// The area and timing columns follow from the hash kind alone.
+void render_hash_ablation(const exp::SweepParams&, const Cells& cells) {
+  const auto kinds = hash::all_hash_kinds();
+  const auto rows = sim::campaign_rows(cells, kinds.size() * std::size(sim::kAblationBits));
+  print_banner("HASHFU ablation: cost vs strength",
+               "Sections 3.4, 6.3 and 7 (hash algorithm trade-off)");
+  const area::TechLibrary tech = area::TechLibrary::tsmc180();
+  Table table({"hash", "step GE", "depth (gates)", "1-cycle?", "IF slack ok?",
+               "area ovh (16-entry)", "2-bit detect", "4-bit detect"});
+  auto next = rows.begin();
+  for (const hash::HashKind kind : kinds) {
+    const hash::HashHwProfile profile = hash::make_hash_unit(kind)->hw_profile();
+    const area::TimingPaths paths = area::stage_paths(true, 16, profile);
+    const area::DesignReport cic16 = area::table2_rows(tech, {16}, kind)[1];
+    std::vector<std::string> line{std::string(hash::hash_kind_name(kind)),
+                                  Table::fmt(profile.gate_equivalents, 0),
+                                  Table::fmt(profile.depth_gate_delays, 1),
+                                  profile.single_cycle_feasible ? "yes" : "no",
+                                  paths.if_path < paths.ex_path ? "yes" : "no",
+                                  Table::fmt_pct(cic16.area_overhead_vs_baseline)};
+    for (std::size_t b = 0; b < std::size(sim::kAblationBits); ++b) {
+      line.push_back(Table::fmt_pct((next++)->detection_rate_effective()));
+    }
+    table.add_row(line);
+  }
+  std::fputs(table.render().c_str(), stdout);
+  std::fputs("\nfinding: the rotate-XOR (optionally keyed, the paper's §6.3 suggestion)\n"
+             "closes XOR's even-weight blind spot at XOR-class cost; the multiplier\n"
+             "mixer is the only option that cannot hide in the fetch stage.\n",
+             stdout);
+}
+
+void render_os_cost(const exp::SweepParams&, const Cells& cells) {
+  const auto rows = sim::variant_rows(cells, 1 + 2 * std::size(sim::kOsCosts));
+  print_banner("OS exception-cost sensitivity (8- and 16-entry IHT)",
+               "Section 6.1 assumption: 100 cycles per OS exception");
+  Table table({"exception cycles", "avg ovh CIC8", "avg ovh CIC16"});
+  const double n = static_cast<double>(rows.size());
+  for (std::size_t c = 0; c < std::size(sim::kOsCosts); ++c) {
+    double sum8 = 0, sum16 = 0;
+    for (const sim::VariantRow& row : rows) {
+      sum8 += row.overhead(1 + 2 * c);
+      sum16 += row.overhead(2 + 2 * c);
+    }
+    table.add_row({Table::fmt_u64(sim::kOsCosts[c]), Table::fmt_pct(sum8 / n),
+                   Table::fmt_pct(sum16 / n)});
+  }
+  std::fputs(table.render().c_str(), stdout);
+  std::fputs("\nfinding: overhead is linear in the handler cost (misses are fixed by\n"
+             "the locality of the block stream), so Table 1 rescales proportionally.\n",
+             stdout);
+}
+
+void render_replacement(const exp::SweepParams&, const Cells& cells) {
+  const auto rows = sim::variant_rows(cells, 1 + std::size(sim::kReplacementPolicies));
+  print_banner("Replacement-policy ablation (8-entry IHT)",
+               "Section 7 future work: refining the entry replacement policy");
+  Table table({"policy", "avg miss rate", "avg overhead", "worst overhead"});
+  const double n = static_cast<double>(rows.size());
+  for (std::size_t v = 1; v < rows.front().cycles.size(); ++v) {
+    double miss = 0, overhead = 0, worst = 0;
+    for (const sim::VariantRow& row : rows) {
+      miss += row.miss_rates[v];
+      overhead += row.overhead(v);
+      worst = std::max(worst, row.overhead(v));
+    }
+    table.add_row({sim::kReplacementPolicies[v - 1].name, Table::fmt_pct(miss / n),
+                   Table::fmt_pct(overhead / n), Table::fmt_pct(worst)});
+  }
+  std::fputs(table.render().c_str(), stdout);
+  std::fputs("\nfinding: demand fill beats bulk replace-half in this substrate —\n"
+             "wholesale eviction destroys the LRU set small IHTs depend on (the\n"
+             "refinement direction the paper's future work anticipates).\n",
+             stdout);
 }
 
 int render_cells(const std::string& sweep, const exp::SweepParams& params,
-                 const std::vector<exp::CellResult>& cells) {
-  if (sweep == "table1") {
-    render_table1(cells);
-    return 0;
+                 const Cells& cells) {
+  using Renderer = void (*)(const exp::SweepParams&, const Cells&);
+  static const std::map<std::string_view, Renderer> kRenderers = {
+      {"table1", render_table1},          {"fig6", render_fig6},
+      {"blocks", render_blocks},          {"campaign", render_campaign},
+      {"faults", render_faults},          {"ablation-hash", render_hash_ablation},
+      {"ablation-os-cost", render_os_cost}, {"ablation-replacement", render_replacement}};
+  const auto it = kRenderers.find(sweep);
+  if (it == kRenderers.end()) {
+    std::fprintf(stderr, "cicmon: cannot render sweep '%s'\n", sweep.c_str());
+    return 1;
   }
-  if (sweep == "fig6") {
-    render_fig6(params, cells);
-    return 0;
-  }
-  if (sweep == "blocks") {
-    render_blocks(params, cells);
-    return 0;
-  }
-  if (sweep == "campaign") {
-    render_campaign(params, cells);
-    return 0;
-  }
-  std::fprintf(stderr, "cicmon: cannot render sweep '%s'\n", sweep.c_str());
-  return 1;
+  it->second(params, cells);
+  return 0;
 }
 
 // --- Sweep subcommand driver --------------------------------------------
@@ -643,22 +773,27 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
   return {std::move(spec), std::move(runner), key, std::move(source)};
 }
 
-// The four dispatchable sweeps, by subcommand name. For "campaign" this pays
+// Every sweep but the campaign: a fixed grid shaped by --scale (plus fig6's
+// --entries and blocks' --capacities).
+exp::SweepSpec grid_sweep(std::string_view command, const Options& o) {
+  if (command == "table1") return sim::table1_sweep(o.scale, o.engine);
+  if (command == "fig6") return sim::fig6_sweep(o.entries, o.scale, o.engine);
+  if (command == "blocks") return sim::blocks_sweep(o.capacities, o.scale, o.engine);
+  if (command == "faults") return sim::faults_sweep(o.scale, o.engine);
+  if (command == "ablation-hash") return sim::hash_ablation_sweep(o.scale, o.engine);
+  if (command == "ablation-os-cost") return sim::os_cost_sweep(o.scale, o.engine);
+  support::check(command == "ablation-replacement", "no sweep named " + std::string(command));
+  return sim::replacement_sweep(o.scale, o.engine);
+}
+
+// The dispatchable sweeps, by subcommand name. For "campaign" this pays
 // for the golden derivation up front (wire blob or golden run)
 // — dispatch needs the exact params workers will record to validate their
 // artifacts against, and the derived golden state is what it ships.
 SweepBundle make_sweep(std::string_view command, const Options& options,
                        const std::string* shipped = nullptr) {
-  if (command == "table1") {
-    return {sim::table1_sweep(options.scale, options.engine), nullptr, "", ""};
-  }
-  if (command == "fig6") {
-    return {sim::fig6_sweep(options.entries, options.scale, options.engine), nullptr, "", ""};
-  }
-  if (command == "blocks") {
-    return {sim::blocks_sweep(options.capacities, options.scale, options.engine), nullptr, "", ""};
-  }
-  return make_campaign_sweep(options, shipped);
+  if (command == "campaign") return make_campaign_sweep(options, shipped);
+  return {grid_sweep(command, options), nullptr, "", ""};
 }
 
 int cmd_campaign(const Options& options) {
@@ -817,17 +952,15 @@ std::vector<std::string> worker_sweep_flags(std::string_view command, const Opti
 // Validates argv[2] as a dispatchable sweep for `cicmon <what> <sweep> ...`
 // (shared by dispatch and worker, which parse their sweep flags at argv[3]).
 std::string_view parse_sweep_subcommand(int argc, char** argv, const char* what) {
-  constexpr std::array<std::string_view, 4> kDispatchable = {"table1", "fig6", "blocks",
-                                                             "campaign"};
   if (argc < 3 || argv[2][0] == '-') {
-    std::fprintf(stderr, "cicmon: %s needs a sweep subcommand (table1|fig6|blocks|campaign)\n",
-                 what);
+    std::fprintf(stderr, "cicmon: %s needs a sweep subcommand (table1|fig6|blocks|faults|"
+                 "ablation-hash|ablation-os-cost|ablation-replacement|campaign)\n", what);
     usage(2);
   }
   const std::string_view sub = argv[2];
-  if (std::find(kDispatchable.begin(), kDispatchable.end(), sub) == kDispatchable.end()) {
+  if (std::find(kSweeps.begin(), kSweeps.end(), sub) == kSweeps.end()) {
     std::fprintf(stderr, "cicmon: cannot %s '%s'%s\n", what, argv[2],
-                 did_you_mean(sub, kDispatchable).c_str());
+                 did_you_mean(sub, kSweeps).c_str());
     usage(2);
   }
   return sub;
@@ -972,7 +1105,7 @@ int cmd_dispatch(int argc, char** argv) {
     std::fprintf(stderr,
                  "dispatch: workers %s utilized (%llu ms run vs %llu ms queue-wait across "
                  "%u slots, %llu ms elapsed)\n",
-                 support::Table::fmt_pct(static_cast<double>(result.busy_ms) / slot_ms).c_str(),
+                 Table::fmt_pct(static_cast<double>(result.busy_ms) / slot_ms).c_str(),
                  static_cast<unsigned long long>(result.busy_ms),
                  static_cast<unsigned long long>(result.queue_wait_ms),
                  result.workers_planned,
@@ -981,8 +1114,37 @@ int cmd_dispatch(int argc, char** argv) {
   return render_cells(bundle.spec.sweep, bundle.spec.params, result.cells);
 }
 
+// Table 2 is the analytical area/timing model: nothing to simulate, so it is
+// a plain command, not a sweep.
+int cmd_table2() {
+  print_banner("Cycle time and area of monitored processor variants",
+               "Table 2 (min period, cell area, overheads)");
+  const area::TechLibrary tech = area::TechLibrary::tsmc180();
+  Table table({"design", "min period (ns)", "period ovh", "cell area", "area ovh"});
+  for (const area::DesignReport& row :
+       area::table2_rows(tech, {1, 8, 16, 32}, hash::HashKind::kXor)) {
+    table.add_row({row.name, Table::fmt(row.min_period_ns, 2),
+                   Table::fmt_pct(row.period_overhead_vs_baseline),
+                   Table::fmt_u64(static_cast<unsigned long long>(row.cell_area_um2)),
+                   Table::fmt_pct(row.area_overhead_vs_baseline)});
+  }
+  std::fputs(table.render().c_str(), stdout);
+  std::fputs("\nCIC component inventory (8-entry, XOR HASHFU):\n", stdout);
+  const auto profile = hash::make_hash_unit(hash::HashKind::kXor)->hw_profile();
+  Table inventory({"component", "gate equivalents"});
+  for (const area::Component& c : area::cic_inventory(8, profile).components) {
+    inventory.add_row({c.name, Table::fmt(c.gate_equivalents, 0)});
+  }
+  std::fputs(inventory.render().c_str(), stdout);
+  std::fputs(
+      "\npaper shape: area overhead linear in entries (2.7% / 16.5% / 28.8% for\n"
+      "1/8/16 at 0.18u); cycle time flat because the EX stage stays critical.\n",
+      stdout);
+  return 0;
+}
+
 int cmd_workloads() {
-  support::Table table({"workload", "description"});
+  Table table({"workload", "description"});
   for (const workloads::WorkloadInfo& info : workloads::all_workloads()) {
     table.add_row({std::string(info.name), std::string(info.description)});
   }
@@ -996,12 +1158,13 @@ int run_command(int argc, char** argv, std::string_view command) {
   if (command == "worker") return cmd_worker(argc, argv);
   const Options options = parse_options(
       argc, argv, /*allow_positional=*/command == "merge" || command == "report");
-  if (command == "table1" || command == "fig6" || command == "blocks") {
+  if (command == "campaign") return cmd_campaign(options);
+  if (std::find(kSweeps.begin(), kSweeps.end(), command) != kSweeps.end()) {
     return run_sweep_command(make_sweep(command, options).spec, options);
   }
-  if (command == "campaign") return cmd_campaign(options);
   if (command == "merge") return cmd_merge(options);
   if (command == "report") return cmd_report(options);
+  if (command == "table2") return cmd_table2();
   if (command == "workloads") return cmd_workloads();
   if (command == "help" || command == "--help" || command == "-h") usage(0);
   std::fprintf(stderr, "cicmon: unknown command '%s'%s\n", argv[1],

@@ -788,15 +788,24 @@ TEST(Cli, WorkerKilledMidGoldenChunkIsReplacedAndStillMergesByteIdentical) {
 TEST(Cli, MalformedNumbersAreUsageErrors) {
   // Every value must parse completely as a number in range. Lenient parsing
   // ran nan/inf scales, read "12abc" as seed 12 and "-1" as seed 2^64 - 1,
-  // and skipped leading whitespace and '+'.
+  // and skipped leading whitespace and '+'. The paper tables' former
+  // standalone binaries took a positional scale and ran "abc" at their
+  // default and "0.05xyz" at 0.05, so the scale cases also run against a
+  // folded sweep and against table2.
   const std::string cli = CICMON_CLI_PATH;
   for (const std::string bad :
        {"--scale nan", "--scale inf", "--scale 1x", "--seed banana", "--seed 12abc", "--seed -1",
         "--jobs ''", "--trials ' 5'", "--trials +5", "--bits ' 2'", "--scale ' 0.02'",
-        "--timeout ' 1'"}) {
+        "--timeout ' 1'", "--scale abc", "--scale 0.05xyz", "--scale 0", "abc", "0.05xyz"}) {
     const int status = run_cli(cli + " campaign" + campaign_flags() + " " + bad +
                                " > /dev/null 2> /dev/null");
     EXPECT_EQ(support::describe_exit(status), "exit code 2") << bad;
+    if (bad.starts_with("--") && !bad.starts_with("--scale ")) continue;
+    for (const std::string command : {" ablation-os-cost ", " table2 "}) {
+      EXPECT_EQ(support::describe_exit(run_cli(cli + command + bad + " > /dev/null 2> /dev/null")),
+                "exit code 2")
+          << command << bad;
+    }
   }
 }
 

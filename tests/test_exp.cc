@@ -318,16 +318,72 @@ TEST(RealSweeps, Table1MergeMatchesDirectRun) {
         encode_shard_artifact(spec, shard, run_cells(spec, shard, 2))));
   }
   EXPECT_EQ(merge_artifacts(artifacts), direct);
-  // And the decoded rows equal the legacy entry point's.
-  const auto rows = sim::table1_rows(merge_artifacts(artifacts));
-  const auto legacy = sim::table1_overheads(0.02, 1);
-  ASSERT_EQ(rows.size(), legacy.size());
+  // And the decoded rows equal a serial run's.
+  const auto rows = sim::variant_rows(merge_artifacts(artifacts), 3);
+  const auto serial = sim::variant_rows(run_all(spec, 1), 3);
+  ASSERT_EQ(rows.size(), serial.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].workload, legacy[i].workload);
-    EXPECT_EQ(rows[i].cycles_baseline, legacy[i].cycles_baseline);
-    EXPECT_EQ(rows[i].cycles_cic16, legacy[i].cycles_cic16);
-    EXPECT_DOUBLE_EQ(rows[i].overhead_cic16, legacy[i].overhead_cic16);
+    EXPECT_EQ(rows[i].workload, serial[i].workload);
+    EXPECT_EQ(rows[i].cycles, serial[i].cycles);
+    EXPECT_EQ(rows[i].miss_rates, serial[i].miss_rates);
+    EXPECT_EQ(rows[i].overhead(2), serial[i].overhead(2));
   }
+}
+
+TEST(RealSweeps, AblationGridsRunEachBaselineOnceAndShareTable1sMachines) {
+  // One baseline cell per workload: 9 x (1 + 10) and 9 x (1 + 5) runs, where
+  // the per-cost and per-policy loops used to re-run it (135 and 90).
+  const std::size_t workloads_count = workloads::all_workloads().size();
+  const SweepSpec os_cost = sim::os_cost_sweep(0.02);
+  const SweepSpec replacement = sim::replacement_sweep(0.02);
+  EXPECT_EQ(os_cost.cells, workloads_count * 11);
+  EXPECT_EQ(replacement.cells, workloads_count * 6);
+  EXPECT_EQ(os_cost.cell_key(3), "basicmath/cic8/exc50");
+  EXPECT_EQ(replacement.cell_key(6), std::string(workloads::all_workloads()[1].name) + "/baseline");
+
+  // The 100-cycle CIC8/CIC16 variants and LRU demand fill are Table 1's
+  // machines, so their cells equal Table 1's bit for bit.
+  const auto table1 = sim::variant_rows(run_all(sim::table1_sweep(0.02), 0), 3);
+  const auto costs = sim::variant_rows(run_all(os_cost, 0), 11);
+  const auto policies = sim::variant_rows(run_all(replacement, 0), 6);
+  for (std::size_t w = 0; w < workloads_count; ++w) {
+    EXPECT_EQ(costs[w].cycles[0], table1[w].cycles[0]) << table1[w].workload;
+    EXPECT_EQ(costs[w].cycles[5], table1[w].cycles[1]) << table1[w].workload;
+    EXPECT_EQ(costs[w].cycles[6], table1[w].cycles[2]) << table1[w].workload;
+    EXPECT_EQ(policies[w].cycles[0], table1[w].cycles[0]) << table1[w].workload;
+    EXPECT_EQ(policies[w].cycles[1], table1[w].cycles[1]) << table1[w].workload;
+    // Overhead grows with the handler cost at a fixed miss stream.
+    for (std::size_t c = 1; c < std::size(sim::kOsCosts); ++c) {
+      EXPECT_GE(costs[w].cycles[1 + 2 * c], costs[w].cycles[2 * c - 1]) << table1[w].workload;
+    }
+  }
+}
+
+TEST(RealSweeps, CampaignGridCellsCarryOneWholeCampaignEach) {
+  const SweepSpec faults = sim::faults_sweep(0.02);
+  EXPECT_EQ(faults.cells, 2 * std::size(sim::kFaultSites) +
+                              std::size(sim::kFaultHashes) * std::size(sim::kStrengthColumns));
+  EXPECT_EQ(faults.cell_key(1), "xor/off/memory-text/1b");
+  const SweepSpec hashes = sim::hash_ablation_sweep(0.02);
+  EXPECT_EQ(hashes.cells, hash::all_hash_kinds().size() * std::size(sim::kAblationBits));
+  EXPECT_EQ(hashes.cell_key(3), "add/on/fetch-bus/4b");
+
+  // Cell 2 is the monitored fetch-bus campaign: the six counts of exactly
+  // the campaign the CLI's `campaign` command would run on that machine.
+  const auto rows = sim::campaign_rows({faults.run_cell(2)}, 1);
+  cpu::CpuConfig config;
+  config.monitoring = true;
+  config.cic.iht_entries = 16;
+  fault::CampaignRunner runner(workloads::build_workload("sha", {0.02, 42}), config);
+  const fault::CampaignSummary direct =
+      runner.run_random(fault::FaultSite::kFetchBus, 1, 120, 2026, 2);
+  EXPECT_EQ(rows[0].trials, 120U);
+  EXPECT_EQ(rows[0].detected_mismatch, direct.detected_mismatch);
+  EXPECT_EQ(rows[0].detected_miss, direct.detected_miss);
+  EXPECT_EQ(rows[0].detected_baseline, direct.detected_baseline);
+  EXPECT_EQ(rows[0].wrong_output, direct.wrong_output);
+  EXPECT_EQ(rows[0].benign, direct.benign);
+  EXPECT_EQ(rows[0].hang, direct.hang);
 }
 
 TEST(RealSweeps, SweepCellsMatchAcrossEngines) {
@@ -378,10 +434,16 @@ TEST(RealSweeps, RowDecodersRejectWrongShapedPayloads) {
   // is wrong (tampered or cross-version); decoders must throw CicError, not
   // crash, so `cicmon merge` reports it as a corrupt input.
   const std::size_t workloads_count = workloads::all_workloads().size();
-  EXPECT_THROW(sim::table1_rows(std::vector<CellResult>(workloads_count * 3)),
+  EXPECT_THROW(sim::variant_rows(std::vector<CellResult>(workloads_count * 3), 3),
                support::CicError);
-  EXPECT_THROW(sim::fig6_rows(std::vector<CellResult>(workloads_count * 2), 2),
+  EXPECT_THROW(sim::variant_rows(std::vector<CellResult>(workloads_count * 3), 2),
                support::CicError);
+  CellResult campaign;
+  campaign.u64 = {1, 2, 3, 4, 5};
+  EXPECT_THROW(sim::campaign_rows({campaign}, 1), support::CicError);
+  campaign.u64.push_back(6);
+  EXPECT_THROW(sim::campaign_rows({campaign, campaign}, 3), support::CicError);
+  EXPECT_EQ(sim::campaign_rows({campaign}, 1)[0].trials, 21U);
   EXPECT_THROW(sim::blocks_rows(std::vector<CellResult>(workloads_count), {1, 8}),
                support::CicError);
   EXPECT_THROW(fault::CampaignRunner::summary_from_cells(std::vector<CellResult>(4)),
@@ -391,11 +453,11 @@ TEST(RealSweeps, RowDecodersRejectWrongShapedPayloads) {
 TEST(RealSweeps, Fig6AndBlocksRowsDecodeFromCells) {
   const std::vector<unsigned> entries{1, 16};
   const auto fig6_cells = run_all(sim::fig6_sweep(entries, 0.02), 0);
-  const auto fig6 = sim::fig6_rows(fig6_cells, entries.size());
-  const auto legacy = sim::fig6_miss_rates(entries, 0.02, 1);
-  ASSERT_EQ(fig6.size(), legacy.size());
+  const auto fig6 = sim::variant_rows(fig6_cells, entries.size());
+  const auto serial = sim::variant_rows(run_all(sim::fig6_sweep(entries, 0.02), 1), 2);
+  ASSERT_EQ(fig6.size(), serial.size());
   for (std::size_t i = 0; i < fig6.size(); ++i) {
-    EXPECT_EQ(fig6[i].miss_rates, legacy[i].miss_rates);
+    EXPECT_EQ(fig6[i].miss_rates, serial[i].miss_rates);
   }
 
   const std::vector<unsigned> capacities{1, 8};

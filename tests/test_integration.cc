@@ -86,9 +86,10 @@ TEST(EndToEnd, LegacyBinaryRunsUnmodified) {
 
 TEST(Fig6Shape, MissRateMonotoneNonIncreasingInTableSize) {
   const std::vector<unsigned> sizes{1, 8, 16, 32};
-  const auto rows = sim::fig6_miss_rates(sizes, /*scale=*/0.08);
+  const auto rows =
+      sim::variant_rows(exp::run_all(sim::fig6_sweep(sizes, /*scale=*/0.08), 0), sizes.size());
   ASSERT_EQ(rows.size(), 9U);
-  for (const sim::Fig6Row& row : rows) {
+  for (const sim::VariantRow& row : rows) {
     for (std::size_t i = 1; i < row.miss_rates.size(); ++i) {
       EXPECT_LE(row.miss_rates[i], row.miss_rates[i - 1] + 0.02)
           << row.workload << " at size " << sizes[i];
@@ -98,28 +99,28 @@ TEST(Fig6Shape, MissRateMonotoneNonIncreasingInTableSize) {
 }
 
 TEST(Table1Shape, SixteenEntriesNeverWorseThanEight) {
-  const auto rows = sim::table1_overheads(/*scale=*/0.08);
+  const auto rows = sim::variant_rows(exp::run_all(sim::table1_sweep(/*scale=*/0.08), 0), 3);
   ASSERT_EQ(rows.size(), 9U);
   double sum8 = 0, sum16 = 0;
-  for (const sim::Table1Row& row : rows) {
-    EXPECT_GE(row.overhead_cic8, 0.0) << row.workload;
-    EXPECT_LE(row.overhead_cic16, row.overhead_cic8 + 0.02) << row.workload;
-    sum8 += row.overhead_cic8;
-    sum16 += row.overhead_cic16;
+  for (const sim::VariantRow& row : rows) {
+    EXPECT_GE(row.overhead(1), 0.0) << row.workload;
+    EXPECT_LE(row.overhead(2), row.overhead(1) + 0.02) << row.workload;
+    sum8 += row.overhead(1);
+    sum16 += row.overhead(2);
   }
   EXPECT_LT(sum16, sum8);  // the paper's headline: bigger IHT, lower overhead
 }
 
 TEST(Table1Shape, BitcountNearZeroAndStringsearchWorstAtSixteen) {
-  const auto rows = sim::table1_overheads(/*scale=*/0.08);
+  const auto rows = sim::variant_rows(exp::run_all(sim::table1_sweep(/*scale=*/0.08), 0), 3);
   double bitcount8 = 1e9, bitcount16 = 1e9, stringsearch16 = 0, worst16 = 0;
-  for (const sim::Table1Row& row : rows) {
+  for (const sim::VariantRow& row : rows) {
     if (row.workload == "bitcount") {
-      bitcount8 = row.overhead_cic8;
-      bitcount16 = row.overhead_cic16;
+      bitcount8 = row.overhead(1);
+      bitcount16 = row.overhead(2);
     }
-    if (row.workload == "stringsearch") stringsearch16 = row.overhead_cic16;
-    worst16 = std::max(worst16, row.overhead_cic16);
+    if (row.workload == "stringsearch") stringsearch16 = row.overhead(2);
+    worst16 = std::max(worst16, row.overhead(2));
   }
   EXPECT_LT(bitcount8, 0.05);   // paper: 0%
   EXPECT_LT(bitcount16, 0.05);  // paper: 0%
