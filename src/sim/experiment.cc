@@ -331,7 +331,8 @@ exp::SweepSpec hash_ablation_sweep(double scale, cpu::Engine engine) {
   std::vector<CampaignCell> grid;
   for (const hash::HashKind kind : hash::all_hash_kinds()) {
     for (const unsigned bits : kAblationBits) {
-      grid.push_back(campaign_cell(true, kind, 0x5EED, fault::FaultSite::kFetchBus, bits));
+      grid.push_back(
+          campaign_cell(true, kind, 0x5EED, fault::FaultSite::kFetchBusPaired, bits));
     }
   }
   return campaign_grid("ablation-hash", std::move(grid), 100, 7, scale, engine);

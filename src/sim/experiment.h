@@ -141,8 +141,9 @@ inline constexpr std::pair<fault::FaultSite, unsigned> kStrengthColumns[] = {
     {fault::FaultSite::kFetchBusPaired, 4}};
 exp::SweepSpec faults_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
 
-// Hash ablation: every hash unit (key 0x5EED) against fetch-bus faults of
-// each width, 100 trials at seed 7; the CLI adds the area and timing columns.
+// Hash ablation: every hash unit (key 0x5EED) against paired fetch-bus
+// faults of each width, 100 trials at seed 7 (single-word faults change
+// every unit's hash); the CLI adds the area and timing columns.
 inline constexpr unsigned kAblationBits[] = {2, 4};
 exp::SweepSpec hash_ablation_sweep(double scale = 1.0,
                                    cpu::Engine engine = cpu::Engine::kThreaded);

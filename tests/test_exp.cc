@@ -366,7 +366,7 @@ TEST(RealSweeps, CampaignGridCellsCarryOneWholeCampaignEach) {
   EXPECT_EQ(faults.cell_key(1), "xor/off/memory-text/1b");
   const SweepSpec hashes = sim::hash_ablation_sweep(0.02);
   EXPECT_EQ(hashes.cells, hash::all_hash_kinds().size() * std::size(sim::kAblationBits));
-  EXPECT_EQ(hashes.cell_key(3), "add/on/fetch-bus/4b");
+  EXPECT_EQ(hashes.cell_key(3), "add/on/fetch-bus-paired/4b");
 
   // Cell 2 is the monitored fetch-bus campaign: the six counts of exactly
   // the campaign the CLI's `campaign` command would run on that machine.
