@@ -613,14 +613,14 @@ void render_replacement(const exp::SweepParams&, const Cells& cells) {
                "Section 7 future work: refining the entry replacement policy");
   Table table({"policy", "avg miss rate", "avg overhead", "worst overhead"});
   const double n = static_cast<double>(rows.size());
-  for (std::size_t v = 1; v < rows.front().cycles.size(); ++v) {
+  for (std::size_t p = 0; p < std::size(sim::kReplacementPolicies); ++p) {
     double miss = 0, overhead = 0, worst = 0;
     for (const sim::VariantRow& row : rows) {
-      miss += row.miss_rates[v];
-      overhead += row.overhead(v);
-      worst = std::max(worst, row.overhead(v));
+      miss += row.miss_rates[1 + p];
+      overhead += row.overhead(1 + p);
+      worst = std::max(worst, row.overhead(1 + p));
     }
-    table.add_row({sim::kReplacementPolicies[v - 1].name, Table::fmt_pct(miss / n),
+    table.add_row({sim::kReplacementPolicies[p].name, Table::fmt_pct(miss / n),
                    Table::fmt_pct(overhead / n), Table::fmt_pct(worst)});
   }
   std::fputs(table.render().c_str(), stdout);
