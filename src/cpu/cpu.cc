@@ -504,31 +504,38 @@ RunResult Cpu::finish_result() {
   return result_;
 }
 
-void Cpu::publish_metrics() const {
+void Cpu::publish_metrics() {
   static const obs::CounterId k_runs = obs::counter("engine.runs");
   static const obs::CounterId k_instructions = obs::counter("engine.instructions");
-  static const obs::CounterId k_predecode_misses = obs::counter("engine.predecode.misses");
-  static const obs::CounterId k_predecode_hits = obs::counter("engine.predecode.hits");
-  static const obs::CounterId k_tcache_hits = obs::counter("engine.tcache.hits");
-  static const obs::CounterId k_tcache_translations = obs::counter("engine.tcache.translations");
-  static const obs::CounterId k_tcache_resets = obs::counter("engine.tcache.resets");
-  static const obs::CounterId k_tcache_mismatches = obs::counter("engine.tcache.mismatches");
-  obs::bump(k_runs);
-  obs::bump(k_instructions, result_.instructions);
+  static const std::array<obs::CounterId, kEngineCounters> k_ids = {
+      obs::counter("engine.instructions.executed"),
+      obs::counter("engine.instructions.restored"),
+      obs::counter("engine.predecode.misses"),
+      obs::counter("engine.predecode.hits"),
+      obs::counter("engine.tcache.hits"),
+      obs::counter("engine.tcache.translations"),
+      obs::counter("engine.tcache.resets"),
+      obs::counter("engine.tcache.mismatches"),
+      obs::counter("engine.chain.follows"),
+      obs::counter("engine.chain.breaks")};
   // Lookups are a plain member increment in step(); the obs registry only
-  // sees the per-run totals.
-  obs::bump(k_predecode_misses, predecode_misses_);
-  obs::bump(k_predecode_hits, predecode_lookups_ - predecode_misses_);
-  if (tcache_ != nullptr) {
-    static const obs::CounterId k_chain_follows = obs::counter("engine.chain.follows");
-    static const obs::CounterId k_chain_breaks = obs::counter("engine.chain.breaks");
-    obs::bump(k_tcache_hits, tcache_hits_);
-    obs::bump(k_tcache_translations, tcache_->stats().translations);
-    obs::bump(k_tcache_resets, tcache_resets_);
-    obs::bump(k_tcache_mismatches, tcache_mismatches_);
-    obs::bump(k_chain_follows, chain_follows_);
-    obs::bump(k_chain_breaks, chain_breaks_);
-  }
+  // sees the totals, as increments since the previous publish.
+  const std::array<std::uint64_t, kEngineCounters> now = {
+      instructions_executed(),
+      instructions_restored(),
+      predecode_misses_,
+      predecode_lookups_ - predecode_misses_,
+      tcache_hits_,
+      tcache_ != nullptr ? tcache_->stats().translations : 0,
+      tcache_resets_,
+      tcache_mismatches_,
+      chain_follows_,
+      chain_breaks_};
+  if (!published_once_) obs::bump(k_runs);
+  published_once_ = true;
+  obs::bump(k_instructions, now[0] + now[1] - published_[0] - published_[1]);
+  for (std::size_t i = 0; i < kEngineCounters; ++i) obs::bump(k_ids[i], now[i] - published_[i]);
+  published_ = now;
 }
 
 RunResult Cpu::run() { return *run_until(config_.max_instructions); }

@@ -203,6 +203,8 @@ class Cpu final : private uop::Datapath {
   // supported (its block checkpoint is orthogonal in-run state).
   void save_snapshot(Snapshot* snapshot) const;
   void restore_snapshot(const Snapshot& snapshot);
+  // As above, taking the snapshot's memory delta instead of copying it.
+  void restore_snapshot(Snapshot&& snapshot);
 
   // True when this running Cpu's state equals what restore_snapshot would
   // install, so running on behaves exactly as the run that saved `snapshot`
@@ -214,6 +216,13 @@ class Cpu final : private uop::Datapath {
   const std::string& console() const { return result_.console; }
 
   std::uint64_t instructions_retired() const { return result_.instructions; }
+  // How this Cpu came by its retired instructions, summed over its life:
+  // prefixes installed by restore_snapshot, and instructions it executed
+  // itself. A Cpu restored once and run on retires the sum of the two.
+  std::uint64_t instructions_restored() const { return restored_instructions_; }
+  std::uint64_t instructions_executed() const {
+    return result_.instructions + discarded_instructions_ - restored_instructions_;
+  }
 
   // --- Fault-injection and observation hooks ---
   mem::Memory& memory() { return memory_; }
@@ -255,9 +264,11 @@ class Cpu final : private uop::Datapath {
   // block exits that returned to the dispatch loop instead (unlinked edge).
   std::uint64_t chain_follows() const { return chain_follows_; }
   std::uint64_t chain_breaks() const { return chain_breaks_; }
-  // Folds this run's engine counters (engine.* names) into the obs registry;
-  // called once per finished run by the experiment and campaign layers.
-  void publish_metrics() const;
+  // Folds this Cpu's engine counters (engine.* names) into the obs registry:
+  // what accrued since its previous publish. Experiment runs and campaign
+  // trials publish once per finished run; a campaign's golden cursors, which
+  // live across many trials, publish after each walk.
+  void publish_metrics();
 
  private:
   // The devirtualized interpreter drives the Datapath members below through
@@ -286,6 +297,8 @@ class Cpu final : private uop::Datapath {
   // Constructor tail for the LoadedImage path (cpu/snapshot.cc — the only
   // translation unit that sees the LoadedImage definition).
   void attach_loaded(const LoadedImage& loaded);
+  // restore_snapshot but for the memory overlay (cpu/snapshot.cc).
+  void restore_registers(const Snapshot& snapshot);
 
   void terminate(ExitReason reason, std::uint32_t code);
   // step() past its terminated/watchdog checks: one instruction from CPC.
@@ -367,6 +380,15 @@ class Cpu final : private uop::Datapath {
   std::uint64_t tcache_mismatches_ = 0;
   std::uint64_t tcache_hits_ = 0;
   std::uint64_t tcache_resets_ = 0;
+  // Snapshot prefixes restored, and the retired counts those restores
+  // overwrote (instructions_executed() is their difference plus the present
+  // count).
+  std::uint64_t restored_instructions_ = 0;
+  std::uint64_t discarded_instructions_ = 0;
+  // The engine counters as of the previous publish_metrics(), in its order.
+  static constexpr std::size_t kEngineCounters = 10;
+  std::array<std::uint64_t, kEngineCounters> published_{};
+  bool published_once_ = false;
 
   // True when the shared IF program structurally matches the canonical
   // Figure 1 shape (plus the Figure 3(b) monitoring tail when monitoring is

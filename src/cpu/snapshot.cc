@@ -114,6 +114,16 @@ bool Cpu::matches_snapshot(const Snapshot& snapshot) const {
 }
 
 void Cpu::restore_snapshot(const Snapshot& snapshot) {
+  restore_registers(snapshot);
+  memory_.restore_pages(snapshot.memory_delta);
+}
+
+void Cpu::restore_snapshot(Snapshot&& snapshot) {
+  restore_registers(snapshot);
+  memory_.restore_pages(std::move(snapshot.memory_delta));
+}
+
+void Cpu::restore_registers(const Snapshot& snapshot) {
   support::check(!config_.recovery.enabled,
                  "snapshots do not support recovery mode (block checkpoints)");
   support::check(snapshot.checker.has_value() == cic_.has_value() &&
@@ -121,6 +131,8 @@ void Cpu::restore_snapshot(const Snapshot& snapshot) {
                  "restore_snapshot: monitoring configuration mismatch");
   support::check(snapshot.icache.has_value() == (fetch_.icache() != nullptr),
                  "restore_snapshot: icache configuration mismatch");
+  discarded_instructions_ += result_.instructions;
+  restored_instructions_ += snapshot.instructions;
   gpr_ = snapshot.gpr;
   special_ = snapshot.special;
   result_ = snapshot.result;
@@ -134,7 +146,6 @@ void Cpu::restore_snapshot(const Snapshot& snapshot) {
   if (mem::ICache* icache = fetch_.icache()) icache->restore_state(*snapshot.icache);
   fetch_.set_pending_stall_cycles(snapshot.pending_stall_cycles);
   fetch_.set_bus_transfers(snapshot.bus_transfers);
-  memory_.restore_pages(snapshot.memory_delta);
   // Predecode and translation caches are left as-is: both are tagged by the
   // fetched word, so stale entries miss and rebuild bit-identically.
 }

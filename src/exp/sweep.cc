@@ -1,5 +1,6 @@
 #include "exp/sweep.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -77,6 +78,13 @@ std::vector<CellResult> run_cells(const SweepSpec& spec, const Shard& shard, uns
   std::vector<std::size_t> owned;
   for (std::size_t cell = 0; cell < spec.cells; ++cell) {
     if (owns_cell(shard, cell)) owned.push_back(cell);
+  }
+  if (spec.order_key) {
+    std::vector<std::pair<std::uint64_t, std::size_t>> keyed;
+    keyed.reserve(owned.size());
+    for (const std::size_t cell : owned) keyed.emplace_back(spec.order_key(cell), cell);
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t i = 0; i < keyed.size(); ++i) owned[i] = keyed[i].second;
   }
   std::vector<CellResult> results(spec.cells);
   support::parallel_for(owned.size(), jobs,

@@ -61,6 +61,12 @@ struct SweepSpec {
   // Computes one cell. Must depend on the index alone and be safe to call
   // concurrently for distinct indices.
   std::function<CellResult(std::size_t)> run_cell;
+  // Optional execution order: when set, run_cells visits a shard's cells in
+  // ascending (order_key(cell), cell) order instead of index order, so cells
+  // that share work (campaign trials forking from one walking golden run)
+  // run next to each other. Results still land by index: the order never
+  // changes a cell vector, artifact or merge.
+  std::function<std::uint64_t(std::size_t)> order_key;
 };
 
 // Process shard "I/N": 1-based index I of N cooperating processes.
@@ -83,8 +89,9 @@ constexpr std::size_t owned_cell_count(const Shard& shard, std::size_t cells) {
 }
 
 // Runs the cells owned by `shard` over `jobs` threads (support::parallel_for
-// semantics). The returned vector always has spec.cells slots; cells not
-// owned by the shard are left default-constructed.
+// semantics), in spec.order_key order when one is set. The returned vector
+// always has spec.cells slots; cells not owned by the shard are left
+// default-constructed.
 std::vector<CellResult> run_cells(const SweepSpec& spec, const Shard& shard, unsigned jobs);
 
 // --- cicmon-shard-v1 artifacts -----------------------------------------

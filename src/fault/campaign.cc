@@ -1,5 +1,6 @@
 #include "fault/campaign.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,59 @@ class OneShotBusTamper final : public mem::BusTamper {
 };
 
 }  // namespace
+
+// Golden cursors over one recording: clean Cpus on the trial configuration,
+// each paused at some instruction boundary of the golden run. Idle cursors
+// wait here; a trial checks one out, walks it forward, forks it and checks
+// it back in, so a pool holds at most as many cursors as trials ever ran at
+// once. Cursors are built on first use.
+class CampaignRunner::CursorPool {
+ public:
+  CursorPool(const CheckpointedGolden& golden, const cpu::CpuConfig& config)
+      : golden_(golden),
+        config_(config),
+        transfers_per_instruction_(
+            config.icache.enabled ? config.icache.words_per_line : 1) {}
+
+  const CheckpointedGolden& golden() const { return golden_; }
+  // The most bus transfers one instruction's fetch can make (an I-cache
+  // refill fetches a whole line).
+  std::uint64_t transfers_per_instruction() const { return transfers_per_instruction_; }
+
+  // The idle cursor furthest along `clock` but not past `target`; else any
+  // idle cursor (it will be repositioned); else a new one at instruction 0.
+  std::unique_ptr<cpu::Cpu> checkout(std::uint64_t (*clock)(cpu::Cpu&),
+                                     std::uint64_t target, const casm_::Image& image,
+                                     const cpu::LoadedImage& loaded) {
+    {
+      std::lock_guard lock(mutex_);
+      auto best = idle_.end();
+      for (auto it = idle_.begin(); it != idle_.end(); ++it) {
+        const std::uint64_t at = clock(**it);
+        if (at <= target && (best == idle_.end() || at > clock(**best))) best = it;
+      }
+      if (best == idle_.end() && !idle_.empty()) best = idle_.end() - 1;
+      if (best != idle_.end()) {
+        std::unique_ptr<cpu::Cpu> cursor = std::move(*best);
+        idle_.erase(best);
+        return cursor;
+      }
+    }
+    return std::make_unique<cpu::Cpu>(config_, image, &loaded);
+  }
+
+  void checkin(std::unique_ptr<cpu::Cpu> cursor) {
+    std::lock_guard lock(mutex_);
+    idle_.push_back(std::move(cursor));
+  }
+
+ private:
+  const CheckpointedGolden& golden_;
+  cpu::CpuConfig config_;
+  std::uint64_t transfers_per_instruction_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<cpu::Cpu>> idle_;
+};
 
 std::string_view fault_site_name(FaultSite site) {
   switch (site) {
@@ -118,6 +172,10 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   golden_console_ = result.console;
   golden_exit_code_ = result.exit_code;
   golden_result_ = std::move(result);
+  // Every site but icache-line runs on the campaign machine.
+  if (golden_) {
+    cursors_ = std::make_unique<CursorPool>(*golden_, trial_config(FaultSite::kFetchBus));
+  }
 }
 
 CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
@@ -152,6 +210,10 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   golden_console_ = state.result.console;
   golden_exit_code_ = state.result.exit_code;
   golden_result_ = state.result;
+  // Every site but icache-line runs on the campaign machine.
+  if (golden_) {
+    cursors_ = std::make_unique<CursorPool>(*golden_, trial_config(FaultSite::kFetchBus));
+  }
 }
 
 GoldenState CampaignRunner::export_golden() const {
@@ -169,69 +231,117 @@ GoldenState CampaignRunner::export_golden() const {
   return state;
 }
 
-const CheckpointedGolden& CampaignRunner::icache_golden() const {
-  // I-cache-line trials force the I-cache on; their snapshots must carry its
-  // state. When the campaign config already has it on, the main recording
-  // serves. Otherwise record a second golden lazily (thread-safe: run_trial
-  // races here) — the LoadedImage is cache-independent and is reused.
-  if (config_.icache.enabled) return *golden_;
+CampaignRunner::~CampaignRunner() = default;
+
+cpu::CpuConfig CampaignRunner::trial_config(FaultSite site) const {
+  cpu::CpuConfig config = config_;
+  // A corrupted loop counter can spin forever; bound each trial well above
+  // the golden length so hangs are classified, not waited out.
+  config.max_instructions = golden_instructions_ * 4 + 100'000;
+  if (site == FaultSite::kICacheLine) config.icache.enabled = true;
+  return config;
+}
+
+CampaignRunner::CursorPool& CampaignRunner::cursors(FaultSite site) const {
+  if (site != FaultSite::kICacheLine || config_.icache.enabled) return *cursors_;
+  // Recorded lazily (thread-safe: run_trial races here); the LoadedImage is
+  // cache-independent and is reused.
   std::call_once(icache_once_, [this] {
     cpu::CpuConfig config = config_;
     config.icache.enabled = true;
     icache_golden_ =
         std::make_unique<CheckpointedGolden>(config, image_, loaded_, checkpoints_.stride);
+    icache_cursors_ =
+        std::make_unique<CursorPool>(*icache_golden_, trial_config(FaultSite::kICacheLine));
   });
-  return *icache_golden_;
+  return *icache_cursors_;
+}
+
+void CampaignRunner::count_restore(std::uint64_t instructions) const {
+  static const obs::CounterId k_restores = obs::counter("campaign.snapshot_restores");
+  static const obs::CounterId k_skipped = obs::counter("campaign.skipped_instructions");
+  restores_.fetch_add(1, std::memory_order_relaxed);
+  skipped_instructions_.fetch_add(instructions, std::memory_order_relaxed);
+  obs::bump(k_restores);
+  obs::bump(k_skipped, instructions);
+}
+
+bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec,
+                                 cpu::Snapshot* out) const {
+  const bool by_transfers =
+      spec.site == FaultSite::kFetchBus || spec.site == FaultSite::kFetchBusPaired;
+  const auto clock = by_transfers
+                         ? +[](cpu::Cpu& c) { return c.fetch_path().bus_transfers(); }
+                         : +[](cpu::Cpu& c) { return c.instructions_retired(); };
+  // A cursor never retires the golden run's last instruction: it stays a
+  // running golden state that later trials can fork from.
+  const std::uint64_t last = std::max<std::uint64_t>(golden_instructions_, 1) - 1;
+  const std::uint64_t target =
+      by_transfers ? spec.trigger_index : std::min(spec.trigger_index, last);
+  std::unique_ptr<cpu::Cpu> cursor = pool.checkout(clock, target, image_, loaded_);
+
+  const CheckpointedGolden& golden = pool.golden();
+  const cpu::Snapshot& nearest = by_transfers ? golden.nearest_by_transfers(target)
+                                              : golden.nearest_by_instructions(target);
+  if (clock(*cursor) > target || cursor->instructions_retired() < nearest.instructions) {
+    cursor->restore_snapshot(nearest);
+    count_restore(nearest.instructions);
+  }
+  const auto walk_to = [&cursor](std::uint64_t instructions) {
+    support::check(!cursor->run_until(instructions).has_value(),
+                   "golden cursor ended before its fork point");
+  };
+  const std::uint64_t from = cursor->instructions_retired();
+  if (by_transfers) {
+    // One instruction moves the bus clock by at most transfers_per_instruction,
+    // so stepping remaining / that many instructions never overshoots.
+    for (;;) {
+      const std::uint64_t steps =
+          (target - clock(*cursor)) / pool.transfers_per_instruction();
+      const std::uint64_t at = cursor->instructions_retired();
+      if (steps == 0 || at >= last) break;
+      walk_to(std::min(at + steps, last));
+    }
+    support::check(clock(*cursor) <= target, "golden cursor overshot its fork point");
+  } else if (from < target) {
+    walk_to(target);
+  }
+  static const obs::CounterId k_cursor = obs::counter("campaign.cursor_instructions");
+  const std::uint64_t walked = cursor->instructions_retired() - from;
+  cursor_instructions_.fetch_add(walked, std::memory_order_relaxed);
+  obs::bump(k_cursor, walked);
+  cursor->publish_metrics();
+
+  const bool forked = cursor->instructions_retired() != 0;
+  if (forked) cursor->save_snapshot(out);
+  pool.checkin(std::move(cursor));
+  return forked;
 }
 
 TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
-  cpu::CpuConfig config = config_;
-  // A corrupted loop counter can spin forever; bound each trial well above
-  // the golden length so hangs are classified, not waited out.
-  config.max_instructions = golden_instructions_ * 4 + 100'000;
-  if (spec.site == FaultSite::kICacheLine) config.icache.enabled = true;
+  cpu::Cpu cpu(trial_config(spec.site), image_, &loaded_);
 
-  cpu::Cpu cpu(config, image_, &loaded_);
-
-  // Fast-forward: restore the nearest golden snapshot at or before the
-  // trigger, in the trigger's own unit — bus tampers count bus transfers,
-  // post-ID and I-cache triggers count retired instructions. The suffix then
-  // executes exactly as a from-zero run would (byte-identity enforced by
-  // tests); memory-text trials rewrite the text before the run, so their
-  // start state is snapshot 0 — which a fresh COW-backed CPU already is.
-  const cpu::Snapshot* snapshot = nullptr;
-  if (checkpoints_.enabled) {
-    switch (spec.site) {
-      case FaultSite::kMemoryText:
-        break;
-      case FaultSite::kFetchBus:
-      case FaultSite::kFetchBusPaired:
-        snapshot = &golden_->nearest_by_transfers(spec.trigger_index);
-        break;
-      case FaultSite::kPostIdLatch:
-        snapshot = &golden_->nearest_by_instructions(spec.trigger_index);
-        break;
-      case FaultSite::kICacheLine:
-        snapshot = &icache_golden().nearest_by_instructions(spec.trigger_index);
-        break;
-    }
-    if (snapshot != nullptr && snapshot->instructions == 0) snapshot = nullptr;
-    if (snapshot != nullptr) {
-      cpu.restore_snapshot(*snapshot);
-      restores_.fetch_add(1, std::memory_order_relaxed);
-      skipped_instructions_.fetch_add(snapshot->instructions, std::memory_order_relaxed);
-      static const obs::CounterId k_restores = obs::counter("campaign.snapshot_restores");
-      static const obs::CounterId k_skipped = obs::counter("campaign.skipped_instructions");
-      obs::bump(k_restores);
-      obs::bump(k_skipped, snapshot->instructions);
+  // Fast-forward: start from the golden state at the trigger, forked off a
+  // cursor (see CheckpointConfig). The suffix then executes exactly as a
+  // from-zero run would (byte-identity enforced by tests). Memory-text trials
+  // rewrite the text before the run, so they start at instruction 0.
+  std::uint64_t transfers_done = 0;
+  if (golden_ != nullptr && spec.site != FaultSite::kMemoryText) {
+    cpu::Snapshot start;
+    if (fork_golden(cursors(spec.site), spec, &start)) {
+      static const obs::CounterId k_forks = obs::counter("campaign.forks");
+      forks_.fetch_add(1, std::memory_order_relaxed);
+      obs::bump(k_forks);
+      count_restore(start.instructions);
+      transfers_done = start.bus_transfers;
+      cpu.restore_snapshot(std::move(start));
     }
   }
 
-  // The one-shot tamper counts transfers from when it is attached; a restored
-  // trial attaches it mid-stream, so its trigger is relative to the
-  // snapshot's recorded transfer count. The post-ID trigger compares against
-  // the global retired-instruction count, which restore re-establishes.
-  const std::uint64_t transfers_done = snapshot != nullptr ? snapshot->bus_transfers : 0;
+  // The one-shot tamper counts transfers from when it is attached; a forked
+  // trial attaches it mid-stream, so its trigger is relative to the fork's
+  // transfer count. The post-ID trigger compares against the global
+  // retired-instruction count, which restore re-establishes.
   OneShotBusTamper tamper(spec.trigger_index - transfers_done, spec.xor_mask,
                           spec.site == FaultSite::kFetchBusPaired);
   switch (spec.site) {
@@ -366,7 +476,7 @@ exp::SweepSpec CampaignRunner::sweep(FaultSite site, unsigned bits, unsigned tri
                  {"seed", std::to_string(seed)}};
   spec.cells = trials;
   spec.cell_key = [](std::size_t trial) { return "trial/" + std::to_string(trial); };
-  spec.run_cell = [this, site, bits, seed, text_words](std::size_t trial) {
+  const auto draw = [this, site, bits, seed, text_words](std::size_t trial) {
     support::Rng rng(support::derive_stream_seed(seed, trial));
     FaultSpec fault;
     fault.site = site;
@@ -376,10 +486,19 @@ exp::SweepSpec CampaignRunner::sweep(FaultSite site, unsigned bits, unsigned tri
       fault.target_address =
           image_.text_base + 4 * static_cast<std::uint32_t>(rng.below(text_words));
     }
+    return fault;
+  };
+  spec.run_cell = [this, draw](std::size_t trial) {
     exp::CellResult result;
-    result.u64 = {static_cast<std::uint64_t>(run_trial(fault).outcome)};
+    result.u64 = {static_cast<std::uint64_t>(run_trial(draw(trial)).outcome)};
     return result;
   };
+  // Trigger order lets the cursors walk the golden run forward instead of
+  // falling back to recorded snapshots. Memory-text trials all start at
+  // instruction 0, and without checkpoints there are no cursors.
+  if (golden_ != nullptr && site != FaultSite::kMemoryText) {
+    spec.order_key = [draw](std::size_t trial) { return draw(trial).trigger_index; };
+  }
   return spec;
 }
 

@@ -80,14 +80,29 @@ struct CampaignSummary {
 };
 
 // Golden-run checkpointing (see fault/golden.h). Enabled by default: trials
-// restore the nearest snapshot before their trigger instead of re-simulating
-// the clean prefix. A pure execution strategy — like the engine choice or the
+// start from the golden state at their trigger instead of re-simulating the
+// clean prefix. A pure execution strategy — like the engine choice or the
 // job count, it never changes a trial outcome (CI enforces byte-identity on
 // vs off, and tests also at fixed strides) — so it is not a sweep parameter.
 // Automatically disabled when recovery mode is configured (snapshots do not
 // cover the in-run block checkpoint).
 //
-// The same snapshots end transient-fault trials early (convergence
+// That start state comes from a golden cursor: a clean Cpu on the trial
+// configuration that walks forward through the golden run. The runner keeps
+// a pool of them per golden recording, built on first use. A trial checks
+// out the idle cursor furthest along but not past its trigger, advances it
+// with run_until to the last instruction boundary at or before the trigger
+// (in the trigger's own unit: bus tampers count bus transfers, post-ID and
+// I-cache triggers count retired instructions), saves a fork snapshot,
+// returns the cursor and restores the fork into its own Cpu. Only a cursor
+// that is past the trigger, or behind the nearest recorded snapshot,
+// restores that snapshot first. Campaign sweeps run each shard's trials in
+// trigger order (exp::SweepSpec::order_key), so a cursor mostly walks the
+// golden run once and each trial executes little more than its fault's
+// consequences. Memory-text trials rewrite the text before the run: their
+// start state is instruction 0, which a fresh Cpu already is.
+//
+// The recorded snapshots also end transient-fault trials early (convergence
 // early-exit). Once a fetch-bus, fetch-bus-paired or post-ID fault is spent —
 // it can no longer fire — a trial whose complete state (Cpu::matches_snapshot)
 // and console equal a golden snapshot's will, by the restore equivalence
@@ -127,18 +142,23 @@ class CampaignRunner {
   CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                  const CheckpointConfig& checkpoints, const GoldenState& state);
 
+  ~CampaignRunner();
+
   // Snapshot of everything the constructor derived, for shipping.
   GoldenState export_golden() const;
 
-  // Runs one trial with an explicit fault. Thread-safe: trials share only
-  // the golden-run state, read-only; each builds its own CPU.
+  // Runs one trial with an explicit fault. Thread-safe: trials share the
+  // golden-run state, read-only, and the mutex-guarded cursor pools; each
+  // checks out a cursor of its own and builds its own CPU. Any call order
+  // gives the same result; trigger order is merely the cheapest.
   TrialResult run_trial(const FaultSpec& spec) const;
 
   // The campaign as a sweep-engine grid: one cell per trial, u64 payload =
   // {outcome code}. Every trial draws from its own RNG stream seeded by
   // (seed, trial index), so the summary is bit-identical for a given seed at
-  // any job count, shard count, or process placement. The spec borrows this
-  // runner — it must outlive any run_cell call.
+  // any job count, shard count, or process placement. With checkpoints on,
+  // every site but memory-text orders the cells by trigger. The spec borrows
+  // this runner — it must outlive any run_cell call.
   exp::SweepSpec sweep(FaultSite site, unsigned bits, unsigned trials,
                        std::uint64_t seed) const;
 
@@ -166,9 +186,20 @@ class CampaignRunner {
     return loaded_.translations ? loaded_.translations->starts().size() : 0;
   }
   std::uint64_t detached_trials() const { return detached_.load(std::memory_order_relaxed); }
+  // Every snapshot restore the campaign made: trial forks plus cursors
+  // repositioned onto a recorded snapshot, and the retired-instruction
+  // prefixes those restores installed. engine.instructions minus
+  // skipped_instructions() is what the campaign's engines executed.
   std::uint64_t restores() const { return restores_.load(std::memory_order_relaxed); }
   std::uint64_t skipped_instructions() const {
     return skipped_instructions_.load(std::memory_order_relaxed);
+  }
+  // Trials that started from a cursor's fork (the rest started at
+  // instruction 0), and the instructions the cursors executed walking to
+  // those forks.
+  std::uint64_t forks() const { return forks_.load(std::memory_order_relaxed); }
+  std::uint64_t cursor_instructions() const {
+    return cursor_instructions_.load(std::memory_order_relaxed);
   }
   // Index of the first golden snapshot past the point where `spec`'s
   // transient fault is spent — it can no longer fire: the post-ID latch once
@@ -196,11 +227,26 @@ class CampaignRunner {
   cpu::RunResult run_converging(cpu::Cpu& cpu, const FaultSpec& spec,
                                 std::optional<std::uint64_t>* converged_at) const;
 
-  // The golden recording for I-cache-line trials, which force the I-cache on:
-  // when the campaign config already has it on this is golden_ itself,
-  // otherwise a second recording built lazily on the first such trial (most
+  // Golden cursors over one recording (campaign.cc).
+  class CursorPool;
+
+  // The trial machine: the campaign's, with a hang watchdog, and the I-cache
+  // forced on for I-cache-line trials.
+  cpu::CpuConfig trial_config(FaultSite site) const;
+
+  // The cursor pool for `site`'s trials. I-cache-line trials force the
+  // I-cache on, so their snapshots must carry its state: when the campaign
+  // config already has it on the main pool serves, otherwise a second golden
+  // recording and its pool are built lazily on the first such trial (most
   // campaigns attack one site and never pay for the other recording).
-  const CheckpointedGolden& icache_golden() const;
+  CursorPool& cursors(FaultSite site) const;
+
+  // Saves into `out` the golden state at the last instruction boundary at
+  // or before `spec`'s trigger, on the trigger's own clock, off a cursor
+  // from `pool`. Returns false, saving nothing, when that boundary is
+  // instruction 0 (a fresh Cpu's state).
+  bool fork_golden(CursorPool& pool, const FaultSpec& spec, cpu::Snapshot* out) const;
+  void count_restore(std::uint64_t instructions) const;
 
   casm_::Image image_;
   cpu::CpuConfig config_;
@@ -208,11 +254,15 @@ class CampaignRunner {
   cpu::LoadedImage loaded_;  // shared by every trial; final before the first one
 
   std::unique_ptr<CheckpointedGolden> golden_;  // null when checkpoints off
+  std::unique_ptr<CursorPool> cursors_;         // over golden_
   mutable std::once_flag icache_once_;
   mutable std::unique_ptr<CheckpointedGolden> icache_golden_;
+  mutable std::unique_ptr<CursorPool> icache_cursors_;  // over icache_golden_
 
   mutable std::atomic<std::uint64_t> restores_{0};
   mutable std::atomic<std::uint64_t> skipped_instructions_{0};
+  mutable std::atomic<std::uint64_t> forks_{0};
+  mutable std::atomic<std::uint64_t> cursor_instructions_{0};
   mutable std::atomic<std::uint64_t> converged_{0};
   mutable std::atomic<std::uint64_t> convergence_checks_{0};
   mutable std::atomic<std::uint64_t> converged_skipped_instructions_{0};

@@ -1,10 +1,11 @@
 // Checkpointed golden run — the campaign accelerator's recording side.
 //
 // Runs the fault-free execution once per campaign, recording cpu::Snapshots
-// on an instruction-count schedule. A trial whose trigger fires at index T
-// then restores the nearest snapshot at or before T and executes only the
-// suffix, instead of re-simulating the whole clean prefix (SimPoint/SMARTS-
-// style fast-forward applied to fault injection).
+// on an instruction-count schedule (SimPoint/SMARTS-style fast-forward
+// applied to fault injection). Trials fork from golden cursors that walk
+// the golden run (fault/campaign.h); a cursor behind or past its trial's
+// trigger T first restores the nearest snapshot at or before T, and
+// convergence early-exit compares trials against the snapshots.
 //
 // Snapshots are interval-indexed on two monotone clocks: retired
 // instructions (post-ID latch and I-cache triggers count these) and fetch-bus

@@ -165,12 +165,12 @@ struct Options {
       "  --seed X         campaign seed (default 2026)\n"
       "  --monitor on|off campaign machine has the CIC (default on)\n"
       "  --checkpoints on|off\n"
-      "                   campaign: fast-forward each trial by restoring the\n"
-      "                   nearest golden-run snapshot before its trigger instead\n"
-      "                   of re-simulating the clean prefix, and reuse the golden\n"
-      "                   run's translated blocks; never changes a trial outcome\n"
-      "                   (default on; off is the full re-execution reference,\n"
-      "                   forced under recovery mode)\n"
+      "                   campaign: run trials in trigger order and fork each\n"
+      "                   one from a golden cursor walked forward to its trigger\n"
+      "                   instead of re-simulating the clean prefix, and reuse\n"
+      "                   the golden run's translated blocks; never changes a\n"
+      "                   trial outcome (default on; off is the full\n"
+      "                   re-execution reference, forced under recovery mode)\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
       "                   handlers behind a tamper-safe translation cache) or\n"
       "                   'switch' (the per-uop predecode interpreter); both\n"
@@ -801,20 +801,24 @@ int cmd_campaign(const Options& options) {
   const fault::CampaignRunner& runner = *bundle.keepalive;
   const auto start = std::chrono::steady_clock::now();
   const int code = run_sweep_command(bundle.spec, options);
-  // The acceleration report: how much clean-prefix simulation the snapshot
-  // restores avoided, how much golden suffix the re-converged trials did
-  // not execute, and how large the shared translation image is, in this
-  // process (a sharded invocation reports its own shard's share).
+  // The acceleration report: how much clean-prefix simulation the restores
+  // skipped (trial forks and cursor repositionings), what the golden cursors
+  // walked to fork the trials, how much golden suffix the re-converged
+  // trials did not execute, and how large the shared translation image is,
+  // in this process (a sharded invocation reports its own shard's share).
   if (runner.checkpoints_enabled()) {
     std::fprintf(stderr,
                  "campaign: checkpoints on, stride %llu, %zu snapshot(s); "
                  "%llu restore(s) skipped %llu instructions; "
+                 "%llu fork(s), cursors walked %llu instructions; "
                  "%llu trial(s) re-converged, skipping %llu instructions; "
                  "translation image %llu block(s), %llu trial(s) detached\n",
                  static_cast<unsigned long long>(runner.checkpoint_stride()),
                  runner.snapshot_count(),
                  static_cast<unsigned long long>(runner.restores()),
                  static_cast<unsigned long long>(runner.skipped_instructions()),
+                 static_cast<unsigned long long>(runner.forks()),
+                 static_cast<unsigned long long>(runner.cursor_instructions()),
                  static_cast<unsigned long long>(runner.converged()),
                  static_cast<unsigned long long>(runner.converged_skipped_instructions()),
                  static_cast<unsigned long long>(runner.image_blocks()),

@@ -534,6 +534,45 @@ TEST(Snapshot, RestoredRunMatchesUninterruptedRun) {
   }
 }
 
+TEST(Snapshot, RetiredInstructionsSplitIntoExecutedAndRestored) {
+  // A Cpu that walks, is restored onto an earlier snapshot and walks on — a
+  // campaign's golden cursor — executed both walks and restored the prefix.
+  // Each publish_metrics() adds only what accrued since the previous one,
+  // counts the Cpu as one run, and keeps engine.instructions the sum of its
+  // executed and restored halves.
+  const casm_::Image image = snapshot_program();
+  CpuConfig config;
+  const LoadedImage loaded = preload_image(config, image);
+  Cpu source(config, image, &loaded);
+  ASSERT_FALSE(source.run_until(17).has_value());
+  Snapshot at17;
+  source.save_snapshot(&at17);
+
+  Cpu cursor(config, image, &loaded);
+  const auto published = [&cursor] {
+    const std::vector<std::uint64_t> before = obs::counter_values();
+    cursor.publish_metrics();
+    std::vector<std::uint64_t> got(4, 0);
+    for (const auto& [name, value] : obs::counter_delta(before)) {
+      if (name == "engine.runs") got[0] = value;
+      if (name == "engine.instructions") got[1] = value;
+      if (name == "engine.instructions.executed") got[2] = value;
+      if (name == "engine.instructions.restored") got[3] = value;
+    }
+    return got;
+  };
+  ASSERT_FALSE(cursor.run_until(64).has_value());
+  EXPECT_EQ(published(), (std::vector<std::uint64_t>{1, 64, 64, 0}));
+  cursor.restore_snapshot(at17);
+  const RunResult result = cursor.run();
+  ASSERT_EQ(result.reason, ExitReason::kExit);
+  const std::uint64_t rest = result.instructions - 17;
+  EXPECT_EQ(cursor.instructions_executed(), 64 + rest);
+  EXPECT_EQ(cursor.instructions_restored(), 17U);
+  EXPECT_EQ(published(), (std::vector<std::uint64_t>{0, rest + 17, rest, 17}));
+  EXPECT_EQ(published(), (std::vector<std::uint64_t>{0, 0, 0, 0}));
+}
+
 TEST(Snapshot, PreloadedImageMatchesFreshConstruction) {
   // Trials read the program through a shared immutable post-loader image;
   // that COW path must be invisible next to the classic per-CPU loader.

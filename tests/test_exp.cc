@@ -154,6 +154,44 @@ TEST(Merge, ShardedEqualsUnshardedForAnyNAtAnyJobs) {
   }
 }
 
+TEST(Order, KeyedCellsRunInKeyOrderAndLandByIndex) {
+  // An order key changes only the order run_cell sees: with a key that
+  // reverses the index, cells run in descending order, and the cell vector
+  // equals the unkeyed spec's at any job count and as merged shards.
+  constexpr std::size_t kCells = 23;
+  const std::vector<CellResult> want = run_all(synthetic_sweep(kCells), 1);
+  SweepSpec reversed = synthetic_sweep(kCells);
+  reversed.order_key = [](std::size_t cell) { return kCells - cell; };
+
+  std::vector<std::size_t> calls;
+  SweepSpec recorded = reversed;
+  recorded.run_cell = [&calls, run = reversed.run_cell](std::size_t cell) {
+    calls.push_back(cell);
+    return run(cell);
+  };
+  EXPECT_EQ(run_all(recorded, 1), want);
+  std::vector<std::size_t> descending(kCells);
+  for (std::size_t i = 0; i < kCells; ++i) descending[i] = kCells - 1 - i;
+  EXPECT_EQ(calls, descending);
+
+  EXPECT_EQ(run_all(reversed, 4), want);
+  std::vector<ShardArtifact> artifacts;
+  for (unsigned i = 1; i <= 3; ++i) {
+    const Shard shard{i, 3};
+    const std::vector<CellResult> results = run_cells(reversed, shard, 1);
+    artifacts.push_back(decode_shard_artifact(encode_shard_artifact(reversed, shard, results)));
+  }
+  EXPECT_EQ(merge_artifacts(artifacts), want);
+
+  // Ties break by index: an all-equal key keeps index order.
+  calls.clear();
+  recorded.order_key = [](std::size_t) { return std::uint64_t{7}; };
+  EXPECT_EQ(run_all(recorded, 1), want);
+  std::vector<std::size_t> ascending(kCells);
+  for (std::size_t i = 0; i < kCells; ++i) ascending[i] = i;
+  EXPECT_EQ(calls, ascending);
+}
+
 TEST(Merge, RejectsDuplicateMissingAndForeignShards) {
   const SweepSpec spec = synthetic_sweep(6);
   auto artifact = [&](unsigned i, unsigned n) {

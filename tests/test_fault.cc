@@ -2,6 +2,7 @@
 // guarantee (§6.3), baseline traps, and campaign determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -243,13 +244,37 @@ TEST(Campaign, ICacheResidentFaultCaught) {
   EXPECT_GT(summary.detected(), summary.wrong_output);
 }
 
+// `count` random one-bit faults at `site`, triggers uniform over the golden
+// run (memory-text targets uniform over the text).
+std::vector<FaultSpec> random_faults(const CampaignRunner& runner, const casm_::Image& image,
+                                     FaultSite site, unsigned count, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<FaultSpec> specs(count);
+  for (FaultSpec& spec : specs) {
+    spec.site = site;
+    spec.xor_mask = 1U << rng.below(32);
+    spec.trigger_index = rng.below(runner.golden_instructions());
+    spec.target_address =
+        image.text_base + 4 * static_cast<std::uint32_t>(rng.below(image.text.size()));
+  }
+  return specs;
+}
+
 TEST(Campaign, CheckpointsDoNotChangeCampaignResults) {
-  // The campaign accelerator's core contract: restoring golden-run snapshots
-  // (at any stride: the automatic one, a pathological prime and a coarse
-  // one) must reproduce the full re-execution outcome counts bit for bit, at
-  // every site and on both engines. The memory-text rows also pin down the
-  // shared COW image, which checkpoint-off trials read through as well.
+  // The campaign accelerator's core contract: trials forked off golden
+  // cursors, in trigger order (at any snapshot stride: the automatic one, a
+  // pathological prime and a coarse one), must reproduce full re-execution
+  // trial for trial — the per-trial cell vectors, not just the outcome
+  // counts, so a change that swaps outcomes between trials fails too — at
+  // every site, on both engines, at --jobs 1 and 4 (several cursors share a
+  // pool). The I-cache is on, so bus transfers and instructions differ. The
+  // memory-text rows also pin down the shared COW image, which
+  // checkpoint-off trials read through as well. Every runner is reused
+  // across legs, so later legs find their cursors past the early triggers.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
+  const FaultSite sites[] = {FaultSite::kMemoryText, FaultSite::kFetchBus,
+                             FaultSite::kFetchBusPaired, FaultSite::kPostIdLatch,
+                             FaultSite::kICacheLine};
   for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
     cpu::CpuConfig config = monitored_config();
     config.icache.enabled = true;  // exercise the icache-line site too
@@ -262,20 +287,39 @@ TEST(Campaign, CheckpointsDoNotChangeCampaignResults) {
     ASSERT_FALSE(slow.checkpoints_enabled());
     // The golden run is long enough for restores past snapshot 0 at 4096.
     ASSERT_GT(coarse.snapshot_count(), 2U);
-    for (const FaultSite site :
-         {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kFetchBusPaired,
-          FaultSite::kPostIdLatch, FaultSite::kICacheLine}) {
-      const CampaignSummary a = fast.run_random(site, 1, 60, 13);
-      for (CampaignRunner* strided : {&prime, &coarse}) {
-        EXPECT_TRUE(summaries_identical(a, strided->run_random(site, 1, 60, 13)))
-            << fault_site_name(site) << " (stride " << strided->checkpoint_stride()
-            << "), engine " << cpu::engine_name(engine);
+    for (const FaultSite site : sites) {
+      const std::vector<exp::CellResult> want = exp::run_all(slow.sweep(site, 1, 60, 13), 1);
+      const std::string where =
+          std::string(fault_site_name(site)) + ", engine " + std::string(cpu::engine_name(engine));
+      for (const unsigned jobs : {1U, 4U}) {
+        EXPECT_EQ(exp::run_all(fast.sweep(site, 1, 60, 13), jobs), want)
+            << where << ", jobs " << jobs;
       }
-      const CampaignSummary c = slow.run_random(site, 1, 60, 13);
-      EXPECT_TRUE(summaries_identical(a, c))
-          << fault_site_name(site) << " (checkpoints off), engine "
-          << cpu::engine_name(engine);
+      for (CampaignRunner* strided : {&prime, &coarse}) {
+        EXPECT_EQ(exp::run_all(strided->sweep(site, 1, 60, 13), 1), want)
+            << where << ", stride " << strided->checkpoint_stride();
+      }
     }
+    EXPECT_GT(fast.forks(), 0U) << cpu::engine_name(engine);
+
+    // Outside a sweep nothing orders the trials: run_trial in descending
+    // trigger order sends every fork back through a cursor past its trigger.
+    CampaignRunner descending(image, config);
+    for (const FaultSite site : sites) {
+      std::vector<FaultSpec> faults = random_faults(slow, image, site, 30, 41);
+      std::sort(faults.begin(), faults.end(), [](const FaultSpec& a, const FaultSpec& b) {
+        return a.trigger_index > b.trigger_index;
+      });
+      for (const FaultSpec& spec : faults) {
+        const TrialResult got = descending.run_trial(spec);
+        const TrialResult want = slow.run_trial(spec);
+        EXPECT_EQ(got.outcome, want.outcome)
+            << fault_site_name(site) << " trigger " << spec.trigger_index << " mask "
+            << support::hex32(spec.xor_mask) << ", engine " << cpu::engine_name(engine);
+        EXPECT_EQ(got.exit_reason, want.exit_reason);
+      }
+    }
+    EXPECT_GT(descending.restores(), descending.forks()) << cpu::engine_name(engine);
   }
 }
 
@@ -302,6 +346,42 @@ TEST(Campaign, CheckpointAccountingTracksRestores) {
   EXPECT_EQ(slow.restores(), 0U);
 }
 
+TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
+  // Who executed what, on a small fetch-bus campaign: every restore the
+  // campaign made (trial forks and cursor repositionings) installs a prefix
+  // no engine executed, so engine.instructions.restored must equal
+  // campaign.skipped_instructions and engine.instructions stays their sum
+  // with engine.instructions.executed. The cursor publishes its walk like a
+  // trial publishes its suffix; in trigger order one cursor walks the golden
+  // run at most once.
+  const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
+  CampaignRunner runner(image, monitored_config());
+  const std::vector<std::uint64_t> before = obs::counter_values();
+  runner.run_random(FaultSite::kFetchBus, 1, 60, 13, 1);
+  std::map<std::string, std::uint64_t> delta;
+  for (const auto& [name, value] : obs::counter_delta(before)) delta[name] = value;
+
+  EXPECT_EQ(delta["engine.instructions"],
+            delta["engine.instructions.executed"] + delta["engine.instructions.restored"]);
+  EXPECT_EQ(delta["engine.instructions.restored"], delta["campaign.skipped_instructions"]);
+  EXPECT_EQ(delta["campaign.skipped_instructions"], runner.skipped_instructions());
+  EXPECT_EQ(delta["campaign.snapshot_restores"], runner.restores());
+  EXPECT_EQ(delta["campaign.forks"], runner.forks());
+  EXPECT_EQ(delta["campaign.cursor_instructions"], runner.cursor_instructions());
+  EXPECT_EQ(delta["campaign.trials"], 60U);
+  EXPECT_EQ(delta["engine.runs"], 61U);  // 60 trials and the one cursor
+  EXPECT_GT(runner.forks(), 50U);
+  EXPECT_LE(runner.forks(), 60U);
+  EXPECT_GE(runner.restores(), runner.forks());
+  EXPECT_GT(runner.cursor_instructions(), 0U);
+  EXPECT_LE(runner.cursor_instructions(), runner.golden_instructions());
+  // What the trials themselves executed: each fault is caught within a few
+  // blocks of its trigger, far below a stride of clean prefix per trial.
+  const std::uint64_t trial_executed =
+      delta["engine.instructions.executed"] - runner.cursor_instructions();
+  EXPECT_LT(trial_executed, 60U * 50U);
+}
+
 TEST(Campaign, RecoveryModeDisablesCheckpoints) {
   // Recovery keeps in-run block checkpoints the snapshot does not cover, so
   // a recovery campaign silently falls back to full re-execution.
@@ -318,22 +398,6 @@ TEST(Campaign, RecoveryModeDisablesCheckpoints) {
   }());
   EXPECT_EQ(runner.restores(), 0U);
   (void)trial;  // the point is that the trial runs at all under recovery
-}
-
-// `count` random one-bit faults at `site`, triggers uniform over the golden
-// run (memory-text targets uniform over the text).
-std::vector<FaultSpec> random_faults(const CampaignRunner& runner, const casm_::Image& image,
-                                     FaultSite site, unsigned count, std::uint64_t seed) {
-  support::Rng rng(seed);
-  std::vector<FaultSpec> specs(count);
-  for (FaultSpec& spec : specs) {
-    spec.site = site;
-    spec.xor_mask = 1U << rng.below(32);
-    spec.trigger_index = rng.below(runner.golden_instructions());
-    spec.target_address =
-        image.text_base + 4 * static_cast<std::uint32_t>(rng.below(image.text.size()));
-  }
-  return specs;
 }
 
 TEST(Convergence, EveryTrialMatchesFullReExecution) {
@@ -476,12 +540,12 @@ TEST(Campaign, TranslationImageNeverChangesATrial) {
 }
 
 TEST(Convergence, PendingFaultNeverMatchesAtItsBoundary) {
-  // A trial whose trigger sits exactly on a golden boundary restores that
-  // boundary's snapshot and so starts in the golden state with its fault
-  // still to fire; likewise a paired tamper whose second transfer is still
-  // pending there. Matching at that boundary would call every such trial
-  // benign. The fault is spent only past the trigger (past both transfers),
-  // so the first check is a later boundary.
+  // A trial whose trigger sits exactly on a golden boundary forks there and
+  // so starts in that boundary's golden state with its fault still to fire;
+  // likewise a paired tamper whose second transfer is still pending there.
+  // Matching at that boundary would call every such trial benign. The fault
+  // is spent only past the trigger (past both transfers), so the first check
+  // is a later boundary.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   for (const bool monitoring : {true, false}) {
     cpu::CpuConfig config = monitored_config();
