@@ -132,7 +132,15 @@ void Cpu::write_gpr(unsigned index, std::uint32_t value) {
 
 std::uint32_t Cpu::fetch_instr(std::uint32_t address) { return fetch_.fetch(address); }
 
+void Cpu::watch_text(std::uint32_t address, uop::MemWidth width, bool store) {
+  const unsigned bytes = width == uop::MemWidth::kByte ? 1 : width == uop::MemWidth::kHalf ? 2 : 4;
+  if (address < text_end_ && std::uint64_t{address} + bytes > text_base_) {
+    text_watch_->on_text_access(address, bytes, store);
+  }
+}
+
 std::uint32_t Cpu::load(std::uint32_t address, uop::MemWidth width, bool sign) {
+  if (text_watch_ != nullptr) watch_text(address, width, false);
   switch (width) {
     case uop::MemWidth::kByte: {
       const std::uint8_t v = memory_.read8(address);
@@ -152,6 +160,7 @@ std::uint32_t Cpu::load(std::uint32_t address, uop::MemWidth width, bool sign) {
 }
 
 void Cpu::store(std::uint32_t address, uop::MemWidth width, std::uint32_t value) {
+  if (text_watch_ != nullptr) watch_text(address, width, true);
   if (checkpoint_.valid) {
     std::uint32_t old = 0;
     switch (width) {

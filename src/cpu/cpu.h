@@ -156,6 +156,15 @@ struct LoadedImage;
 // (cpu/snapshot.h); save_snapshot/restore_snapshot fast-forward fault trials.
 struct Snapshot;
 
+// Observer of the loads and stores that touch the text section (fault
+// campaigns date each text word's first read or write).
+class TextWatch {
+ public:
+  virtual ~TextWatch() = default;
+  // `bytes` bytes at `address` were loaded, or stored when `store` is set.
+  virtual void on_text_access(std::uint32_t address, unsigned bytes, bool store) = 0;
+};
+
 class Cpu final : private uop::Datapath {
  public:
   // Loads `image` (text, data, attached FHT if present) and prepares the
@@ -231,6 +240,10 @@ class Cpu final : private uop::Datapath {
   // Invoked at every IHT lookup with (start, end) — the dynamic block trace.
   using LookupObserver = std::function<void(std::uint32_t, std::uint32_t)>;
   void set_lookup_observer(LookupObserver observer) { observer_ = std::move(observer); }
+  // Reports every load and store that touches the text section, on either
+  // engine. Null (the default) turns the watch off, at the cost of one null
+  // test per load or store.
+  void set_text_watch(TextWatch* watch) { text_watch_ = watch; }
 
   // --- State inspection for tests ---
   std::uint32_t gpr(unsigned index) const { return gpr_[index]; }
@@ -301,6 +314,8 @@ class Cpu final : private uop::Datapath {
   void restore_registers(const Snapshot& snapshot);
 
   void terminate(ExitReason reason, std::uint32_t code);
+  // Forwards a load or store to text_watch_ when it touches the text.
+  void watch_text(std::uint32_t address, uop::MemWidth width, bool store);
   // step() past its terminated/watchdog checks: one instruction from CPC.
   std::optional<RunResult> execute_next();
   // The engines reached limit_: the watchdog if it is max_instructions
@@ -359,6 +374,7 @@ class Cpu final : private uop::Datapath {
   std::optional<cic::CodeIntegrityChecker> cic_;
   std::optional<os::OsMonitor> os_;
   LookupObserver observer_;
+  TextWatch* text_watch_ = nullptr;
 
   // Reused across instructions: validate_spec guarantees def-before-use
   // within each dynamic instruction, so the temp file is never re-zeroed.

@@ -1,6 +1,7 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -96,6 +97,75 @@ class CampaignRunner::CursorPool {
   std::uint64_t transfers_per_instruction_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<cpu::Cpu>> idle_;
+};
+
+// When the golden run touches each text word, by instruction index. It
+// records itself: one clean walk of the campaign machine with the I-cache
+// off carries it as bus tamper and text watch. There bus transfer k is the
+// fetch of instruction k on either engine, so a load or store belongs to the
+// instruction whose fetch was the latest transfer. A machine with the
+// I-cache on retires the same instructions until the program stores into its
+// text; past that store it may fetch a stale cached copy, so for it the
+// summary holds only up to the first text store.
+struct CampaignRunner::TextAccess final : mem::BusTamper, cpu::TextWatch {
+  static constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+  explicit TextAccess(const casm_::Image& image)
+      : text_base(image.text_base),
+        text_end(image.text_end()),
+        first_access(image.text.size(), kNever),
+        fetched_until(image.text.size(), 0) {}
+
+  std::uint32_t on_transfer(std::uint32_t address, std::uint32_t word) override {
+    const std::uint64_t instruction = transfers++;
+    if (address >= text_base && address < text_end) {
+      const std::size_t w = (address - text_base) / 4;
+      first_access[w] = std::min(first_access[w], instruction);
+      fetched_until[w] = instruction + 1;
+    }
+    return word;
+  }
+
+  void on_text_access(std::uint32_t address, unsigned bytes, bool store) override {
+    const std::uint64_t instruction = transfers - 1;
+    const std::uint64_t end = std::min<std::uint64_t>(std::uint64_t{address} + bytes, text_end);
+    for (std::uint64_t a = std::max(address & ~3U, text_base); a < end; a += 4) {
+      std::uint64_t& first = first_access[(a - text_base) / 4];
+      first = std::min(first, instruction);
+    }
+    if (store) first_text_store = std::min(first_text_store, instruction);
+  }
+
+  // The instruction that first reads the text word at `address` (word
+  // aligned) on a machine with `icache`: there the first refill of its line
+  // reads it, and the first text store bounds what the summary knows.
+  std::uint64_t first_read(std::uint32_t address, const mem::ICacheConfig& icache) const {
+    if (!icache.enabled) return first_access[(address - text_base) / 4];
+    const std::uint32_t line_bytes = icache.words_per_line * 4;
+    const std::uint32_t line = address & ~(line_bytes - 1);
+    std::uint64_t first = first_text_store;
+    const std::uint64_t end = std::min<std::uint64_t>(std::uint64_t{line} + line_bytes, text_end);
+    for (std::uint64_t a = std::max(line, text_base); a < end; a += 4) {
+      first = std::min(first, first_access[(a - text_base) / 4]);
+    }
+    return first;
+  }
+
+  // True when the golden run fetches `address` at instruction `from` or
+  // later: always, on a machine with the I-cache on, once it stores into its
+  // text.
+  bool fetched_from(std::uint32_t address, std::uint64_t from) const {
+    if (first_text_store != kNever) return true;
+    return address >= text_base && address < text_end &&
+           fetched_until[(address - text_base) / 4] > from;
+  }
+
+  std::uint32_t text_base;
+  std::uint32_t text_end;
+  std::vector<std::uint64_t> first_access;   // any fetch, load or store; kNever: none
+  std::vector<std::uint64_t> fetched_until;  // one past the last fetch; 0: never fetched
+  std::uint64_t first_text_store = kNever;
+  std::uint64_t transfers = 0;
 };
 
 std::string_view fault_site_name(FaultSite site) {
@@ -257,6 +327,40 @@ CampaignRunner::CursorPool& CampaignRunner::cursors(FaultSite site) const {
   return *icache_cursors_;
 }
 
+const CampaignRunner::TextAccess& CampaignRunner::text_access() const {
+  std::call_once(text_once_, [this] {
+    auto access = std::make_unique<TextAccess>(image_);
+    cpu::CpuConfig config = trial_config(FaultSite::kFetchBus);
+    config.icache.enabled = false;
+    cpu::Cpu walk(config, image_, &loaded_);
+    walk.fetch_path().set_bus_tamper(access.get());
+    walk.set_text_watch(access.get());
+    const cpu::RunResult result = walk.run();
+    // On the campaign machine itself the walk is the golden run.
+    support::check(config_.icache.enabled || result.instructions == golden_instructions_,
+                   "text-access walk diverged from the golden run");
+    static const obs::CounterId k_walk = obs::counter("campaign.text_walk_instructions");
+    text_walk_instructions_.fetch_add(walk.instructions_executed(), std::memory_order_relaxed);
+    obs::bump(k_walk, walk.instructions_executed());
+    walk.publish_metrics();
+    text_access_ = std::move(access);
+  });
+  return *text_access_;
+}
+
+std::uint64_t CampaignRunner::fork_point(const FaultSpec& spec) const {
+  if (spec.site == FaultSite::kFetchBus || spec.site == FaultSite::kFetchBusPaired) {
+    return spec.trigger_index;
+  }
+  // A cursor never retires the golden run's last instruction: it stays a
+  // running golden state that later trials can fork from.
+  const std::uint64_t last = std::max<std::uint64_t>(golden_instructions_, 1) - 1;
+  if (spec.site != FaultSite::kMemoryText) return std::min(spec.trigger_index, last);
+  // A word outside the text has no summary entry: start at instruction 0.
+  if (!image_.contains_text(spec.target_address)) return 0;
+  return std::min(text_access().first_read(spec.target_address, config_.icache), last);
+}
+
 void CampaignRunner::count_restore(std::uint64_t instructions) const {
   static const obs::CounterId k_restores = obs::counter("campaign.snapshot_restores");
   static const obs::CounterId k_skipped = obs::counter("campaign.skipped_instructions");
@@ -273,11 +377,8 @@ bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec,
   const auto clock = by_transfers
                          ? +[](cpu::Cpu& c) { return c.fetch_path().bus_transfers(); }
                          : +[](cpu::Cpu& c) { return c.instructions_retired(); };
-  // A cursor never retires the golden run's last instruction: it stays a
-  // running golden state that later trials can fork from.
   const std::uint64_t last = std::max<std::uint64_t>(golden_instructions_, 1) - 1;
-  const std::uint64_t target =
-      by_transfers ? spec.trigger_index : std::min(spec.trigger_index, last);
+  const std::uint64_t target = fork_point(spec);
   std::unique_ptr<cpu::Cpu> cursor = pool.checkout(clock, target, image_, loaded_);
 
   const CheckpointedGolden& golden = pool.golden();
@@ -321,12 +422,11 @@ bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec,
 TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   cpu::Cpu cpu(trial_config(spec.site), image_, &loaded_);
 
-  // Fast-forward: start from the golden state at the trigger, forked off a
-  // cursor (see CheckpointConfig). The suffix then executes exactly as a
-  // from-zero run would (byte-identity enforced by tests). Memory-text trials
-  // rewrite the text before the run, so they start at instruction 0.
+  // Fast-forward: start from the golden state at the fork point, forked off
+  // a cursor (see CheckpointConfig). The suffix then executes exactly as a
+  // from-zero run would (byte-identity enforced by tests).
   std::uint64_t transfers_done = 0;
-  if (golden_ != nullptr && spec.site != FaultSite::kMemoryText) {
+  if (golden_ != nullptr) {
     cpu::Snapshot start;
     if (fork_golden(cursors(spec.site), spec, &start)) {
       static const obs::CounterId k_forks = obs::counter("campaign.forks");
@@ -347,7 +447,8 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   switch (spec.site) {
     case FaultSite::kMemoryText: {
       // The loader has already computed/loaded the expected hashes from the
-      // clean binary (the OS checkpoint); the attack strikes afterwards.
+      // clean binary (the OS checkpoint); the attack strikes afterwards. A
+      // forked trial strikes at its fork, before anything read the word.
       const std::uint32_t word = cpu.memory().read32(spec.target_address);
       cpu.memory().write32(spec.target_address, word ^ spec.xor_mask);
       break;
@@ -369,11 +470,23 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
     support::Rng icache_rng(spec.trigger_index * 0x9E3779B97F4A7C15ULL + spec.xor_mask);
     result = cpu.run_until(spec.trigger_index);
     if (!result.has_value()) {
+      // Without checkpoints every trial runs to its end (the reference).
+      bool live = golden_ == nullptr;
       mem::ICache* icache = cpu.fetch_path().icache();
       if (icache != nullptr) {
         for (unsigned flip = 0; flip < support::popcount32(spec.xor_mask); ++flip) {
-          icache->flip_random_resident_bit(icache_rng);
+          const std::optional<std::uint32_t> flipped = icache->flip_random_resident_bit(icache_rng);
+          live = live ||
+                 (flipped.has_value() && text_access().fetched_from(*flipped, spec.trigger_index));
         }
+      }
+      if (!live) {
+        // Only a fetch of a flipped address reads the flip, and a refill
+        // overwrites it: the rest of the trial is the golden I-cache run.
+        static const obs::CounterId k_inert = obs::counter("campaign.inert_flips");
+        inert_flips_.fetch_add(1, std::memory_order_relaxed);
+        obs::bump(k_inert);
+        result = cursors(spec.site).golden().result();
       }
     }
   }
@@ -493,11 +606,11 @@ exp::SweepSpec CampaignRunner::sweep(FaultSite site, unsigned bits, unsigned tri
     result.u64 = {static_cast<std::uint64_t>(run_trial(draw(trial)).outcome)};
     return result;
   };
-  // Trigger order lets the cursors walk the golden run forward instead of
-  // falling back to recorded snapshots. Memory-text trials all start at
-  // instruction 0, and without checkpoints there are no cursors.
-  if (golden_ != nullptr && site != FaultSite::kMemoryText) {
-    spec.order_key = [draw](std::size_t trial) { return draw(trial).trigger_index; };
+  // Fork-point order lets the cursors walk the golden run forward instead of
+  // falling back to recorded snapshots. Without checkpoints there are no
+  // cursors.
+  if (golden_ != nullptr) {
+    spec.order_key = [this, draw](std::size_t trial) { return fork_point(draw(trial)); };
   }
   return spec;
 }

@@ -80,8 +80,8 @@ struct CampaignSummary {
 };
 
 // Golden-run checkpointing (see fault/golden.h). Enabled by default: trials
-// start from the golden state at their trigger instead of re-simulating the
-// clean prefix. A pure execution strategy — like the engine choice or the
+// start from the golden state at their fork point instead of re-simulating
+// the clean prefix. A pure execution strategy — like the engine choice or the
 // job count, it never changes a trial outcome (CI enforces byte-identity on
 // vs off, and tests also at fixed strides) — so it is not a sweep parameter.
 // Automatically disabled when recovery mode is configured (snapshots do not
@@ -90,17 +90,26 @@ struct CampaignSummary {
 // That start state comes from a golden cursor: a clean Cpu on the trial
 // configuration that walks forward through the golden run. The runner keeps
 // a pool of them per golden recording, built on first use. A trial checks
-// out the idle cursor furthest along but not past its trigger, advances it
-// with run_until to the last instruction boundary at or before the trigger
-// (in the trigger's own unit: bus tampers count bus transfers, post-ID and
-// I-cache triggers count retired instructions), saves a fork snapshot,
-// returns the cursor and restores the fork into its own Cpu. Only a cursor
-// that is past the trigger, or behind the nearest recorded snapshot,
-// restores that snapshot first. Campaign sweeps run each shard's trials in
-// trigger order (exp::SweepSpec::order_key), so a cursor mostly walks the
-// golden run once and each trial executes little more than its fault's
-// consequences. Memory-text trials rewrite the text before the run: their
-// start state is instruction 0, which a fresh Cpu already is.
+// out the idle cursor furthest along but not past its fork point, advances
+// it with run_until to the last instruction boundary at or before that point
+// (in the fault's own unit: bus tampers count bus transfers, the other sites
+// retired instructions), saves a fork snapshot, returns the cursor and
+// restores the fork into its own Cpu. Only a cursor that is past the fork
+// point, or behind the nearest recorded snapshot, restores that snapshot
+// first. Campaign sweeps run each shard's trials in fork-point order
+// (exp::SweepSpec::order_key), so a cursor mostly walks the golden run once
+// and each trial executes little more than its fault's consequences.
+//
+// A transient fault forks at its trigger. A memory-text flip does nothing
+// until something reads the word, so it forks where the golden run first
+// reads it (fetch, load or store; through an I-cache, a refill of any word
+// of its line) and writes the flip there: every state before that point is
+// the golden run's plus one unread word. Those instruction indices come from
+// a golden text-access summary, built lazily by one clean walk with the
+// I-cache off on the first memory-text or icache-line trial or order key,
+// and never shipped. With the I-cache on, a program that stores into its
+// own text may fetch a stale cached copy where the walk fetched the new
+// word, so there the summary holds only up to the first text store.
 //
 // The recorded snapshots also end transient-fault trials early (convergence
 // early-exit). Once a fetch-bus, fetch-bus-paired or post-ID fault is spent —
@@ -111,7 +120,11 @@ struct CampaignSummary {
 // schedule (the first boundary after the fault is spent, then 1, 3, 7, ...
 // boundaries later), so a trial that never re-converges pays O(log n)
 // compares. Memory-text and icache-line corruption stays resident in memory
-// or cache state, so those trials always run to their end.
+// or cache state, so those trials never converge. An I-cache flip, though,
+// is read only by a fetch of the flipped address, and any refill of its line
+// overwrites it: when the summary shows the golden run fetching none of the
+// flipped addresses at or after the trigger, the trial is inert and takes
+// the golden I-cache run's result (benign) without running on.
 // Trials also read the golden run's sealed translation image as a shared
 // first-level block cache until a text write detaches them. Shipped golden
 // state carries the image's block starts, and the runner rebuilds the same
@@ -157,8 +170,8 @@ class CampaignRunner {
   // {outcome code}. Every trial draws from its own RNG stream seeded by
   // (seed, trial index), so the summary is bit-identical for a given seed at
   // any job count, shard count, or process placement. With checkpoints on,
-  // every site but memory-text orders the cells by trigger. The spec borrows
-  // this runner — it must outlive any run_cell call.
+  // the cells run in fork-point order. The spec borrows this runner — it
+  // must outlive any run_cell or order_key call.
   exp::SweepSpec sweep(FaultSite site, unsigned bits, unsigned trials,
                        std::uint64_t seed) const;
 
@@ -201,6 +214,13 @@ class CampaignRunner {
   std::uint64_t cursor_instructions() const {
     return cursor_instructions_.load(std::memory_order_relaxed);
   }
+  // Instructions the text-access walk executed (0 until a memory-text or
+  // icache-line trial built the summary), and icache-line trials whose flips
+  // the golden run never fetched again, which took its result without running.
+  std::uint64_t text_walk_instructions() const {
+    return text_walk_instructions_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t inert_flips() const { return inert_flips_.load(std::memory_order_relaxed); }
   // Index of the first golden snapshot past the point where `spec`'s
   // transient fault is spent — it can no longer fire: the post-ID latch once
   // its trigger instruction retired, a bus tamper once its trigger transfer
@@ -229,6 +249,8 @@ class CampaignRunner {
 
   // Golden cursors over one recording (campaign.cc).
   class CursorPool;
+  // When the golden run reads, writes and fetches each text word (campaign.cc).
+  struct TextAccess;
 
   // The trial machine: the campaign's, with a hang watchdog, and the I-cache
   // forced on for I-cache-line trials.
@@ -241,9 +263,18 @@ class CampaignRunner {
   // campaigns attack one site and never pay for the other recording).
   CursorPool& cursors(FaultSite site) const;
 
+  // The golden text-access summary, built on first use (thread-safe).
+  const TextAccess& text_access() const;
+
+  // Where `spec`'s trial forks off the golden run: its trigger (a bus
+  // transfer for the bus sites, else a retired-instruction count, held below
+  // the golden run's last instruction), or for memory-text the instruction
+  // that first reads the flipped word. Also the trial's order key.
+  std::uint64_t fork_point(const FaultSpec& spec) const;
+
   // Saves into `out` the golden state at the last instruction boundary at
-  // or before `spec`'s trigger, on the trigger's own clock, off a cursor
-  // from `pool`. Returns false, saving nothing, when that boundary is
+  // or before `spec`'s fork point, on that point's clock, off a cursor from
+  // `pool`. Returns false, saving nothing, when that boundary is
   // instruction 0 (a fresh Cpu's state).
   bool fork_golden(CursorPool& pool, const FaultSpec& spec, cpu::Snapshot* out) const;
   void count_restore(std::uint64_t instructions) const;
@@ -258,11 +289,15 @@ class CampaignRunner {
   mutable std::once_flag icache_once_;
   mutable std::unique_ptr<CheckpointedGolden> icache_golden_;
   mutable std::unique_ptr<CursorPool> icache_cursors_;  // over icache_golden_
+  mutable std::once_flag text_once_;
+  mutable std::unique_ptr<const TextAccess> text_access_;
 
   mutable std::atomic<std::uint64_t> restores_{0};
   mutable std::atomic<std::uint64_t> skipped_instructions_{0};
   mutable std::atomic<std::uint64_t> forks_{0};
   mutable std::atomic<std::uint64_t> cursor_instructions_{0};
+  mutable std::atomic<std::uint64_t> text_walk_instructions_{0};
+  mutable std::atomic<std::uint64_t> inert_flips_{0};
   mutable std::atomic<std::uint64_t> converged_{0};
   mutable std::atomic<std::uint64_t> convergence_checks_{0};
   mutable std::atomic<std::uint64_t> converged_skipped_instructions_{0};

@@ -15,17 +15,18 @@ ICache::ICache(const ICacheConfig& config) : config_(config) {
   words_.resize(static_cast<std::size_t>(config_.num_lines) * config_.words_per_line, 0);
 }
 
-bool ICache::flip_random_resident_bit(support::Rng& rng) {
+std::optional<std::uint32_t> ICache::flip_random_resident_bit(support::Rng& rng) {
   std::vector<std::uint32_t> valid_lines;
   for (std::uint32_t i = 0; i < lines_.size(); ++i) {
     if (lines_[i].valid) valid_lines.push_back(i);
   }
-  if (valid_lines.empty()) return false;
+  if (valid_lines.empty()) return std::nullopt;
   const std::uint32_t line_index = valid_lines[rng.below(valid_lines.size())];
   const auto word_index = static_cast<std::uint32_t>(rng.below(config_.words_per_line));
   const auto bit = static_cast<unsigned>(rng.below(32));
   line_words(line_index)[word_index] ^= 1U << bit;
-  return true;
+  const std::uint32_t line = lines_[line_index].tag * config_.num_lines + line_index;
+  return line * line_bytes_ + word_index * 4;
 }
 
 void ICache::invalidate_all() {

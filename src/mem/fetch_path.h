@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mem/memory.h"
@@ -66,9 +67,10 @@ class ICache {
     return out;
   }
 
-  // Flips one random bit of one random *valid* line (cache-resident fault).
-  // Returns false if no line is valid yet.
-  bool flip_random_resident_bit(support::Rng& rng);
+  // Flips one random bit of one random *valid* line (cache-resident fault)
+  // and returns the address of the word it flipped; nullopt, flipping
+  // nothing, if no line is valid yet.
+  std::optional<std::uint32_t> flip_random_resident_bit(support::Rng& rng);
 
   void invalidate_all();
   std::uint64_t hits() const { return hits_; }

@@ -165,11 +165,13 @@ struct Options {
       "  --seed X         campaign seed (default 2026)\n"
       "  --monitor on|off campaign machine has the CIC (default on)\n"
       "  --checkpoints on|off\n"
-      "                   campaign: run trials in trigger order and fork each\n"
+      "                   campaign: run trials in fork-point order and fork each\n"
       "                   one from a golden cursor walked forward to its trigger\n"
-      "                   instead of re-simulating the clean prefix, and reuse\n"
-      "                   the golden run's translated blocks; never changes a\n"
-      "                   trial outcome (default on; off is the full\n"
+      "                   (memory-text: to the flipped word's first read)\n"
+      "                   instead of re-simulating the clean prefix, end I-cache\n"
+      "                   flips the golden run never fetches again as benign,\n"
+      "                   and reuse the golden run's translated blocks; never\n"
+      "                   changes a trial outcome (default on; off is the full\n"
       "                   re-execution reference, forced under recovery mode)\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
       "                   handlers behind a tamper-safe translation cache) or\n"
@@ -803,14 +805,16 @@ int cmd_campaign(const Options& options) {
   const int code = run_sweep_command(bundle.spec, options);
   // The acceleration report: how much clean-prefix simulation the restores
   // skipped (trial forks and cursor repositionings), what the golden cursors
-  // walked to fork the trials, how much golden suffix the re-converged
-  // trials did not execute, and how large the shared translation image is,
-  // in this process (a sharded invocation reports its own shard's share).
+  // and the text-access walk executed, how many I-cache flips were inert,
+  // how much golden suffix the re-converged trials did not execute, and how
+  // large the shared translation image is, in this process (a sharded
+  // invocation reports its own shard's share).
   if (runner.checkpoints_enabled()) {
     std::fprintf(stderr,
                  "campaign: checkpoints on, stride %llu, %zu snapshot(s); "
                  "%llu restore(s) skipped %llu instructions; "
                  "%llu fork(s), cursors walked %llu instructions; "
+                 "text walk %llu instructions, %llu inert flip(s); "
                  "%llu trial(s) re-converged, skipping %llu instructions; "
                  "translation image %llu block(s), %llu trial(s) detached\n",
                  static_cast<unsigned long long>(runner.checkpoint_stride()),
@@ -819,6 +823,8 @@ int cmd_campaign(const Options& options) {
                  static_cast<unsigned long long>(runner.skipped_instructions()),
                  static_cast<unsigned long long>(runner.forks()),
                  static_cast<unsigned long long>(runner.cursor_instructions()),
+                 static_cast<unsigned long long>(runner.text_walk_instructions()),
+                 static_cast<unsigned long long>(runner.inert_flips()),
                  static_cast<unsigned long long>(runner.converged()),
                  static_cast<unsigned long long>(runner.converged_skipped_instructions()),
                  static_cast<unsigned long long>(runner.image_blocks()),

@@ -674,25 +674,34 @@ TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
   const std::string dir = make_test_dir("cli_golden");
   const std::string cli = CICMON_CLI_PATH;
   ASSERT_TRUE(support::exit_ok(run_cli(cli + " campaign" + campaign_flags() +
-                                       " --metrics json --metrics-out " + dir +
+                                       " --jobs 1 --metrics json --metrics-out " + dir +
                                        "/direct.json > " + dir + "/direct.txt 2>/dev/null")));
   const std::string direct = read_file(dir + "/direct.txt");
   ASSERT_FALSE(direct.empty());
 
-  // Both workers take the wire shipment instead of paying a golden run, and
-  // rebuild its translation image, so the fleet's trials translate and chain
-  // exactly what the direct run's trials do.
+  // Both workers take the wire shipment instead of paying a golden run.
   ASSERT_TRUE(support::exit_ok(run_cli(
       cli + " dispatch campaign" + campaign_flags() + " --workers 2 --shards 4 --quiet" +
-      " --metrics json --metrics-out " + dir + "/ship.json --dir " + dir + "/a1 > " + dir +
-      "/ship.txt 2> " + dir + "/ship.err")));
+      " --dir " + dir + "/a1 > " + dir + "/ship.txt 2> " + dir + "/ship.err")));
   EXPECT_EQ(read_file(dir + "/ship.txt"), direct);
   EXPECT_NE(read_file(dir + "/ship.err").find("golden 2 shipped/0 derived"), std::string::npos)
       << read_file(dir + "/ship.err");
+
+  // Golden cursors and the text walk run per shard and thread, so only an
+  // unsplit run repeats the direct run's engine work: one worker running the
+  // one shard at --jobs 1 rebuilds the shipped translation image, and its
+  // trials translate and chain exactly what the direct run's trials do.
+  ASSERT_TRUE(support::exit_ok(run_cli(
+      cli + " dispatch campaign" + campaign_flags() + " --workers 1 --shards 1 --jobs 1" +
+      " --quiet --metrics json --metrics-out " + dir + "/one.json --dir " + dir + "/a0 > " +
+      dir + "/one.txt 2> " + dir + "/one.err")));
+  EXPECT_EQ(read_file(dir + "/one.txt"), direct);
+  EXPECT_NE(read_file(dir + "/one.err").find("golden 1 shipped/0 derived"), std::string::npos)
+      << read_file(dir + "/one.err");
   for (const std::string counter : {"engine.tcache.translations", "engine.chain.follows"}) {
     const std::uint64_t want = metrics_counter(dir + "/direct.json", counter);
     EXPECT_GT(want, 0U) << counter;
-    EXPECT_EQ(metrics_counter(dir + "/ship.json", "fleet." + counter), want) << counter;
+    EXPECT_EQ(metrics_counter(dir + "/one.json", "fleet." + counter), want) << counter;
   }
 
   // Cross-engine: the key excludes the engine, so switch workers take a

@@ -335,10 +335,15 @@ TEST(Campaign, CheckpointAccountingTracksRestores) {
   EXPECT_GT(fast.restores(), 0U);
   EXPECT_GT(fast.skipped_instructions(), 0U);
 
-  // Memory-text trials strike before instruction 0 — nothing to skip.
+  // Memory-text trials fork where the golden run first reads the flipped
+  // word, which the one lazy text walk dates; the constructor walks nothing.
   CampaignRunner text(image, monitored_config());
+  EXPECT_EQ(text.text_walk_instructions(), 0U);
   text.run_random(FaultSite::kMemoryText, 1, 40, 7);
-  EXPECT_EQ(text.restores(), 0U);
+  EXPECT_GT(text.forks(), 0U);
+  EXPECT_GE(text.restores(), text.forks());
+  EXPECT_GT(text.skipped_instructions(), 0U);
+  EXPECT_EQ(text.text_walk_instructions(), text.golden_instructions());
 
   CampaignRunner slow(image, monitored_config(), {false, 0});
   slow.run_random(FaultSite::kFetchBus, 1, 40, 7);
@@ -347,39 +352,282 @@ TEST(Campaign, CheckpointAccountingTracksRestores) {
 }
 
 TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
-  // Who executed what, on a small fetch-bus campaign: every restore the
+  // Who executed what, on a small campaign per site: every restore the
   // campaign made (trial forks and cursor repositionings) installs a prefix
   // no engine executed, so engine.instructions.restored must equal
   // campaign.skipped_instructions and engine.instructions stays their sum
   // with engine.instructions.executed. The cursor publishes its walk like a
-  // trial publishes its suffix; in trigger order one cursor walks the golden
-  // run at most once.
+  // trial publishes its suffix; in fork-point order one cursor walks the
+  // golden run at most once. Memory-text and icache-line campaigns also
+  // publish the one text walk, which runs the golden run once.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
-  CampaignRunner runner(image, monitored_config());
-  const std::vector<std::uint64_t> before = obs::counter_values();
-  runner.run_random(FaultSite::kFetchBus, 1, 60, 13, 1);
-  std::map<std::string, std::uint64_t> delta;
-  for (const auto& [name, value] : obs::counter_delta(before)) delta[name] = value;
+  for (const FaultSite site :
+       {FaultSite::kFetchBus, FaultSite::kMemoryText, FaultSite::kICacheLine}) {
+    const std::string where(fault_site_name(site));
+    CampaignRunner runner(image, monitored_config());
+    const std::vector<std::uint64_t> before = obs::counter_values();
+    runner.run_random(site, 1, 60, 13, 1);
+    std::map<std::string, std::uint64_t> delta;
+    for (const auto& [name, value] : obs::counter_delta(before)) delta[name] = value;
 
-  EXPECT_EQ(delta["engine.instructions"],
-            delta["engine.instructions.executed"] + delta["engine.instructions.restored"]);
-  EXPECT_EQ(delta["engine.instructions.restored"], delta["campaign.skipped_instructions"]);
-  EXPECT_EQ(delta["campaign.skipped_instructions"], runner.skipped_instructions());
-  EXPECT_EQ(delta["campaign.snapshot_restores"], runner.restores());
-  EXPECT_EQ(delta["campaign.forks"], runner.forks());
-  EXPECT_EQ(delta["campaign.cursor_instructions"], runner.cursor_instructions());
-  EXPECT_EQ(delta["campaign.trials"], 60U);
-  EXPECT_EQ(delta["engine.runs"], 61U);  // 60 trials and the one cursor
-  EXPECT_GT(runner.forks(), 50U);
-  EXPECT_LE(runner.forks(), 60U);
-  EXPECT_GE(runner.restores(), runner.forks());
-  EXPECT_GT(runner.cursor_instructions(), 0U);
-  EXPECT_LE(runner.cursor_instructions(), runner.golden_instructions());
-  // What the trials themselves executed: each fault is caught within a few
-  // blocks of its trigger, far below a stride of clean prefix per trial.
-  const std::uint64_t trial_executed =
-      delta["engine.instructions.executed"] - runner.cursor_instructions();
-  EXPECT_LT(trial_executed, 60U * 50U);
+    EXPECT_EQ(delta["engine.instructions"],
+              delta["engine.instructions.executed"] + delta["engine.instructions.restored"])
+        << where;
+    EXPECT_EQ(delta["engine.instructions.restored"], delta["campaign.skipped_instructions"])
+        << where;
+    EXPECT_EQ(delta["campaign.skipped_instructions"], runner.skipped_instructions()) << where;
+    EXPECT_EQ(delta["campaign.snapshot_restores"], runner.restores()) << where;
+    EXPECT_EQ(delta["campaign.forks"], runner.forks()) << where;
+    EXPECT_EQ(delta["campaign.cursor_instructions"], runner.cursor_instructions()) << where;
+    EXPECT_EQ(delta["campaign.text_walk_instructions"], runner.text_walk_instructions()) << where;
+    EXPECT_EQ(delta["campaign.inert_flips"], runner.inert_flips()) << where;
+    EXPECT_EQ(delta["campaign.trials"], 60U) << where;
+    const bool walks = site != FaultSite::kFetchBus;
+    EXPECT_EQ(runner.text_walk_instructions(), walks ? runner.golden_instructions() : 0U)
+        << where;
+    // 60 trials, the one cursor, and the text walk where there is one.
+    EXPECT_EQ(delta["engine.runs"], walks ? 62U : 61U) << where;
+    EXPECT_GT(runner.forks(), 50U) << where;
+    EXPECT_LE(runner.forks(), 60U) << where;
+    EXPECT_GE(runner.restores(), runner.forks()) << where;
+    EXPECT_GT(runner.cursor_instructions(), 0U) << where;
+    EXPECT_LE(runner.cursor_instructions(), runner.golden_instructions()) << where;
+    // What the trials themselves executed. A bus or memory-text fault is
+    // caught within a few blocks of its fork, far below a stride of clean
+    // prefix per trial. A live I-cache flip runs from its trigger to its
+    // first use and on; the inert ones run nothing.
+    const std::uint64_t trial_executed = delta["engine.instructions.executed"] -
+                                         runner.cursor_instructions() -
+                                         runner.text_walk_instructions();
+    if (site == FaultSite::kICacheLine) {
+      EXPECT_GT(runner.inert_flips(), 0U);
+      EXPECT_LT(trial_executed, (60U - runner.inert_flips()) * runner.golden_instructions());
+    } else {
+      EXPECT_EQ(runner.inert_flips(), 0U) << where;
+      EXPECT_LT(trial_executed, 60U * 50U) << where;
+    }
+  }
+}
+
+// Each of `faults`, run checkpointed on `image` on both engines, must match
+// full re-execution on the same machine (`config`, with the switch engine
+// as the reference). Returns the reference trials; adds the checkpointed
+// runners' forks and inert flips to `forks` and `inert` when given.
+std::vector<TrialResult> expect_trials_match_reference(const casm_::Image& image,
+                                                       const cpu::CpuConfig& config,
+                                                       const std::vector<FaultSpec>& faults,
+                                                       const std::string& what,
+                                                       std::uint64_t* forks = nullptr,
+                                                       std::uint64_t* inert = nullptr) {
+  cpu::CpuConfig reference_config = config;
+  reference_config.engine = cpu::Engine::kSwitch;
+  const CampaignRunner reference(image, reference_config, {false, 0});
+  std::vector<TrialResult> wants;
+  for (const FaultSpec& spec : faults) wants.push_back(reference.run_trial(spec));
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    cpu::CpuConfig trial_config = config;
+    trial_config.engine = engine;
+    const CampaignRunner runner(image, trial_config);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const TrialResult got = runner.run_trial(faults[i]);
+      const std::string where = what + " " + std::string(fault_site_name(faults[i].site)) +
+                                " address " + support::hex32(faults[i].target_address) +
+                                " trigger " + std::to_string(faults[i].trigger_index) +
+                                " mask " + support::hex32(faults[i].xor_mask) + ", engine " +
+                                std::string(cpu::engine_name(engine));
+      EXPECT_EQ(got.outcome, wants[i].outcome) << where;
+      EXPECT_EQ(got.exit_reason, wants[i].exit_reason) << where;
+    }
+    if (forks != nullptr) *forks += runner.forks();
+    if (inert != nullptr) *inert += runner.inert_flips();
+  }
+  return wants;
+}
+
+std::string machine_name(const cpu::CpuConfig& config) {
+  return std::string(config.monitoring ? "monitor on" : "monitor off") +
+         (config.icache.enabled ? ", I-cache on" : ", I-cache off");
+}
+
+TEST(ResidentFaults, EveryFlippedTextWordMatchesFullReExecution) {
+  // Memory-text trials fork where the golden run first reads the flipped
+  // word: its own first fetch, load or store with the I-cache off, the first
+  // refill of its line with the I-cache on. One random flip in every text
+  // word of a kernel must match full re-execution on both machines and
+  // engines, and most trials must actually fork.
+  const casm_::Image image = workloads::build_workload("sha", {0.02, 42});
+  support::Rng rng(5);
+  std::vector<FaultSpec> faults(image.text.size());
+  for (std::size_t w = 0; w < faults.size(); ++w) {
+    faults[w].site = FaultSite::kMemoryText;
+    faults[w].target_address = image.text_base + 4 * static_cast<std::uint32_t>(w);
+    faults[w].xor_mask = 1U << rng.below(32);
+  }
+  for (const bool icache : {false, true}) {
+    cpu::CpuConfig config = monitored_config();
+    config.icache.enabled = icache;
+    std::uint64_t forks = 0;
+    const std::vector<TrialResult> wants =
+        expect_trials_match_reference(image, config, faults, machine_name(config), &forks);
+    EXPECT_GT(forks, faults.size()) << machine_name(config);  // over two engines
+    EXPECT_GT(std::count_if(wants.begin(), wants.end(),
+                            [](const TrialResult& t) { return t.outcome != Outcome::kBenign; }),
+              0) << machine_name(config);
+  }
+}
+
+// Loads one text word and stores to another before either is fetched: the
+// first word of `fn` is printed through a load, and its second, a nop, is
+// overwritten with zero (the nop's own encoding), so the golden text never
+// changes. `fn` fills one I-cache line of its own.
+casm_::Image text_reading_program() {
+  casm_::Asm a;
+  a.func("fn");
+  a.addiu(kT4, kT4, 1);  // loaded, later run
+  a.nop();               // stored over, later run
+  a.ret();
+  a.nop();
+  a.func("main");
+  a.li(kT0, casm_::kTextBase);
+  a.lw(kT1, 0, kT0);
+  a.sw(kZero, 4, kT0);
+  a.sys_print_int(kT1);
+  a.call("fn");
+  a.sys_exit(0);
+  return a.finalize();
+}
+
+TEST(ResidentFaults, LoadsAndStoresOfTextAreReads) {
+  // A flip in the loaded word changes the printed value (wrong output once
+  // the monitor is off), so its trial must fork at the load, not at the
+  // word's later fetch. A flip in the stored-over word is erased by the
+  // store (benign), so its trial must fork at or before the store.
+  const casm_::Image image = text_reading_program();
+  std::vector<FaultSpec> faults;
+  for (const std::uint32_t address : {casm_::kTextBase, casm_::kTextBase + 4}) {
+    for (unsigned bit = 0; bit < 32; ++bit) {
+      FaultSpec spec;
+      spec.site = FaultSite::kMemoryText;
+      spec.target_address = address;
+      spec.xor_mask = 1U << bit;
+      faults.push_back(spec);
+    }
+  }
+  for (const bool monitoring : {true, false}) {
+    for (const bool icache : {false, true}) {
+      cpu::CpuConfig config = monitored_config();
+      config.monitoring = monitoring;
+      config.icache.enabled = icache;
+      std::uint64_t forks = 0;
+      const std::vector<TrialResult> wants =
+          expect_trials_match_reference(image, config, faults, machine_name(config), &forks);
+      EXPECT_EQ(forks, 2 * faults.size()) << machine_name(config);
+      for (std::size_t i = 32; i < 64; ++i) {
+        EXPECT_EQ(wants[i].outcome, Outcome::kBenign) << machine_name(config) << " bit " << i - 32;
+      }
+      if (!monitoring) {
+        EXPECT_GT(std::count_if(wants.begin(), wants.begin() + 32,
+                                [](const TrialResult& t) {
+                                  return t.outcome == Outcome::kWrongOutput;
+                                }),
+                  0) << machine_name(config);
+      }
+    }
+  }
+}
+
+// Every I-cache-line fault of a program: each trigger, each single-bit mask
+// (the mask also seeds which resident bit flips).
+std::vector<FaultSpec> every_icache_fault(std::uint64_t golden_instructions) {
+  std::vector<FaultSpec> faults;
+  for (std::uint64_t trigger = 0; trigger < golden_instructions; ++trigger) {
+    for (unsigned bit = 0; bit < 32; ++bit) {
+      FaultSpec spec;
+      spec.site = FaultSite::kICacheLine;
+      spec.trigger_index = trigger;
+      spec.xor_mask = 1U << bit;
+      faults.push_back(spec);
+    }
+  }
+  return faults;
+}
+
+TEST(ResidentFaults, InertICacheFlipsMatchFullReExecution) {
+  // An I-cache flip whose address the golden run never fetches again, at or
+  // after the trigger, is inert: the trial takes the golden result without
+  // running on. Every trigger of a small loop with every mask, so flips land
+  // on words fetched for the last time exactly at their trigger (live: the
+  // next fetch reads the flip) as well as on words already done (inert). The
+  // monitored machine catches a live flip within its block; unmonitored,
+  // many of them hang until the watchdog.
+  const casm_::Image image = checked_loop_program();
+  cpu::CpuConfig config = monitored_config();
+  config.icache.enabled = true;
+  const CampaignRunner probe(image, config);
+  std::uint64_t inert = 0;
+  const std::vector<TrialResult> wants = expect_trials_match_reference(
+      image, config, every_icache_fault(probe.golden_instructions()), machine_name(config),
+      nullptr, &inert);
+  EXPECT_GT(inert, 0U);
+  EXPECT_GT(std::count_if(wants.begin(), wants.end(),
+                          [](const TrialResult& t) { return t.outcome != Outcome::kBenign; }),
+            0);
+}
+
+// Rewrites its own code between two calls of `fn`: the nop becomes `jr ra`.
+// With the I-cache off the second call returns early; with it on, the line
+// cached by the first call still holds the nop, so the call falls through.
+// Past the store the two machines part ways, and a summary walked with the
+// I-cache off no longer describes the one with it on.
+casm_::Image self_modifying_program() {
+  casm_::Asm jr_ra;
+  jr_ra.ret();
+  casm_::Asm a;
+  a.func("fn");
+  a.addiu(kT5, kT5, 1);
+  a.nop();  // rewritten to `jr ra`
+  a.addiu(kT5, kT5, 16);
+  a.ret();
+  a.func("main");
+  a.call("fn");
+  a.li(kT0, casm_::kTextBase + 4);
+  a.li(kT1, jr_ra.finalize().text[0]);
+  a.sw(kT1, 0, kT0);
+  while (a.here() % 16 != 12) a.nop();
+  a.call("fn");  // the last word of its line: what follows starts a new one
+  a.sys_print_int(kT5);
+  a.sys_exit(0);
+  return a.finalize();
+}
+
+TEST(ResidentFaults, TextStoresEndWhatTheSummaryKnowsOfAnICacheMachine) {
+  // On the I-cache machine the walk is trusted only up to the first text
+  // store: memory-text trials fork no later than it, and no I-cache flip is
+  // inert. Every word with every mask, every trigger with every mask. The
+  // monitored I-cache-off machine is left out: its golden run reaches the
+  // rewritten block, which the monitor rightly rejects.
+  const casm_::Image image = self_modifying_program();
+  for (const auto& [monitoring, icache] :
+       {std::pair{false, false}, std::pair{false, true}, std::pair{true, true}}) {
+    cpu::CpuConfig config = monitored_config();
+    config.monitoring = monitoring;
+    config.icache.enabled = icache;
+    const CampaignRunner probe(image, config);
+    std::vector<FaultSpec> faults = every_icache_fault(probe.golden_instructions());
+    for (std::uint32_t w = 0; w < image.text.size(); ++w) {
+      for (unsigned bit = 0; bit < 32; ++bit) {
+        FaultSpec spec;
+        spec.site = FaultSite::kMemoryText;
+        spec.target_address = image.text_base + 4 * w;
+        spec.xor_mask = 1U << bit;
+        faults.push_back(spec);
+      }
+    }
+    std::uint64_t inert = 0;
+    expect_trials_match_reference(image, config, faults, machine_name(config), nullptr, &inert);
+    // Only at trigger 0, where no line is resident yet and nothing flips.
+    EXPECT_EQ(inert, 2U * 32U) << machine_name(config);
+  }
 }
 
 TEST(Campaign, RecoveryModeDisablesCheckpoints) {

@@ -2,6 +2,8 @@
 // with its tamper hook.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "casm/builder.h"
 #include "mem/fetch_path.h"
 #include "mem/memory.h"
@@ -150,9 +152,14 @@ TEST(ICache, FlipResidentBitNeedsValidLine) {
   config.enabled = true;
   ICache cache(config);
   support::Rng rng(3);
-  EXPECT_FALSE(cache.flip_random_resident_bit(rng));  // nothing resident yet
+  EXPECT_FALSE(cache.flip_random_resident_bit(rng).has_value());  // nothing resident yet
   cache.access(0x80, [](std::uint32_t a) { return a + 1; });
-  EXPECT_TRUE(cache.flip_random_resident_bit(rng));
+  const std::optional<std::uint32_t> flipped = cache.flip_random_resident_bit(rng);
+  ASSERT_TRUE(flipped.has_value());
+  // The only resident line holds 0x80..0x8f; the flip reports one of its words.
+  EXPECT_GE(*flipped, 0x80U);
+  EXPECT_LT(*flipped, 0x90U);
+  EXPECT_EQ(*flipped % 4, 0U);
 }
 
 TEST(ICache, InvalidateAllForcesMisses) {
@@ -226,12 +233,15 @@ TEST(FetchPath, ResidentBitFlipObservedOnHit) {
   FetchPath path(&m, config);
   path.fetch(0x00400000);  // memory is zero: the whole line caches as zeros
   support::Rng rng(1);
-  ASSERT_TRUE(path.icache()->flip_random_resident_bit(rng));
+  const std::optional<std::uint32_t> flipped = path.icache()->flip_random_resident_bit(rng);
+  ASSERT_TRUE(flipped.has_value());
   // The flip landed somewhere in the (only) resident line; scanning its four
-  // words must observe exactly one corrupted word.
+  // words must observe exactly one corrupted word, the one it reported.
   unsigned corrupted = 0;
   for (std::uint32_t offset = 0; offset < 16; offset += 4) {
-    corrupted += path.fetch(0x00400000 + offset) != 0 ? 1 : 0;
+    const bool bad = path.fetch(0x00400000 + offset) != 0;
+    corrupted += bad ? 1 : 0;
+    EXPECT_EQ(bad, 0x00400000 + offset == *flipped) << offset;
   }
   EXPECT_EQ(corrupted, 1U);
 }
