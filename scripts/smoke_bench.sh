@@ -53,8 +53,8 @@ run cicmon workloads
 
 # Engine A/B at smoke scale: the threaded engine (fused handlers behind the
 # tamper-safe translation cache) must reproduce the switch interpreter's
-# stdout byte for byte. The larger sweeps and per-site campaigns run in the
-# engine-determinism CI job; this catches a broken engine flag or an
+# stdout byte for byte. test_golden diffs every paper artifact and per-site
+# campaign on both engines; this catches a broken engine flag or an
 # obviously diverging handler in every smoke pass.
 echo "--- cicmon engine A/B (switch vs threaded)"
 engine_dir=$(mktemp -d)

@@ -111,10 +111,6 @@ unsigned Iht::invalidate_victims(unsigned count) {
   return invalidated;
 }
 
-void Iht::invalidate_all() {
-  for (IhtEntry& entry : entries_) entry.valid = false;
-}
-
 void Iht::restore_state(const IhtState& s) {
   support::check(s.entries.size() == entries_.size(),
                  "Iht::restore_state: capacity mismatch");

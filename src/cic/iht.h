@@ -103,13 +103,10 @@ class Iht {
   // half of the entries" step). Returns the number actually invalidated.
   unsigned invalidate_victims(unsigned count);
 
-  void invalidate_all();
-
   unsigned num_entries() const { return static_cast<unsigned>(entries_.size()); }
   unsigned valid_entries() const;
   const std::vector<IhtEntry>& entries() const { return entries_; }
   const IhtStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = IhtStats{}; }
 
   IhtState save_state() const { return {entries_, stats_, use_clock_, fill_clock_, rng_.state()}; }
   void restore_state(const IhtState& s);

@@ -161,15 +161,6 @@ std::uint32_t Cpu::load(std::uint32_t address, uop::MemWidth width, bool sign) {
 
 void Cpu::store(std::uint32_t address, uop::MemWidth width, std::uint32_t value) {
   if (text_watch_ != nullptr) watch_text(address, width, true);
-  if (checkpoint_.valid) {
-    std::uint32_t old = 0;
-    switch (width) {
-      case uop::MemWidth::kByte: old = memory_.read8(address); break;
-      case uop::MemWidth::kHalf: old = memory_.read16(address); break;
-      case uop::MemWidth::kWord: old = memory_.read32(address); break;
-    }
-    checkpoint_.store_log.push_back({address, width, old});
-  }
   switch (width) {
     case uop::MemWidth::kByte:
       memory_.write8(address, static_cast<std::uint8_t>(value));
@@ -224,13 +215,7 @@ void Cpu::syscall() {
   }
 }
 
-void Cpu::illegal_instruction() {
-  // In recovery mode the decode trap is just another detection point inside
-  // the checkpointed region: retry before giving up (a transient fetch fault
-  // refetches a valid instruction).
-  if (try_rollback()) return;
-  terminate(ExitReason::kIllegalInstruction, 0);
-}
+void Cpu::illegal_instruction() { terminate(ExitReason::kIllegalInstruction, 0); }
 
 void Cpu::terminate(ExitReason reason, std::uint32_t code) {
   running_ = false;
@@ -238,58 +223,6 @@ void Cpu::terminate(ExitReason reason, std::uint32_t code) {
   result_.exit_code = code;
   if (cic_) result_.iht = cic_->iht().stats();
   if (os_) result_.os = os_->stats();
-}
-
-void Cpu::checkpoint_block(std::uint32_t block_start) {
-  checkpoint_.valid = true;
-  checkpoint_.block_start = block_start;
-  checkpoint_.gpr = gpr_;
-  checkpoint_.hi = special_[sp(uop::SpecialReg::kHi)];
-  checkpoint_.lo = special_[sp(uop::SpecialReg::kLo)];
-  checkpoint_.console_length = result_.console.size();
-  checkpoint_.store_log.clear();
-}
-
-bool Cpu::try_rollback() {
-  if (!config_.recovery.enabled || !checkpoint_.valid) return false;
-  if (checkpoint_.block_start == retry_block_) {
-    if (consecutive_retries_ >= config_.recovery.max_retries_per_block) return false;
-    ++consecutive_retries_;
-  } else {
-    retry_block_ = checkpoint_.block_start;
-    consecutive_retries_ = 1;
-  }
-
-  // Undo the block's memory effects (reverse order), restore registers and
-  // console output, refetch through a cold I-cache, and restart the block.
-  for (auto it = checkpoint_.store_log.rbegin(); it != checkpoint_.store_log.rend(); ++it) {
-    switch (it->width) {
-      case uop::MemWidth::kByte:
-        memory_.write8(it->address, static_cast<std::uint8_t>(it->old_value));
-        break;
-      case uop::MemWidth::kHalf:
-        memory_.write16(it->address, static_cast<std::uint16_t>(it->old_value));
-        break;
-      case uop::MemWidth::kWord:
-        memory_.write32(it->address, it->old_value);
-        break;
-    }
-  }
-  gpr_ = checkpoint_.gpr;
-  special_[sp(uop::SpecialReg::kHi)] = checkpoint_.hi;
-  special_[sp(uop::SpecialReg::kLo)] = checkpoint_.lo;
-  result_.console.resize(checkpoint_.console_length);
-  if (mem::ICache* icache = fetch_.icache()) icache->invalidate_all();
-
-  special_[sp(uop::SpecialReg::kCpc)] = checkpoint_.block_start;
-  special_[sp(uop::SpecialReg::kSta)] = 0;
-  special_[sp(uop::SpecialReg::kRhash)] = cic_->rhash_init();
-  checkpoint_.valid = false;  // a fresh checkpoint is taken on re-entry
-  result_.cycles += config_.recovery.recovery_cycles;
-  result_.monitor_cycles += config_.recovery.recovery_cycles;
-  ++result_.recoveries;
-  rolled_back_ = true;
-  return true;
 }
 
 void Cpu::handle_pending_monitor_exception() {
@@ -303,9 +236,6 @@ void Cpu::handle_pending_monitor_exception() {
   result_.cycles += outcome.cycles;
   result_.monitor_cycles += outcome.cycles;
   if (outcome.terminate) {
-    // Recovery mode (§7 future work): attempt a block rollback before
-    // giving up — transient fetch faults vanish on re-execution.
-    if (try_rollback()) return;
     result_.monitor_cause = outcome.cause;
     terminate(ExitReason::kMonitorTerminated, 0);
   }
@@ -439,13 +369,6 @@ std::optional<RunResult> Cpu::execute_next() {
 
   ctx_.instr_addr = addr;
 
-  // A zero STA means this fetch opens a new check region: checkpoint the
-  // architectural state so the region can be rolled back (recovery mode).
-  if (config_.recovery.enabled && config_.monitoring &&
-      special_[sp(uop::SpecialReg::kSta)] == 0) {
-    checkpoint_block(addr);
-  }
-
   // --- IF: shared fetch program (hash step included when monitored) ---
   run_fetch_stage();
   const std::uint64_t icache_stall = fetch_.take_stall_cycles();
@@ -471,11 +394,11 @@ std::optional<RunResult> Cpu::execute_next() {
   }
   ctx_.instr = slot.instr;
 
-  if (exec_stages(slot.program) == ExecStatus::kTerminated) return finish_result();
-  return std::nullopt;  // retired or rolled back; either way, still running
+  if (!exec_stages(slot.program)) return finish_result();
+  return std::nullopt;
 }
 
-Cpu::ExecStatus Cpu::exec_stages(const uop::InstrUops* program) {
+bool Cpu::exec_stages(const uop::InstrUops* program) {
   // PPC tracks the instruction occupying ID (Figure 4 reads the block's end
   // address from it).
   special_[sp(uop::SpecialReg::kPpc)] = ctx_.instr_addr;
@@ -484,27 +407,22 @@ Cpu::ExecStatus Cpu::exec_stages(const uop::InstrUops* program) {
 
   uop::execute_ops(program->stage(uop::Stage::kID), ctx_, *this);
   if (pending_exc_.has_value()) handle_pending_monitor_exception();
-  if (!running_) return ExecStatus::kTerminated;
-  if (rolled_back_) {
-    // The faulting block was rewound; this instruction never happened.
-    rolled_back_ = false;
-    return ExecStatus::kRolledBack;
-  }
+  if (!running_) return false;
 
   uop::execute_ops(program->stage(uop::Stage::kEX), ctx_, *this);
-  if (!running_) return ExecStatus::kTerminated;
+  if (!running_) return false;
   if (const auto mem_ops = program->stage(uop::Stage::kMEM); !mem_ops.empty()) {
     uop::execute_ops(mem_ops, ctx_, *this);
   }
   if (const auto wb_ops = program->stage(uop::Stage::kWB); !wb_ops.empty()) {
     uop::execute_ops(wb_ops, ctx_, *this);
   }
-  if (!running_) return ExecStatus::kTerminated;
+  if (!running_) return false;
 
   ++result_.instructions;
   ++result_.cycles;
   account_hazards(ctx_.instr);
-  return ExecStatus::kRetired;
+  return true;
 }
 
 RunResult Cpu::finish_result() {
@@ -569,13 +487,13 @@ std::optional<RunResult> Cpu::stop_at_limit() {
 // --- Threaded engine -------------------------------------------------------
 //
 // One fused handler replaces the per-uop interpretation of one instruction.
-// Every handler runs the same prologue as step() — watchdog, checkpoint,
-// the real fetch path (hash step, bus, I-cache), stall accounting, post-ID
-// fault — then compares the word the pipeline carries against the entry's
-// translation tag. A mismatch means the word diverged from the translated
-// text (bus tamper, cache-resident flip, memory rewrite, post-ID latch
-// fault): the fetched word executes through the interpreter, so every fault
-// path is bit-identical with the switch engine.
+// Every handler runs the same prologue as step() — watchdog, the real fetch
+// path (hash step, bus, I-cache), stall accounting, post-ID fault — then
+// compares the word the pipeline carries against the entry's translation
+// tag. A mismatch means the word diverged from the translated text (bus
+// tamper, cache-resident flip, memory rewrite, post-ID latch fault): the
+// fetched word executes through the interpreter, so every fault path is
+// bit-identical with the switch engine.
 
 void Cpu::monitor_block_end() {
   // The Figure 4 monitoring head of a flow-control instruction, verified
@@ -621,13 +539,13 @@ Cpu::FusedFlow Cpu::tampered_entry(const uop::TransEntry& e, std::uint32_t word)
   // detach from the image and drop the private cache (`e` with it) whole.
   ++tcache_mismatches_;
   ctx_.instr = isa::decode(word);
-  const ExecStatus status = exec_stages(&spec_->program(ctx_.instr.mnemonic));
+  const bool retired = exec_stages(&spec_->program(ctx_.instr.mnemonic));
   if (memory_.read32(e.addr) != e.word) {
     image_.reset();
     tcache_->clear();
     ++tcache_resets_;
   }
-  return status == ExecStatus::kTerminated ? FusedFlow::kDone : FusedFlow::kRestart;
+  return retired ? FusedFlow::kRestart : FusedFlow::kDone;
 }
 
 template <uop::FusedKind K, bool kBatched>
@@ -638,20 +556,16 @@ Cpu::FusedFlow Cpu::fused(const uop::TransEntry& e) {
   // Prologue: step()'s exact per-instruction order. Mid-block entries skip
   // the wild-PC check only — non-terminators never redirect, and translation
   // never crosses the text end, so e.addr is always a valid text address.
-  // A batched entry skips the watchdog, checkpoint and post-ID checks: the
-  // per-block precheck in run_threaded proved the watchdog (or a run_until
-  // pause) cannot trip inside the straight-line run, no post-ID fault lands
-  // on one of its dynamic indices, and recovery checkpointing is off.
+  // A batched entry skips the watchdog and post-ID checks: the per-block
+  // precheck in run_threaded proved the watchdog (or a run_until pause)
+  // cannot trip inside the straight-line run, and no post-ID fault lands on
+  // one of its dynamic indices.
   if constexpr (!kBatched) {
     if (result_.instructions >= limit_) {
       stop_in_block(e);
       return FusedFlow::kDone;
     }
     ctx_.instr_addr = e.addr;
-    if (config_.recovery.enabled && config_.monitoring &&
-        special_[sp(uop::SpecialReg::kSta)] == 0) {
-      checkpoint_block(e.addr);
-    }
   }
   // IF: the real fetch path (bus, I-cache, hash step), exactly as step()
   // runs it. Fused kinds never read the IF temps, so the specialized path
@@ -740,8 +654,8 @@ Cpu::FusedFlow Cpu::fused(const uop::TransEntry& e) {
                        K == FK::kJumpReg) {
     // Flow control: the monitoring head runs first (ID order), then the
     // transfer, then the pending exception resolves before any link write —
-    // exactly the interpreter's stage order, so a terminated or rolled-back
-    // block never observes the link register update.
+    // exactly the interpreter's stage order, so a terminated block never
+    // observes the link register update.
     if (spec_->monitoring_embedded) monitor_block_end();
     if constexpr (K == FK::kBranch2) {
       if (uop::alu_eval(e.alu, gpr_[e.a], gpr_[e.b]) != 0) set_pc(e.imm);
@@ -754,10 +668,6 @@ Cpu::FusedFlow Cpu::fused(const uop::TransEntry& e) {
     }
     if (pending_exc_.has_value()) handle_pending_monitor_exception();
     if (!running_) return FusedFlow::kDone;
-    if (rolled_back_) {
-      rolled_back_ = false;  // the block was rewound; this instruction never happened
-      return FusedFlow::kRestart;
-    }
     if (e.link) write_gpr(e.dst, e.addr + 4);
     ++result_.instructions;
     ++result_.cycles;
@@ -780,10 +690,8 @@ Cpu::FusedFlow Cpu::fused(const uop::TransEntry& e) {
     account_hazards_entry<K, false>(e);
     return FusedFlow::kRestart;
   } else if constexpr (K == FK::kIllegal) {
-    illegal_instruction();  // rolls the block back or terminates
-    if (!running_) return FusedFlow::kDone;
-    rolled_back_ = false;  // rollback succeeded; the trap never retired
-    return FusedFlow::kRestart;
+    illegal_instruction();
+    return FusedFlow::kDone;
   } else {
     static_assert(K == FK::kGeneric);
     // Unmatched program shape (or a force-terminated block tail): run the
@@ -791,9 +699,7 @@ Cpu::FusedFlow Cpu::fused(const uop::TransEntry& e) {
     // A retire without a PC redirect is a fall-through to the next word —
     // the chainable edge resolve_edges precomputed for generic terminators.
     ctx_.instr = e.instr;
-    const ExecStatus status = exec_stages(e.program);
-    if (status == ExecStatus::kTerminated) return FusedFlow::kDone;
-    if (status == ExecStatus::kRolledBack) return FusedFlow::kRestart;
+    if (!exec_stages(e.program)) return FusedFlow::kDone;
     return pc_redirected_ ? FusedFlow::kRestart : FusedFlow::kFall;
   }
 
@@ -828,10 +734,6 @@ std::uint64_t Cpu::batched_cycles(const uop::TransEntry* e) const {
 }
 
 std::optional<RunResult> Cpu::run_threaded() {
-  // Recovery checkpoints key on "STA == 0 at fetch", a per-instruction
-  // predicate the batched prologue elides — recovery runs force the
-  // unbatched handlers for every entry.
-  const bool slow_only = config_.recovery.enabled && config_.monitoring;
   // A direct-edge block exit whose successor was not yet linked: the link is
   // installed right after the next lookup/translate produces that successor.
   const uop::TranslatedBlock* link_from = nullptr;
@@ -873,12 +775,10 @@ std::optional<RunResult> Cpu::run_threaded() {
     e = block->entries.data();
     // Batched accounting is only valid when nothing can interrupt the
     // straight-line prefix: the watchdog (or a run_until pause) must not
-    // trip inside it, no post-ID fault may land on one of its dynamic
-    // indices, and recovery is off. The terminator always runs its
-    // unbatched handler, which re-checks everything against the flushed
-    // counters.
-    use_batched = !slow_only &&
-                  result_.instructions + block->straight_len <= limit_ &&
+    // trip inside it, and no post-ID fault may land on one of its dynamic
+    // indices. The terminator always runs its unbatched handler, which
+    // re-checks everything against the flushed counters.
+    use_batched = result_.instructions + block->straight_len <= limit_ &&
                   (!post_id_fault_.has_value() ||
                    post_id_fault_->index < result_.instructions ||
                    post_id_fault_->index >= result_.instructions + block->straight_len);

@@ -73,27 +73,12 @@ struct TimingConfig {
   unsigned div_latency = 12;         // cycles until HI/LO is readable after div
 };
 
-// Architectural recovery (the paper's §7 future work): with recovery
-// enabled, the CPU checkpoints architectural state (GPRs, HI/LO, a store
-// undo-log, console length) at every check-region start. When the monitor
-// terminates a block, the machine rolls the block back, invalidates the
-// I-cache, and re-executes from the region start — a *transient* fetch-path
-// fault (bus glitch, cache soft error) refetches clean code and the program
-// completes correctly; *persistent* corruption (rewritten memory) fails
-// again and terminates once the retry budget is exhausted.
-struct RecoveryConfig {
-  bool enabled = false;
-  unsigned max_retries_per_block = 3;
-  std::uint64_t recovery_cycles = 150;  // rollback + refetch cost per attempt
-};
-
 struct CpuConfig {
   bool monitoring = false;
   cic::CicConfig cic;
   os::OsConfig os;
   mem::ICacheConfig icache;          // disabled by default
   TimingConfig timing;
-  RecoveryConfig recovery;
   std::uint64_t max_instructions = 200'000'000;  // watchdog for fault campaigns
   Engine engine = Engine::kThreaded;
 };
@@ -119,7 +104,6 @@ struct RunResult {
   std::uint64_t instructions = 0;
   std::uint64_t cycles = 0;          // total, including monitor exception cost
   std::uint64_t monitor_cycles = 0;  // portion charged by OS exception handling
-  std::uint64_t recoveries = 0;      // successful block rollbacks (recovery mode)
   std::uint64_t branch_bubbles = 0;
   std::uint64_t load_use_stalls = 0;
   std::uint64_t muldiv_stalls = 0;
@@ -208,8 +192,7 @@ class Cpu final : private uop::Datapath {
   // both are tamper-safe (tagged by the fetched word), so a cold cache
   // rebuilds to bit-identical results. Restore requires a Cpu constructed
   // from the same LoadedImage and configuration as the one that saved (the
-  // memory delta is relative to the shared page base); recovery mode is not
-  // supported (its block checkpoint is orthogonal in-run state).
+  // memory delta is relative to the shared page base).
   void save_snapshot(Snapshot* snapshot) const;
   void restore_snapshot(const Snapshot& snapshot);
   // As above, taking the snapshot's memory delta instead of copying it.
@@ -326,25 +309,23 @@ class Cpu final : private uop::Datapath {
   template <uop::FusedKind K, bool kBatched>
   CICMON_HOT_INLINE void account_hazards_entry(const uop::TransEntry& entry);
   void handle_pending_monitor_exception();
-  void checkpoint_block(std::uint32_t block_start);
-  bool try_rollback();
 
   // Shared post-fetch tail of one dynamic instruction (ID..WB stages, pending
   // monitor exception, retirement) — the single definition both step() and
   // the threaded engine's interpreter fallback execute through, so the two
   // engines cannot drift. Requires ctx_.instr / ctx_.instr_addr to be set.
-  enum class ExecStatus : std::uint8_t { kRetired, kTerminated, kRolledBack };
-  ExecStatus exec_stages(const uop::InstrUops* program);
+  // Returns true when the instruction retired, false when it terminated.
+  bool exec_stages(const uop::InstrUops* program);
 
   // --- Threaded engine (fused superinstruction handlers) ---
   // What the block driver does after one fused entry: fall through to the
   // next entry, leave the block along its taken or fall-through edge (the
   // chain-follow candidates), return to the block loop (indirect edge, PC
-  // redirect by a generic program, rollback, or tag mismatch handled), or
-  // stop (program terminated).
+  // redirect by a generic program, or tag mismatch handled), or stop
+  // (program terminated).
   enum class FusedFlow : std::uint8_t { kNext, kTaken, kFall, kRestart, kDone };
   // One dynamic instruction of kind K. The batched instantiation (straight-
-  // line kinds only) skips the per-entry watchdog/recovery/post-ID checks
+  // line kinds only) skips the per-entry watchdog and post-ID checks
   // (proven impossible by the per-block precheck in run_threaded) and the
   // PPC/redirect-flag stores, and defers the retire/cycle bump to
   // flush_batch. The real fetch path and the tag compare are NOT skipped —
@@ -450,26 +431,6 @@ class Cpu final : private uop::Datapath {
   unsigned prev_load_dst_ = 0;
   std::uint32_t text_base_ = 0;
   std::uint32_t text_end_ = 0;
-
-  // --- Block-granular checkpoint for recovery mode ---
-  struct StoreUndo {
-    std::uint32_t address;
-    uop::MemWidth width;
-    std::uint32_t old_value;
-  };
-  struct Checkpoint {
-    bool valid = false;
-    std::uint32_t block_start = 0;
-    std::array<std::uint32_t, isa::kNumGpr> gpr{};
-    std::uint32_t hi = 0;
-    std::uint32_t lo = 0;
-    std::size_t console_length = 0;
-    std::vector<StoreUndo> store_log;
-  };
-  Checkpoint checkpoint_;
-  bool rolled_back_ = false;
-  std::uint32_t retry_block_ = 0;
-  unsigned consecutive_retries_ = 0;
 };
 
 }  // namespace cicmon::cpu

@@ -47,8 +47,6 @@ void Cpu::attach_loaded(const LoadedImage& loaded) {
 
 void Cpu::save_snapshot(Snapshot* snapshot) const {
   support::check(snapshot != nullptr, "save_snapshot: null snapshot");
-  support::check(!config_.recovery.enabled,
-                 "snapshots do not support recovery mode (block checkpoints)");
   snapshot->instructions = result_.instructions;
   snapshot->bus_transfers = fetch_.bus_transfers();
   snapshot->gpr = gpr_;
@@ -78,10 +76,10 @@ bool same_result_except_console(const RunResult& a, const RunResult& b) {
   return a.instructions == b.instructions && a.cycles == b.cycles &&
          a.monitor_cycles == b.monitor_cycles && a.branch_bubbles == b.branch_bubbles &&
          a.load_use_stalls == b.load_use_stalls && a.muldiv_stalls == b.muldiv_stalls &&
-         a.icache_stall_cycles == b.icache_stall_cycles && a.recoveries == b.recoveries &&
-         a.reason == b.reason && a.exit_code == b.exit_code &&
-         a.monitor_cause == b.monitor_cause && a.check_observed == b.check_observed &&
-         a.check_expected == b.check_expected && a.iht == b.iht && a.os == b.os;
+         a.icache_stall_cycles == b.icache_stall_cycles && a.reason == b.reason &&
+         a.exit_code == b.exit_code && a.monitor_cause == b.monitor_cause &&
+         a.check_observed == b.check_observed && a.check_expected == b.check_expected &&
+         a.iht == b.iht && a.os == b.os;
 }
 
 }  // namespace
@@ -124,8 +122,6 @@ void Cpu::restore_snapshot(Snapshot&& snapshot) {
 }
 
 void Cpu::restore_registers(const Snapshot& snapshot) {
-  support::check(!config_.recovery.enabled,
-                 "snapshots do not support recovery mode (block checkpoints)");
   support::check(snapshot.checker.has_value() == cic_.has_value() &&
                      snapshot.os_stats.has_value() == os_.has_value(),
                  "restore_snapshot: monitoring configuration mismatch");

@@ -23,8 +23,7 @@
 // translation cache. Both are tamper-safe (every entry is tagged by the raw
 // fetched word, so any divergence misses and re-decodes), which makes a cold
 // cache semantically identical to a warm one — the existing engine A/B tests
-// enforce exactly that property. Recovery mode's block checkpoint is also
-// excluded; snapshots refuse to operate with recovery enabled.
+// enforce exactly that property.
 #pragma once
 
 #include <cstdint>

@@ -146,9 +146,7 @@ class MergeState {
  public:
   void add(ShardArtifact artifact);
 
-  std::size_t shards_total() const { return shard_count_; }
   std::size_t shards_merged() const { return shards_merged_; }
-  std::size_t cells_total() const { return covered_.size(); }
   std::size_t cells_merged() const { return cells_merged_; }
   bool complete() const { return shard_count_ > 0 && cells_merged_ == covered_.size(); }
 

@@ -215,10 +215,6 @@ double CampaignSummary::detection_rate_total() const {
 CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                                const CheckpointConfig& checkpoints)
     : image_(image), config_(config), checkpoints_(checkpoints) {
-  // Recovery mode keeps in-run block checkpoints that snapshots do not
-  // cover; such campaigns fall back to full re-execution.
-  if (config_.recovery.enabled) checkpoints_.enabled = false;
-
   // Load once, share forever: every trial's CPU reads this frozen image
   // through copy-on-write pages instead of re-running the loader (and, when
   // monitored, its whole-text hash computation), and shares one fused
@@ -251,8 +247,6 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
 CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                                const CheckpointConfig& checkpoints, const GoldenState& state)
     : image_(image), config_(config), checkpoints_(checkpoints) {
-  if (config_.recovery.enabled) checkpoints_.enabled = false;
-
   // Rebuild the LoadedImage from the shipped parts. The uop spec is the one
   // piece not shipped: build_isa_uops + embed_monitoring are pure functions
   // of the configuration, so rebuilding is bit-identical to the original.

@@ -84,8 +84,6 @@ struct CampaignSummary {
 // the clean prefix. A pure execution strategy — like the engine choice or the
 // job count, it never changes a trial outcome (CI enforces byte-identity on
 // vs off, and tests also at fixed strides) — so it is not a sweep parameter.
-// Automatically disabled when recovery mode is configured (snapshots do not
-// cover the in-run block checkpoint).
 //
 // That start state comes from a golden cursor: a clean Cpu on the trial
 // configuration that walks forward through the golden run. The runner keeps

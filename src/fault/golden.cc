@@ -11,8 +11,6 @@ CheckpointedGolden::CheckpointedGolden(const cpu::CpuConfig& config,
                                        const casm_::Image& image,
                                        const cpu::LoadedImage& loaded,
                                        std::uint64_t stride) {
-  support::check(!config.recovery.enabled,
-                 "checkpointed golden runs do not support recovery mode");
   const bool auto_stride = stride == 0;
   stride_ = auto_stride ? kAutoInitialStride : stride;
 

@@ -166,7 +166,6 @@ void put_result(std::string* out, const cpu::RunResult& r) {
   put_u64(out, r.instructions);
   put_u64(out, r.cycles);
   put_u64(out, r.monitor_cycles);
-  put_u64(out, r.recoveries);
   put_u64(out, r.branch_bubbles);
   put_u64(out, r.load_use_stalls);
   put_u64(out, r.muldiv_stalls);
@@ -192,7 +191,6 @@ cpu::RunResult get_result(Cursor* in) {
   r.instructions = in->u64();
   r.cycles = in->u64();
   r.monitor_cycles = in->u64();
-  r.recoveries = in->u64();
   r.branch_bubbles = in->u64();
   r.load_use_stalls = in->u64();
   r.muldiv_stalls = in->u64();

@@ -1,4 +1,4 @@
-// cicmon-golden-v2 — versioned, checksummed golden-state serialization.
+// cicmon-golden-v3 — versioned, checksummed golden-state serialization.
 //
 // A campaign's golden state is everything a campaign computes before the
 // first trial: the post-loader image (frozen copy-on-write page base +
@@ -12,7 +12,7 @@
 //
 // Record layout (all integers little-endian):
 //
-//     "cicmon-golden-v2"        16-byte magic
+//     "cicmon-golden-v3"        16-byte magic
 //     key                       16-byte canonical golden key (hex digits)
 //     image section             entry, fht_was_attached, FHT blob, pages
 //     golden-run section        stride, snapshots[]
@@ -52,9 +52,9 @@
 
 namespace cicmon::fault {
 
-// Leading magic of every cicmon-golden-v2 blob (exactly 16 bytes). A blob of
+// Leading magic of every cicmon-golden-v3 blob (exactly 16 bytes). A blob of
 // another version fails this check, so the worker derives locally.
-inline constexpr std::string_view kGoldenMagic = "cicmon-golden-v2";
+inline constexpr std::string_view kGoldenMagic = "cicmon-golden-v3";
 
 // Everything a worker needs to skip its golden run. `snapshots` is empty
 // and `stride` is 0 when the campaign runs with checkpoints off (the golden
@@ -74,8 +74,8 @@ struct GoldenState {
   cpu::RunResult result;
 
   // Block starts of the golden run's translation image, ascending. Empty
-  // without an image: on the switch engine, with checkpoints off and under
-  // recovery. The only section that depends on the engine.
+  // without an image: on the switch engine and with checkpoints off. The
+  // only section that depends on the engine.
   std::vector<std::uint32_t> image_starts;
 };
 
@@ -89,7 +89,7 @@ struct GoldenState {
 // shipping to local derivation.
 std::string golden_key(const std::vector<std::pair<std::string, std::string>>& fields);
 
-// Serializes `state` into a cicmon-golden-v2 blob carrying `key` (which must
+// Serializes `state` into a cicmon-golden-v3 blob carrying `key` (which must
 // be a 16-character golden_key output).
 std::string encode_golden(const GoldenState& state, std::string_view key);
 

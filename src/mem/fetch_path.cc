@@ -29,10 +29,6 @@ std::optional<std::uint32_t> ICache::flip_random_resident_bit(support::Rng& rng)
   return line * line_bytes_ + word_index * 4;
 }
 
-void ICache::invalidate_all() {
-  for (Line& line : lines_) line.valid = false;
-}
-
 void ICache::restore_state(const State& s) {
   support::check(s.lines.size() == lines_.size() && s.words.size() == words_.size(),
                  "ICache::restore_state: geometry mismatch");

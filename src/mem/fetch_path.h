@@ -72,7 +72,6 @@ class ICache {
   // nothing, if no line is valid yet.
   std::optional<std::uint32_t> flip_random_resident_bit(support::Rng& rng);
 
-  void invalidate_all();
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 

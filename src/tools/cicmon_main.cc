@@ -172,7 +172,7 @@ struct Options {
       "                   flips the golden run never fetches again as benign,\n"
       "                   and reuse the golden run's translated blocks; never\n"
       "                   changes a trial outcome (default on; off is the full\n"
-      "                   re-execution reference, forced under recovery mode)\n"
+      "                   re-execution reference)\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
       "                   handlers behind a tamper-safe translation cache) or\n"
       "                   'switch' (the per-uop predecode interpreter); both\n"

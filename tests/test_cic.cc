@@ -97,14 +97,6 @@ TEST(Iht, InvalidateVictimsPrefersLru) {
   EXPECT_TRUE(iht.lookup(0x00, 0x08, 0).found);
 }
 
-TEST(Iht, InvalidateAll) {
-  Iht iht(4, ReplacePolicy::kLru);
-  iht.fill(0x100, 0x108, 1);
-  iht.invalidate_all();
-  EXPECT_EQ(iht.valid_entries(), 0U);
-  EXPECT_FALSE(iht.lookup(0x100, 0x108, 1).found);
-}
-
 TEST(Iht, SingleEntryTableWorks) {
   Iht iht(1, ReplacePolicy::kLru);
   iht.fill(0x100, 0x108, 1);
@@ -115,15 +107,6 @@ TEST(Iht, SingleEntryTableWorks) {
 
 TEST(Iht, ZeroEntriesRejected) {
   EXPECT_THROW(Iht(0, ReplacePolicy::kLru), support::CicError);
-}
-
-TEST(Iht, ResetStatsKeepsContents) {
-  Iht iht(2, ReplacePolicy::kLru);
-  iht.fill(0x100, 0x108, 1);
-  iht.lookup(0x100, 0x108, 1);
-  iht.reset_stats();
-  EXPECT_EQ(iht.stats().lookups, 0U);
-  EXPECT_TRUE(iht.lookup(0x100, 0x108, 1).found);
 }
 
 TEST(PolicyNames, AllNamed) {

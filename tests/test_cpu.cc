@@ -225,20 +225,36 @@ TEST(Syscalls, CheckTrapRecordsValues) {
   EXPECT_EQ(r.check_expected, 6U);
 }
 
-TEST(Traps, IllegalInstruction) {
+// One retired instruction, then `trap`: the trap ends the run without
+// retiring, identically on both engines (the threaded engine reaches it
+// through its kIllegal handler after a batched prefix) with the monitor off
+// and on.
+void expect_trap_after_one_instruction(void (*trap)(Asm&)) {
   Asm a;
   a.func("main");
-  a.emit(0xFFFFFFFF);  // decodes to kInvalid
+  a.li(kT0, 7);
+  trap(a);
   a.sys_exit(0);
-  EXPECT_EQ(run(a).reason, ExitReason::kIllegalInstruction);
+  const casm_::Image image = a.finalize();
+  for (const bool monitoring : {false, true}) {
+    CpuConfig config;
+    config.monitoring = monitoring;
+    config.engine = Engine::kSwitch;
+    const RunResult reference = Cpu(config, image).run();
+    EXPECT_EQ(reference.reason, ExitReason::kIllegalInstruction);
+    EXPECT_EQ(reference.instructions, 1U);
+    EXPECT_EQ(reference.cycles, 1U);
+    config.engine = Engine::kThreaded;
+    EXPECT_TRUE(Cpu(config, image).run() == reference) << "monitoring " << monitoring;
+  }
+}
+
+TEST(Traps, IllegalInstruction) {
+  expect_trap_after_one_instruction([](Asm& a) { a.emit(0xFFFFFFFF); });  // kInvalid
 }
 
 TEST(Traps, BreakIsIllegal) {
-  Asm a;
-  a.func("main");
-  a.break_();
-  a.sys_exit(0);
-  EXPECT_EQ(run(a).reason, ExitReason::kIllegalInstruction);
+  expect_trap_after_one_instruction([](Asm& a) { a.break_(); });
 }
 
 TEST(Traps, WildPcOnJumpOutsideText) {

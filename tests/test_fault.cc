@@ -630,24 +630,6 @@ TEST(ResidentFaults, TextStoresEndWhatTheSummaryKnowsOfAnICacheMachine) {
   }
 }
 
-TEST(Campaign, RecoveryModeDisablesCheckpoints) {
-  // Recovery keeps in-run block checkpoints the snapshot does not cover, so
-  // a recovery campaign silently falls back to full re-execution.
-  cpu::CpuConfig config = monitored_config();
-  config.recovery.enabled = true;
-  CampaignRunner runner(checked_loop_program(), config, {true, 0});
-  EXPECT_FALSE(runner.checkpoints_enabled());
-  const TrialResult trial = runner.run_trial([] {
-    FaultSpec spec;
-    spec.site = FaultSite::kPostIdLatch;
-    spec.trigger_index = 5;
-    spec.xor_mask = 1U << 3;
-    return spec;
-  }());
-  EXPECT_EQ(runner.restores(), 0U);
-  (void)trial;  // the point is that the trial runs at all under recovery
-}
-
 TEST(Convergence, EveryTrialMatchesFullReExecution) {
   // Convergence early-exit is a pure execution strategy: per trial, outcome
   // and exit reason must equal full re-execution (checkpoints off) on both

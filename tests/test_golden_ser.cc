@@ -1,4 +1,4 @@
-// Tests for cicmon-golden-v2 (fault/golden_ser.h): key canonicalization,
+// Tests for cicmon-golden-v3 (fault/golden_ser.h): key canonicalization,
 // the encode/decode round trip (re-encoding is byte-identical, an imported
 // runner is behaviorally identical to a derived one), strict rejection of
 // corruption — any flipped byte, truncation, trailing garbage, or key skew

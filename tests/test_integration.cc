@@ -4,7 +4,6 @@
 
 #include "casm/builder.h"
 #include "cpu/cpu.h"
-#include "fault/campaign.h"
 #include "support/error.h"
 #include "sim/experiment.h"
 #include "support/rng.h"
@@ -212,94 +211,6 @@ TEST(ReplacementAblation, PoliciesAllCorrectOnlySpeedDiffers) {
     EXPECT_EQ(r.reason, cpu::ExitReason::kExit) << replace_policy_name(policy);
     EXPECT_EQ(r.iht.mismatches, 0U) << replace_policy_name(policy);
   }
-}
-
-TEST(Recovery, TransientFetchFaultIsRolledBackAndCompletes) {
-  // §7 future work, implemented: a one-shot bus fault corrupts a fetched
-  // word; the monitor detects the block, the CPU rolls it back and
-  // refetches — clean this time — and the program finishes correctly.
-  const casm_::Image image = workloads::build_workload("bitcount", {0.05, 42});
-  cpu::CpuConfig config;
-  config.monitoring = true;
-  config.cic.iht_entries = 16;
-  config.recovery.enabled = true;
-  fault::CampaignRunner runner(image, config);
-  fault::FaultSpec spec;
-  spec.site = fault::FaultSite::kFetchBus;
-  spec.trigger_index = 500;
-  spec.xor_mask = 1U << 11;
-  const fault::TrialResult trial = runner.run_trial(spec);
-  EXPECT_EQ(trial.outcome, fault::Outcome::kBenign)
-      << fault::outcome_name(trial.outcome);
-}
-
-TEST(Recovery, TransientCampaignAllRecover) {
-  const casm_::Image image = workloads::build_workload("bitcount", {0.05, 42});
-  cpu::CpuConfig config;
-  config.monitoring = true;
-  config.cic.iht_entries = 16;
-  config.recovery.enabled = true;
-  fault::CampaignRunner runner(image, config);
-  const fault::CampaignSummary s =
-      runner.run_random(fault::FaultSite::kFetchBus, 1, 50, 3);
-  EXPECT_EQ(s.benign, 50U);  // every transient fault survived
-}
-
-TEST(Recovery, PersistentCorruptionStillTerminates) {
-  // Rewritten memory refetches the same bad word; the retry budget runs out
-  // and the OS terminates — recovery must not mask real attacks.
-  const casm_::Image image = workloads::build_workload("bitcount", {0.05, 42});
-  cpu::CpuConfig config;
-  config.monitoring = true;
-  config.cic.iht_entries = 16;
-  config.recovery.enabled = true;
-  config.recovery.max_retries_per_block = 2;
-  fault::CampaignRunner runner(image, config);
-  fault::FaultSpec spec;
-  spec.site = fault::FaultSite::kMemoryText;
-  spec.target_address = image.text_base + 40;
-  spec.xor_mask = 1U << 11;
-  const fault::TrialResult trial = runner.run_trial(spec);
-  EXPECT_EQ(trial.outcome, fault::Outcome::kDetectedMismatch);
-}
-
-TEST(Recovery, RollbackRestoresArchitecturalState) {
-  // Run the same transient fault with and without recovery: the recovered
-  // run must produce the exact golden console and count its rollbacks.
-  const casm_::Image image = victim_program();
-  cpu::CpuConfig config;
-  config.monitoring = true;
-  config.cic.iht_entries = 8;
-  config.recovery.enabled = true;
-  cpu::Cpu golden(config, image);
-  const cpu::RunResult clean = golden.run();
-  ASSERT_EQ(clean.reason, cpu::ExitReason::kExit);
-  EXPECT_EQ(clean.recoveries, 0U);
-
-  cpu::Cpu faulty(config, image);
-  // Corrupt memory, let one block fail once, then repair it mid-run via the
-  // store-log path: simplest equivalent — flip and flip back is not possible
-  // externally, so use the campaign's transient bus model instead.
-  fault::CampaignRunner runner(image, config);
-  fault::FaultSpec spec;
-  spec.site = fault::FaultSite::kFetchBus;
-  spec.trigger_index = 20;
-  spec.xor_mask = 1U << 5;
-  const fault::TrialResult trial = runner.run_trial(spec);
-  EXPECT_EQ(trial.outcome, fault::Outcome::kBenign);
-}
-
-TEST(Recovery, DisabledMeansTerminate) {
-  const casm_::Image image = workloads::build_workload("bitcount", {0.05, 42});
-  cpu::CpuConfig config;
-  config.monitoring = true;
-  config.cic.iht_entries = 16;  // recovery left disabled
-  fault::CampaignRunner runner(image, config);
-  fault::FaultSpec spec;
-  spec.site = fault::FaultSite::kFetchBus;
-  spec.trigger_index = 500;
-  spec.xor_mask = 1U << 11;
-  EXPECT_TRUE(fault::is_detected(runner.run_trial(spec).outcome));
 }
 
 TEST(OsCostAblation, OverheadScalesWithExceptionCost) {

@@ -162,16 +162,6 @@ TEST(ICache, FlipResidentBitNeedsValidLine) {
   EXPECT_EQ(*flipped % 4, 0U);
 }
 
-TEST(ICache, InvalidateAllForcesMisses) {
-  ICacheConfig config;
-  config.enabled = true;
-  ICache cache(config);
-  auto refill = [](std::uint32_t a) { return a; };
-  cache.access(0x40, refill);
-  cache.invalidate_all();
-  EXPECT_FALSE(cache.access(0x40, refill).hit);
-}
-
 class CountingTamper : public BusTamper {
  public:
   std::uint32_t on_transfer(std::uint32_t, std::uint32_t word) override {

@@ -490,7 +490,6 @@ void expect_runs_identical(const cpu::RunResult& a, const cpu::RunResult& b) {
   EXPECT_EQ(a.load_use_stalls, b.load_use_stalls);
   EXPECT_EQ(a.muldiv_stalls, b.muldiv_stalls);
   EXPECT_EQ(a.icache_stall_cycles, b.icache_stall_cycles);
-  EXPECT_EQ(a.recoveries, b.recoveries);
   EXPECT_EQ(a.iht.lookups, b.iht.lookups);
   EXPECT_EQ(a.iht.hits, b.iht.hits);
   EXPECT_EQ(a.iht.misses, b.iht.misses);
