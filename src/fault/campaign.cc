@@ -44,6 +44,44 @@ class OneShotBusTamper final : public mem::BusTamper {
   std::uint64_t count_ = 0;
 };
 
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+// An icache-line trial's flips, drawn from the golden I-cache state at its
+// trigger without running anything, and the first instruction at or after
+// the trigger whose fetch reads one of them (kNever: none does, the flips
+// are inert).
+struct PlannedFlips {
+  struct Flip {
+    mem::ICache::Flip bit;
+    std::uint32_t address;  // of the word it flips, in the golden line
+  };
+  std::vector<Flip> flips;
+  std::uint64_t first_read = kNever;
+};
+
+// The outcome of a trial that ended with `result`.
+Outcome classify(const cpu::RunResult& result, const std::string& golden_console,
+                 std::uint32_t golden_exit_code) {
+  switch (result.reason) {
+    case cpu::ExitReason::kMonitorTerminated:
+      return result.monitor_cause == os::TerminationCause::kNotInFht
+                 ? Outcome::kDetectedMiss
+                 : Outcome::kDetectedMismatch;
+    case cpu::ExitReason::kIllegalInstruction:
+    case cpu::ExitReason::kWildPc:
+      return Outcome::kDetectedBaseline;
+    case cpu::ExitReason::kSelfCheckFailed:
+      return Outcome::kWrongOutput;
+    case cpu::ExitReason::kWatchdog:
+      return Outcome::kHang;
+    case cpu::ExitReason::kExit:
+      break;
+  }
+  return result.console == golden_console && result.exit_code == golden_exit_code
+             ? Outcome::kBenign
+             : Outcome::kWrongOutput;
+}
+
 }  // namespace
 
 // Golden cursors over one recording: clean Cpus on the trial configuration,
@@ -107,21 +145,41 @@ class CampaignRunner::CursorPool {
 // I-cache on retires the same instructions until the program stores into its
 // text; past that store it may fetch a stale cached copy, so for it the
 // summary holds only up to the first text store.
+//
+// The walk also keeps its fetch trace, as runs of consecutive words, and
+// replays it over the I-cache geometry of the icache-line trial machine:
+// when each line is first filled, and whether a later fetch evicts one. A
+// golden I-cache run that neither stores into its text nor evicts holds each
+// line, clean, from its first fill to its end, so its I-cache state at any
+// instruction follows from the fill times alone.
 struct CampaignRunner::TextAccess final : mem::BusTamper, cpu::TextWatch {
-  static constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-
-  explicit TextAccess(const casm_::Image& image)
+  TextAccess(const casm_::Image& image, const mem::ICacheConfig& icache)
       : text_base(image.text_base),
         text_end(image.text_end()),
+        geometry(icache),
         first_access(image.text.size(), kNever),
-        fetched_until(image.text.size(), 0) {}
+        fetched_until(image.text.size(), 0),
+        first_fill(icache.num_lines, kNever),
+        filled_tag(icache.num_lines, 0) {}
 
   std::uint32_t on_transfer(std::uint32_t address, std::uint32_t word) override {
     const std::uint64_t instruction = transfers++;
+    // Only text is fetched: a PC outside it ends the run before its fetch.
     if (address >= text_base && address < text_end) {
-      const std::size_t w = (address - text_base) / 4;
+      const auto w = static_cast<std::uint32_t>((address - text_base) / 4);
       first_access[w] = std::min(first_access[w], instruction);
       fetched_until[w] = instruction + 1;
+      if (run_starts.empty() || w != run_words.back() + (instruction - run_starts.back())) {
+        run_starts.push_back(instruction);
+        run_words.push_back(w);
+      }
+    }
+    const mem::ICache::Slot slot = mem::ICache::locate(geometry, address);
+    if (first_fill[slot.line] == kNever) {
+      first_fill[slot.line] = instruction;
+      filled_tag[slot.line] = slot.tag;
+    } else if (filled_tag[slot.line] != slot.tag) {
+      evicts = true;
     }
     return word;
   }
@@ -151,21 +209,97 @@ struct CampaignRunner::TextAccess final : mem::BusTamper, cpu::TextWatch {
     return first;
   }
 
-  // True when the golden run fetches `address` at instruction `from` or
-  // later: always, on a machine with the I-cache on, once it stores into its
-  // text.
-  bool fetched_from(std::uint32_t address, std::uint64_t from) const {
-    if (first_text_store != kNever) return true;
-    return address >= text_base && address < text_end &&
-           fetched_until[(address - text_base) / 4] > from;
+  // The flips of an icache-line `spec`, drawn as the trial machine would
+  // draw them at its trigger, and their first read; nullopt when the golden
+  // I-cache run stores into its text or evicts, so the fill times do not
+  // describe it.
+  std::optional<PlannedFlips> plan_icache_flips(const FaultSpec& spec) const {
+    if (first_text_store != kNever || evicts) return std::nullopt;
+    const std::vector<std::uint32_t> valid = filled_before(spec.trigger_index);
+    PlannedFlips plan;
+    support::Rng rng(icache_flip_seed(spec));
+    for (unsigned flip = 0; flip < support::popcount32(spec.xor_mask); ++flip) {
+      const std::optional<mem::ICache::Flip> bit =
+          mem::ICache::choose_flip(valid, geometry.words_per_line, rng);
+      if (!bit.has_value()) break;
+      const mem::ICache::Slot slot{bit->line, filled_tag[bit->line], bit->word};
+      plan.flips.push_back({*bit, mem::ICache::word_address(geometry, slot)});
+    }
+    plan.first_read = next_fetch(spec.trigger_index, plan.flips);
+    return plan;
+  }
+
+  // The I-cache line indices that fetches before instruction `n` fill,
+  // ascending: on a golden run that does not evict, its valid lines there.
+  std::vector<std::uint32_t> filled_before(std::uint64_t n) const {
+    std::vector<std::uint32_t> lines;
+    for (std::uint32_t i = 0; i < first_fill.size(); ++i) {
+      if (first_fill[i] < n) lines.push_back(i);
+    }
+    return lines;
+  }
+
+  // True when `icache`, `n` instructions into a golden run that does not
+  // evict, holds exactly the lines that fetches before `n` fill, with their
+  // tags.
+  bool describes(const mem::ICache& icache, std::uint64_t n) const {
+    for (std::uint32_t i = 0; i < first_fill.size(); ++i) {
+      const mem::ICache::Line& line = icache.line(i);
+      if (line.valid != (first_fill[i] < n) || (line.valid && line.tag != filled_tag[i])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // The first instruction at or after `from` whose fetch reads the word of
+  // one of `flips`; kNever when none does. Words outside the text (line
+  // padding) are never fetched.
+  std::uint64_t next_fetch(std::uint64_t from,
+                           const std::vector<PlannedFlips::Flip>& flips) const {
+    std::vector<std::uint32_t> words;
+    std::uint64_t until = 0;  // no fetch of any of them from here on
+    for (const PlannedFlips::Flip& flip : flips) {
+      if (flip.address < text_base || flip.address >= text_end) continue;
+      words.push_back((flip.address - text_base) / 4);
+      until = std::max(until, fetched_until[words.back()]);
+    }
+    if (until <= from) return kNever;
+    // The run holding `from`, then each later run until one fetches a word.
+    std::size_t run = static_cast<std::size_t>(
+        std::upper_bound(run_starts.begin(), run_starts.end(), from) - run_starts.begin() - 1);
+    for (; run < run_starts.size() && run_starts[run] < until; ++run) {
+      const std::uint64_t start = run_starts[run];
+      const std::uint64_t end = run + 1 < run_starts.size() ? run_starts[run + 1] : transfers;
+      const std::uint64_t skip = from > start ? from - start : 0;
+      std::uint64_t first = kNever;
+      for (const std::uint32_t w : words) {
+        if (w >= run_words[run] + skip && w < run_words[run] + (end - start)) {
+          first = std::min(first, start + (w - run_words[run]));
+        }
+      }
+      if (first != kNever) return first;
+    }
+    support::check(false, "text-access fetch runs disagree with the last fetches");
+    return kNever;
   }
 
   std::uint32_t text_base;
   std::uint32_t text_end;
+  mem::ICacheConfig geometry;                // the icache-line trial machine's I-cache
   std::vector<std::uint64_t> first_access;   // any fetch, load or store; kNever: none
   std::vector<std::uint64_t> fetched_until;  // one past the last fetch; 0: never fetched
   std::uint64_t first_text_store = kNever;
   std::uint64_t transfers = 0;
+  // The fetch trace: run r fetches words run_words[r], +1, ... from
+  // instruction run_starts[r] up to the next run's start.
+  std::vector<std::uint64_t> run_starts;
+  std::vector<std::uint32_t> run_words;
+  // Per I-cache line index: the instruction whose fetch first fills it
+  // (kNever: none) and the tag it fills it with.
+  std::vector<std::uint64_t> first_fill;
+  std::vector<std::uint32_t> filled_tag;
+  bool evicts = false;
 };
 
 std::string_view fault_site_name(FaultSite site) {
@@ -323,7 +457,8 @@ CampaignRunner::CursorPool& CampaignRunner::cursors(FaultSite site) const {
 
 const CampaignRunner::TextAccess& CampaignRunner::text_access() const {
   std::call_once(text_once_, [this] {
-    auto access = std::make_unique<TextAccess>(image_);
+    auto access =
+        std::make_unique<TextAccess>(image_, trial_config(FaultSite::kICacheLine).icache);
     cpu::CpuConfig config = trial_config(FaultSite::kFetchBus);
     config.icache.enabled = false;
     cpu::Cpu walk(config, image_, &loaded_);
@@ -333,6 +468,8 @@ const CampaignRunner::TextAccess& CampaignRunner::text_access() const {
     // On the campaign machine itself the walk is the golden run.
     support::check(config_.icache.enabled || result.instructions == golden_instructions_,
                    "text-access walk diverged from the golden run");
+    access->run_starts.shrink_to_fit();
+    access->run_words.shrink_to_fit();
     static const obs::CounterId k_walk = obs::counter("campaign.text_walk_instructions");
     text_walk_instructions_.fetch_add(walk.instructions_executed(), std::memory_order_relaxed);
     obs::bump(k_walk, walk.instructions_executed());
@@ -345,6 +482,12 @@ const CampaignRunner::TextAccess& CampaignRunner::text_access() const {
 std::uint64_t CampaignRunner::fork_point(const FaultSpec& spec) const {
   if (spec.site == FaultSite::kFetchBus || spec.site == FaultSite::kFetchBusPaired) {
     return spec.trigger_index;
+  }
+  if (spec.site == FaultSite::kICacheLine) {
+    // Planned flips that the golden run fetches again fork at that fetch,
+    // which is at most its last instruction.
+    const std::optional<PlannedFlips> planned = text_access().plan_icache_flips(spec);
+    if (planned.has_value() && planned->first_read != kNever) return planned->first_read;
   }
   // A cursor never retires the golden run's last instruction: it stays a
   // running golden state that later trials can fork from.
@@ -364,7 +507,7 @@ void CampaignRunner::count_restore(std::uint64_t instructions) const {
   obs::bump(k_skipped, instructions);
 }
 
-bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec,
+bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec, std::uint64_t target,
                                  cpu::Snapshot* out) const {
   const bool by_transfers =
       spec.site == FaultSite::kFetchBus || spec.site == FaultSite::kFetchBusPaired;
@@ -372,7 +515,6 @@ bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec,
                          ? +[](cpu::Cpu& c) { return c.fetch_path().bus_transfers(); }
                          : +[](cpu::Cpu& c) { return c.instructions_retired(); };
   const std::uint64_t last = std::max<std::uint64_t>(golden_instructions_, 1) - 1;
-  const std::uint64_t target = fork_point(spec);
   std::unique_ptr<cpu::Cpu> cursor = pool.checkout(clock, target, image_, loaded_);
 
   const CheckpointedGolden& golden = pool.golden();
@@ -414,6 +556,29 @@ bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec,
 }
 
 TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
+  static const obs::CounterId k_trials = obs::counter("campaign.trials");
+  // An icache-line trial that flips nothing, or whose flips the golden run
+  // never fetches again, is the golden I-cache run: only a fetch of a
+  // flipped address reads a flip, and a refill overwrites it.
+  const auto inert = [this, &spec]() -> const cpu::RunResult& {
+    static const obs::CounterId k_inert = obs::counter("campaign.inert_flips");
+    inert_flips_.fetch_add(1, std::memory_order_relaxed);
+    obs::bump(k_inert);
+    return cursors(spec.site).golden().result();
+  };
+  // With checkpoints, an icache-line trial draws its flips from the golden
+  // I-cache state at its trigger when the text-access summary describes that
+  // run: inert flips build no Cpu, live ones fork at their first read.
+  std::optional<PlannedFlips> planned;
+  if (golden_ != nullptr && spec.site == FaultSite::kICacheLine) {
+    planned = text_access().plan_icache_flips(spec);
+    if (planned.has_value() && planned->first_read == kNever) {
+      obs::bump(k_trials);
+      const cpu::RunResult& result = inert();
+      return {classify(result, golden_console_, golden_exit_code_), result.reason, spec, {}};
+    }
+  }
+
   cpu::Cpu cpu(trial_config(spec.site), image_, &loaded_);
 
   // Fast-forward: start from the golden state at the fork point, forked off
@@ -422,7 +587,8 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   std::uint64_t transfers_done = 0;
   if (golden_ != nullptr) {
     cpu::Snapshot start;
-    if (fork_golden(cursors(spec.site), spec, &start)) {
+    const std::uint64_t target = planned.has_value() ? planned->first_read : fork_point(spec);
+    if (fork_golden(cursors(spec.site), spec, target, &start)) {
       static const obs::CounterId k_forks = obs::counter("campaign.forks");
       forks_.fetch_add(1, std::memory_order_relaxed);
       obs::bump(k_forks);
@@ -459,9 +625,18 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   }
 
   std::optional<cpu::RunResult> result;
-  if (spec.site == FaultSite::kICacheLine) {
+  if (planned.has_value()) {
+    // Nothing fetched a flipped word since the trigger and nothing was
+    // evicted, so the fork holds each planned line as the trigger did. A
+    // summary that disagrees with the real cache fails here, loudly: the fork
+    // must hold exactly the lines, with the tags, that it dates as filled.
+    mem::ICache& icache = *cpu.fetch_path().icache();
+    support::check(text_access().describes(icache, cpu.instructions_retired()),
+                   "icache-line fork: the cache holds other lines than the summary dates");
+    for (const PlannedFlips::Flip& flip : planned->flips) icache.apply_flip(flip.bit);
+  } else if (spec.site == FaultSite::kICacheLine) {
     // Run to the trigger on the configured engine, then flip resident bits.
-    support::Rng icache_rng(spec.trigger_index * 0x9E3779B97F4A7C15ULL + spec.xor_mask);
+    support::Rng icache_rng(icache_flip_seed(spec));
     result = cpu.run_until(spec.trigger_index);
     if (!result.has_value()) {
       // Without checkpoints every trial runs to its end (the reference).
@@ -469,19 +644,11 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
       mem::ICache* icache = cpu.fetch_path().icache();
       if (icache != nullptr) {
         for (unsigned flip = 0; flip < support::popcount32(spec.xor_mask); ++flip) {
-          const std::optional<std::uint32_t> flipped = icache->flip_random_resident_bit(icache_rng);
-          live = live ||
-                 (flipped.has_value() && text_access().fetched_from(*flipped, spec.trigger_index));
+          const bool flipped = icache->flip_random_resident_bit(icache_rng).has_value();
+          live = live || flipped;
         }
       }
-      if (!live) {
-        // Only a fetch of a flipped address reads the flip, and a refill
-        // overwrites it: the rest of the trial is the golden I-cache run.
-        static const obs::CounterId k_inert = obs::counter("campaign.inert_flips");
-        inert_flips_.fetch_add(1, std::memory_order_relaxed);
-        obs::bump(k_inert);
-        result = cursors(spec.site).golden().result();
-      }
+      if (!live) result = inert();
     }
   }
   std::optional<std::uint64_t> converged_at;
@@ -492,41 +659,13 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
     result = transient && golden_ ? run_converging(cpu, spec, &converged_at) : cpu.run();
   }
 
-  static const obs::CounterId k_trials = obs::counter("campaign.trials");
   static const obs::CounterId k_cow_pages = obs::counter("campaign.cow_pages_copied");
   obs::bump(k_trials);
   obs::bump(k_cow_pages, cpu.memory().cow_pages_copied());
   cpu.publish_metrics();
   if (loaded_.translations && cpu.tcache_resets() != 0) detached_.fetch_add(1);
-
-  TrialResult out;
-  out.spec = spec;
-  out.converged_at = converged_at;
-  out.exit_reason = result->reason;
-  switch (result->reason) {
-    case cpu::ExitReason::kMonitorTerminated:
-      out.outcome = (result->monitor_cause == os::TerminationCause::kNotInFht)
-                        ? Outcome::kDetectedMiss
-                        : Outcome::kDetectedMismatch;
-      break;
-    case cpu::ExitReason::kIllegalInstruction:
-    case cpu::ExitReason::kWildPc:
-      out.outcome = Outcome::kDetectedBaseline;
-      break;
-    case cpu::ExitReason::kSelfCheckFailed:
-      out.outcome = Outcome::kWrongOutput;
-      break;
-    case cpu::ExitReason::kWatchdog:
-      out.outcome = Outcome::kHang;
-      break;
-    case cpu::ExitReason::kExit:
-      out.outcome =
-          (result->console == golden_console_ && result->exit_code == golden_exit_code_)
-              ? Outcome::kBenign
-              : Outcome::kWrongOutput;
-      break;
-  }
-  return out;
+  return {classify(*result, golden_console_, golden_exit_code_), result->reason, spec,
+          converged_at};
 }
 
 std::size_t CampaignRunner::first_spent_snapshot(const FaultSpec& spec) const {

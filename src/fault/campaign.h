@@ -109,6 +109,20 @@ struct CampaignSummary {
 // own text may fetch a stale cached copy where the walk fetched the new
 // word, so there the summary holds only up to the first text store.
 //
+// An I-cache flip is read only by a fetch of the flipped address, and any
+// refill of its line overwrites it. The walk also keeps its fetch trace and
+// replays it over the trial machine's I-cache geometry, dating each line's
+// first fill. When the golden I-cache run neither stores into its text nor
+// evicts a line, that gives its I-cache state at any trigger without running
+// anything: an icache-line trial draws its flips from it (the draws
+// mem::ICache::choose_flip makes in a run paused at the trigger), forks at
+// the first instruction at or after the trigger whose fetch reads a flipped
+// word and XORs the flips into the restored cache there. One whose flips the
+// golden run never fetches again is inert: it takes the golden I-cache run's
+// result (benign) without building a Cpu. On any other golden I-cache run a
+// trial forks at its trigger, flips there and runs on; it is inert only when
+// no line is resident yet, so nothing flips.
+//
 // The recorded snapshots also end transient-fault trials early (convergence
 // early-exit). Once a fetch-bus, fetch-bus-paired or post-ID fault is spent —
 // it can no longer fire — a trial whose complete state (Cpu::matches_snapshot)
@@ -118,11 +132,7 @@ struct CampaignSummary {
 // schedule (the first boundary after the fault is spent, then 1, 3, 7, ...
 // boundaries later), so a trial that never re-converges pays O(log n)
 // compares. Memory-text and icache-line corruption stays resident in memory
-// or cache state, so those trials never converge. An I-cache flip, though,
-// is read only by a fetch of the flipped address, and any refill of its line
-// overwrites it: when the summary shows the golden run fetching none of the
-// flipped addresses at or after the trigger, the trial is inert and takes
-// the golden I-cache run's result (benign) without running on.
+// or cache state, so those trials never converge.
 // Trials also read the golden run's sealed translation image as a shared
 // first-level block cache until a text write detaches them. Shipped golden
 // state carries the image's block starts, and the runner rebuilds the same
@@ -247,7 +257,8 @@ class CampaignRunner {
 
   // Golden cursors over one recording (campaign.cc).
   class CursorPool;
-  // When the golden run reads, writes and fetches each text word (campaign.cc).
+  // When the golden run reads, writes and fetches each text word, and when its
+  // fetches fill each I-cache line (campaign.cc).
   struct TextAccess;
 
   // The trial machine: the campaign's, with a hang watchdog, and the I-cache
@@ -266,15 +277,18 @@ class CampaignRunner {
 
   // Where `spec`'s trial forks off the golden run: its trigger (a bus
   // transfer for the bus sites, else a retired-instruction count, held below
-  // the golden run's last instruction), or for memory-text the instruction
-  // that first reads the flipped word. Also the trial's order key.
+  // the golden run's last instruction), for memory-text the instruction that
+  // first reads the flipped word, and for icache-line flips planned from the
+  // summary the first instruction at or after the trigger whose fetch reads
+  // one of them. Also the trial's order key.
   std::uint64_t fork_point(const FaultSpec& spec) const;
 
   // Saves into `out` the golden state at the last instruction boundary at
-  // or before `spec`'s fork point, on that point's clock, off a cursor from
+  // or before `target`, on the clock of `spec`'s site, off a cursor from
   // `pool`. Returns false, saving nothing, when that boundary is
   // instruction 0 (a fresh Cpu's state).
-  bool fork_golden(CursorPool& pool, const FaultSpec& spec, cpu::Snapshot* out) const;
+  bool fork_golden(CursorPool& pool, const FaultSpec& spec, std::uint64_t target,
+                   cpu::Snapshot* out) const;
   void count_restore(std::uint64_t instructions) const;
 
   casm_::Image image_;

@@ -49,4 +49,11 @@ struct FaultSpec {
   std::uint32_t target_address = 0;  // text word address (kMemoryText)
 };
 
+// Seed of the RNG a kICacheLine fault draws its resident bits from (see
+// mem::ICache::choose_flip), so the bits it flips depend only on the spec
+// and on which lines are resident at its trigger.
+constexpr std::uint64_t icache_flip_seed(const FaultSpec& spec) {
+  return spec.trigger_index * 0x9E3779B97F4A7C15ULL + spec.xor_mask;
+}
+
 }  // namespace cicmon::fault

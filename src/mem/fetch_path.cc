@@ -15,18 +15,36 @@ ICache::ICache(const ICacheConfig& config) : config_(config) {
   words_.resize(static_cast<std::size_t>(config_.num_lines) * config_.words_per_line, 0);
 }
 
-std::optional<std::uint32_t> ICache::flip_random_resident_bit(support::Rng& rng) {
-  std::vector<std::uint32_t> valid_lines;
-  for (std::uint32_t i = 0; i < lines_.size(); ++i) {
-    if (lines_[i].valid) valid_lines.push_back(i);
-  }
+std::optional<ICache::Flip> ICache::choose_flip(std::span<const std::uint32_t> valid_lines,
+                                                unsigned words_per_line, support::Rng& rng) {
   if (valid_lines.empty()) return std::nullopt;
-  const std::uint32_t line_index = valid_lines[rng.below(valid_lines.size())];
-  const auto word_index = static_cast<std::uint32_t>(rng.below(config_.words_per_line));
-  const auto bit = static_cast<unsigned>(rng.below(32));
-  line_words(line_index)[word_index] ^= 1U << bit;
-  const std::uint32_t line = lines_[line_index].tag * config_.num_lines + line_index;
-  return line * line_bytes_ + word_index * 4;
+  Flip flip;
+  flip.line = valid_lines[rng.below(valid_lines.size())];
+  flip.word = static_cast<std::uint32_t>(rng.below(words_per_line));
+  flip.bit = static_cast<unsigned>(rng.below(32));
+  return flip;
+}
+
+std::vector<std::uint32_t> ICache::valid_lines() const {
+  std::vector<std::uint32_t> valid;
+  for (std::uint32_t i = 0; i < lines_.size(); ++i) {
+    if (lines_[i].valid) valid.push_back(i);
+  }
+  return valid;
+}
+
+std::uint32_t ICache::apply_flip(const Flip& flip) {
+  support::check(flip.line < lines_.size() && lines_[flip.line].valid &&
+                     flip.word < config_.words_per_line && flip.bit < 32,
+                 "ICache::apply_flip: no such resident bit");
+  line_words(flip.line)[flip.word] ^= 1U << flip.bit;
+  return word_address(config_, {flip.line, lines_[flip.line].tag, flip.word});
+}
+
+std::optional<std::uint32_t> ICache::flip_random_resident_bit(support::Rng& rng) {
+  const std::optional<Flip> flip = choose_flip(valid_lines(), config_.words_per_line, rng);
+  if (!flip.has_value()) return std::nullopt;
+  return apply_flip(*flip);
 }
 
 void ICache::restore_state(const State& s) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "mem/memory.h"
@@ -42,34 +43,70 @@ class ICache {
     bool hit = false;
   };
 
+  // Where a word sits in a direct-mapped cache: the index of its line, the
+  // tag that line holds while it caches the word, and the word of the line.
+  struct Slot {
+    std::uint32_t line = 0;
+    std::uint32_t tag = 0;
+    std::uint32_t word = 0;
+  };
+  // The slot of the word at `address` in a cache of `config`'s geometry.
+  static Slot locate(const ICacheConfig& config, std::uint32_t address) {
+    const std::uint32_t memory_line = address / (config.words_per_line * 4);
+    return {memory_line % config.num_lines, memory_line / config.num_lines,
+            address / 4 % config.words_per_line};
+  }
+  // The inverse: the address of the word at `slot`.
+  static std::uint32_t word_address(const ICacheConfig& config, const Slot& slot) {
+    return ((slot.tag * config.num_lines + slot.line) * config.words_per_line + slot.word) * 4;
+  }
+
   // Returns the cached word; on miss, refills through `refill` (one call per
   // word in the line, in address order).
   template <typename RefillFn>
   Access access(std::uint32_t address, RefillFn&& refill) {
-    const std::uint32_t line_index = (address / line_bytes_) % config_.num_lines;
-    const std::uint32_t tag = address / line_bytes_ / config_.num_lines;
-    Line& line = lines_[line_index];
-    std::uint32_t* words = line_words(line_index);
+    const Slot slot = locate(config_, address);
+    Line& line = lines_[slot.line];
+    std::uint32_t* words = line_words(slot.line);
     Access out;
-    if (!line.valid || line.tag != tag) {
+    if (!line.valid || line.tag != slot.tag) {
       const std::uint32_t base = address & ~(line_bytes_ - 1);
       for (unsigned w = 0; w < config_.words_per_line; ++w) {
         words[w] = refill(base + w * 4);
       }
       line.valid = true;
-      line.tag = tag;
+      line.tag = slot.tag;
       ++misses_;
     } else {
       out.hit = true;
       ++hits_;
     }
-    out.word = words[(address / 4) % config_.words_per_line];
+    out.word = words[slot.word];
     return out;
   }
 
-  // Flips one random bit of one random *valid* line (cache-resident fault)
-  // and returns the address of the word it flipped; nullopt, flipping
-  // nothing, if no line is valid yet.
+  // One cache-resident bit flip: a line index, a word of that line and a
+  // bit of that word.
+  struct Flip {
+    std::uint32_t line = 0;
+    std::uint32_t word = 0;
+    unsigned bit = 0;
+    bool operator==(const Flip&) const = default;
+  };
+
+  // Draws a random bit of a random valid line: the line from `valid_lines`
+  // (valid line indices, ascending), then the word and the bit. Pure: the
+  // caller says which lines are valid, so the same draw can be planned
+  // without a cache. Nullopt, drawing nothing, when no line is valid.
+  static std::optional<Flip> choose_flip(std::span<const std::uint32_t> valid_lines,
+                                         unsigned words_per_line, support::Rng& rng);
+  // The valid line indices, ascending.
+  std::vector<std::uint32_t> valid_lines() const;
+  // XORs `flip` into its (valid) line and returns the address of the word
+  // it flipped.
+  std::uint32_t apply_flip(const Flip& flip);
+  // choose_flip over valid_lines(), then apply_flip: a cache-resident fault.
+  // Nullopt, flipping nothing, if no line is valid yet.
   std::optional<std::uint32_t> flip_random_resident_bit(support::Rng& rng);
 
   std::uint64_t hits() const { return hits_; }
@@ -80,6 +117,7 @@ class ICache {
     std::uint32_t tag = 0;
     bool operator==(const Line&) const = default;
   };
+  const Line& line(std::uint32_t index) const { return lines_[index]; }
 
   // Complete mutable cache state, for simulator snapshots. Geometry is
   // configuration, not state: save/restore assume an identically configured

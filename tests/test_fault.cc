@@ -359,7 +359,8 @@ TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
   // with engine.instructions.executed. The cursor publishes its walk like a
   // trial publishes its suffix; in fork-point order one cursor walks the
   // golden run at most once. Memory-text and icache-line campaigns also
-  // publish the one text walk, which runs the golden run once.
+  // publish the one text walk, which runs the golden run once. An inert
+  // I-cache flip builds no Cpu, so it publishes nothing and forks nothing.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   for (const FaultSite site :
        {FaultSite::kFetchBus, FaultSite::kMemoryText, FaultSite::kICacheLine}) {
@@ -385,45 +386,49 @@ TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
     const bool walks = site != FaultSite::kFetchBus;
     EXPECT_EQ(runner.text_walk_instructions(), walks ? runner.golden_instructions() : 0U)
         << where;
-    // 60 trials, the one cursor, and the text walk where there is one.
-    EXPECT_EQ(delta["engine.runs"], walks ? 62U : 61U) << where;
+    // 60 trials less the inert ones, the one cursor, and the text walk where
+    // there is one.
+    EXPECT_EQ(delta["engine.runs"], (walks ? 62U : 61U) - runner.inert_flips()) << where;
     EXPECT_GT(runner.forks(), 50U) << where;
-    EXPECT_LE(runner.forks(), 60U) << where;
+    EXPECT_LE(runner.forks() + runner.inert_flips(), 60U) << where;
     EXPECT_GE(runner.restores(), runner.forks()) << where;
     EXPECT_GT(runner.cursor_instructions(), 0U) << where;
     EXPECT_LE(runner.cursor_instructions(), runner.golden_instructions()) << where;
-    // What the trials themselves executed. A bus or memory-text fault is
-    // caught within a few blocks of its fork, far below a stride of clean
-    // prefix per trial. A live I-cache flip runs from its trigger to its
-    // first use and on; the inert ones run nothing.
+    // What the trials themselves executed. A bus, memory-text or live
+    // I-cache fault forks where it is first read and is caught within a few
+    // blocks of its fork, far below a stride of clean prefix per trial; the
+    // inert I-cache flips run nothing.
     const std::uint64_t trial_executed = delta["engine.instructions.executed"] -
                                          runner.cursor_instructions() -
                                          runner.text_walk_instructions();
+    EXPECT_LT(trial_executed, 60U * 50U) << where;
     if (site == FaultSite::kICacheLine) {
       EXPECT_GT(runner.inert_flips(), 0U);
-      EXPECT_LT(trial_executed, (60U - runner.inert_flips()) * runner.golden_instructions());
     } else {
       EXPECT_EQ(runner.inert_flips(), 0U) << where;
-      EXPECT_LT(trial_executed, 60U * 50U) << where;
     }
   }
 }
 
-// Each of `faults`, run checkpointed on `image` on both engines, must match
-// full re-execution on the same machine (`config`, with the switch engine
-// as the reference). Returns the reference trials; adds the checkpointed
-// runners' forks and inert flips to `forks` and `inert` when given.
-std::vector<TrialResult> expect_trials_match_reference(const casm_::Image& image,
-                                                       const cpu::CpuConfig& config,
-                                                       const std::vector<FaultSpec>& faults,
-                                                       const std::string& what,
-                                                       std::uint64_t* forks = nullptr,
-                                                       std::uint64_t* inert = nullptr) {
-  cpu::CpuConfig reference_config = config;
-  reference_config.engine = cpu::Engine::kSwitch;
-  const CampaignRunner reference(image, reference_config, {false, 0});
+// Each of `faults` by full re-execution on `image` on the machine `config`,
+// on the switch engine: the reference.
+std::vector<TrialResult> reference_trials(const casm_::Image& image, cpu::CpuConfig config,
+                                          const std::vector<FaultSpec>& faults) {
+  config.engine = cpu::Engine::kSwitch;
+  const CampaignRunner reference(image, config, {false, 0});
   std::vector<TrialResult> wants;
   for (const FaultSpec& spec : faults) wants.push_back(reference.run_trial(spec));
+  return wants;
+}
+
+// Each of `faults`, run checkpointed on `image` on both engines, must match
+// `wants`, its reference trials on the same machine (`config`). Adds the
+// checkpointed runners' forks and inert flips to `forks` and `inert` when
+// given.
+void expect_trials_match(const casm_::Image& image, const cpu::CpuConfig& config,
+                         const std::vector<FaultSpec>& faults,
+                         const std::vector<TrialResult>& wants, const std::string& what,
+                         std::uint64_t* forks = nullptr, std::uint64_t* inert = nullptr) {
   for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
     cpu::CpuConfig trial_config = config;
     trial_config.engine = engine;
@@ -441,6 +446,18 @@ std::vector<TrialResult> expect_trials_match_reference(const casm_::Image& image
     if (forks != nullptr) *forks += runner.forks();
     if (inert != nullptr) *inert += runner.inert_flips();
   }
+}
+
+// expect_trials_match against full re-execution on `config`; returns the
+// reference trials.
+std::vector<TrialResult> expect_trials_match_reference(const casm_::Image& image,
+                                                       const cpu::CpuConfig& config,
+                                                       const std::vector<FaultSpec>& faults,
+                                                       const std::string& what,
+                                                       std::uint64_t* forks = nullptr,
+                                                       std::uint64_t* inert = nullptr) {
+  std::vector<TrialResult> wants = reference_trials(image, config, faults);
+  expect_trials_match(image, config, faults, wants, what, forks, inert);
   return wants;
 }
 
@@ -572,6 +589,133 @@ TEST(ResidentFaults, InertICacheFlipsMatchFullReExecution) {
   EXPECT_GT(std::count_if(wants.begin(), wants.end(),
                           [](const TrialResult& t) { return t.outcome != Outcome::kBenign; }),
             0);
+}
+
+// Every trigger of `image` on the I-cache machine of `config`, each with a
+// 1-, a 2- and a 3-bit mask, or with one mask whose weight cycles through
+// those unless `every_weight`. A fault's mask seeds which resident bits flip,
+// so to cover flips that cancel and flips in line padding past the text end
+// this draws each candidate mask's flips from the lines a clean run holds at
+// the trigger, as a trial does, and adds up to four of each kind: 2-bit
+// masks whose two flips hit the same bit, and 1- or 2-bit masks with a flip
+// past the text end. Counts those in `cancelling` and `padding`.
+std::vector<FaultSpec> icache_faults_by_weight(const casm_::Image& image, cpu::CpuConfig config,
+                                               bool every_weight, unsigned* cancelling,
+                                               unsigned* padding) {
+  config.icache.enabled = true;
+  const mem::ICacheConfig& geometry = config.icache;
+  cpu::Cpu clean(config, image);
+  std::vector<FaultSpec> faults;
+  for (std::uint64_t trigger = 0; !clean.run_until(trigger).has_value(); ++trigger) {
+    const mem::ICache& icache = *clean.fetch_path().icache();
+    const std::vector<std::uint32_t> valid = icache.valid_lines();
+    const auto fault = [trigger](std::uint32_t mask) {
+      return FaultSpec{FaultSite::kICacheLine, mask, trigger, 0};
+    };
+    const auto draw = [&](const FaultSpec& spec) {
+      support::Rng rng(icache_flip_seed(spec));
+      std::vector<mem::ICache::Flip> flips;
+      for (unsigned n = 0; n < support::popcount32(spec.xor_mask); ++n) {
+        if (const auto flip = mem::ICache::choose_flip(valid, geometry.words_per_line, rng)) {
+          flips.push_back(*flip);
+        }
+      }
+      return flips;
+    };
+    for (const unsigned weight : {1U, 2U, 3U}) {
+      if (every_weight || trigger % 3 == weight - 1) {
+        const std::uint32_t ones = (1U << weight) - 1;
+        faults.push_back(fault(ones << (trigger % (33 - weight))));
+      }
+    }
+    for (unsigned low = 0; low < 32 && *cancelling < 4; ++low) {
+      for (unsigned high = low + 1; high < 32; ++high) {
+        const FaultSpec spec = fault((1U << low) | (1U << high));
+        const std::vector<mem::ICache::Flip> flips = draw(spec);
+        if (flips.size() == 2 && flips[0] == flips[1]) {
+          faults.push_back(spec);
+          ++*cancelling;
+          break;
+        }
+      }
+    }
+    const auto word_address = [&](const mem::ICache::Flip& flip) {
+      const std::uint32_t tag = icache.line(flip.line).tag;
+      return mem::ICache::word_address(geometry, {flip.line, tag, flip.word});
+    };
+    const bool padded = std::any_of(valid.begin(), valid.end(), [&](std::uint32_t line) {
+      return word_address({line, geometry.words_per_line - 1, 0}) >= image.text_end();
+    });
+    for (unsigned low = 0; padded && low < 32 && *padding < 4; ++low) {
+      for (unsigned high = low; high < 32; ++high) {
+        const FaultSpec spec = fault((1U << low) | (1U << high));
+        const std::vector<mem::ICache::Flip> flips = draw(spec);
+        if (std::any_of(flips.begin(), flips.end(), [&](const mem::ICache::Flip& flip) {
+              return word_address(flip) >= image.text_end();
+            })) {
+          faults.push_back(spec);
+          ++*padding;
+          break;
+        }
+      }
+    }
+  }
+  return faults;
+}
+
+TEST(ResidentFaults, ICacheFlipsForkAtFirstReadMatchFullReExecution) {
+  // When the golden I-cache run neither stores into its text nor evicts, an
+  // icache-line trial draws its flips from the I-cache state the text walk
+  // dates for its trigger, and forks at the first instruction at or after
+  // the trigger whose fetch reads a flipped word; one whose flips are never
+  // fetched again builds no Cpu. Every trigger with 1-, 2- and 3-bit masks,
+  // cancelling flips and padding flips included, must match full
+  // re-execution, with the campaign machine's I-cache off (a lazy icache-on
+  // recording serves the trials) and on. Every trial either forks or is
+  // inert. A two-line cache that the golden run evicts from keeps the
+  // run-from-trigger path: every trial past trigger 0 forks at its trigger,
+  // and only those at trigger 0, which flip nothing, are inert.
+  unsigned cancelling = 0;
+  unsigned padding = 0;
+  for (const bool sha : {false, true}) {
+    const casm_::Image image =
+        sha ? workloads::build_workload("sha", {0.02, 42}) : checked_loop_program();
+    const std::string name = sha ? "sha" : "checked loop";
+    // Every weight at every trigger of the loop; one per trigger of sha.
+    const std::vector<FaultSpec> faults =
+        icache_faults_by_weight(image, monitored_config(), !sha, &cancelling, &padding);
+    // Both machines run icache-line trials with the I-cache on.
+    const std::vector<TrialResult> wants = reference_trials(image, monitored_config(), faults);
+    for (const bool icache : {false, true}) {
+      cpu::CpuConfig config = monitored_config();
+      config.icache.enabled = icache;
+      std::uint64_t forks = 0;
+      std::uint64_t inert = 0;
+      const std::string what = name + ", " + machine_name(config);
+      expect_trials_match(image, config, faults, wants, what, &forks, &inert);
+      EXPECT_GT(forks, 0U) << what;
+      EXPECT_GT(inert, 0U) << what;
+      EXPECT_EQ(forks + inert, 2 * faults.size()) << what;  // over two engines
+    }
+  }
+  EXPECT_GT(cancelling, 0U);
+  EXPECT_GT(padding, 0U);
+
+  const casm_::Image image = checked_loop_program();
+  cpu::CpuConfig config = monitored_config();
+  config.icache.enabled = true;
+  config.icache.num_lines = 2;
+  unsigned found = 4;  // no cancelling or padding masks: the fallback needs none
+  const std::vector<FaultSpec> faults =
+      icache_faults_by_weight(image, config, true, &found, &found);
+  std::uint64_t forks = 0;
+  std::uint64_t inert = 0;
+  expect_trials_match_reference(image, config, faults, "evicting", &forks, &inert);
+  const auto at_zero = static_cast<std::uint64_t>(std::count_if(
+      faults.begin(), faults.end(), [](const FaultSpec& f) { return f.trigger_index == 0; }));
+  EXPECT_GT(at_zero, 0U);
+  EXPECT_EQ(forks, 2U * (faults.size() - at_zero));
+  EXPECT_EQ(inert, 2U * at_zero);
 }
 
 // Rewrites its own code between two calls of `fn`: the nop becomes `jr ra`.

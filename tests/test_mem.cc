@@ -2,7 +2,10 @@
 // with its tamper hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "casm/builder.h"
 #include "mem/fetch_path.h"
@@ -160,6 +163,77 @@ TEST(ICache, FlipResidentBitNeedsValidLine) {
   EXPECT_GE(*flipped, 0x80U);
   EXPECT_LT(*flipped, 0x90U);
   EXPECT_EQ(*flipped % 4, 0U);
+}
+
+TEST(ICache, LocateNamesTheSlotAnAccessFills) {
+  // Fault campaigns date line fills from a fetch trace, without a cache,
+  // through ICache::locate; word_address is its inverse.
+  ICacheConfig config;
+  config.enabled = true;
+  config.num_lines = 8;
+  for (const std::uint32_t address : {0x0U, 0x8U, 0x8CU, 0x1234U, 0x40000FFCU}) {
+    ICache cache(config);
+    cache.access(address, [](std::uint32_t a) { return a; });
+    const ICache::Slot slot = ICache::locate(config, address);
+    EXPECT_EQ(cache.valid_lines(), std::vector<std::uint32_t>{slot.line}) << address;
+    EXPECT_EQ(cache.line(slot.line).tag, slot.tag) << address;
+    EXPECT_EQ(cache.save_state().words[slot.line * config.words_per_line + slot.word], address)
+        << address;
+    EXPECT_EQ(ICache::word_address(config, slot), address) << address;
+  }
+}
+
+TEST(ICache, ChooserDrawsWhatTheFlipFlips) {
+  // Fault campaigns plan I-cache flips from the lines they know are valid,
+  // without a cache. The pure chooser must draw exactly the line, word and
+  // bit flip_random_resident_bit flips for the same seed, consuming the same
+  // draws, whatever is resident: nothing, one line, or several (a line
+  // refilled by a conflicting address keeps its index and takes the new tag).
+  ICacheConfig config;
+  config.enabled = true;
+  config.num_lines = 8;
+  const std::vector<std::vector<std::uint32_t>> residencies = {
+      {}, {0x80}, {0x80, 0x400, 0x1230}, {0x0, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70},
+      {0x20, 0xA0}};
+  for (const std::vector<std::uint32_t>& addresses : residencies) {
+    ICache cache(config);
+    for (const std::uint32_t address : addresses) {
+      cache.access(address, [](std::uint32_t a) { return a * 7; });
+    }
+    const std::vector<std::uint32_t> valid = cache.valid_lines();
+    EXPECT_TRUE(std::is_sorted(valid.begin(), valid.end()));
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+      const std::string where = std::to_string(addresses.size()) + " filled, seed " +
+                                std::to_string(seed);
+      support::Rng planned_rng(seed);
+      const std::optional<ICache::Flip> planned =
+          ICache::choose_flip(valid, config.words_per_line, planned_rng);
+      ICache flipped_cache = cache;
+      support::Rng flip_rng(seed);
+      const std::optional<std::uint32_t> flipped =
+          flipped_cache.flip_random_resident_bit(flip_rng);
+      EXPECT_EQ(planned_rng.next_u64(), flip_rng.next_u64()) << where;
+      ASSERT_EQ(planned.has_value(), !addresses.empty()) << where;
+      ASSERT_EQ(flipped.has_value(), planned.has_value()) << where;
+      if (!planned.has_value()) continue;
+      // The one word that differs, and its one differing bit, are the plan's.
+      const ICache::State before = cache.save_state();
+      const ICache::State after = flipped_cache.save_state();
+      EXPECT_TRUE(before.lines[planned->line].valid) << where;
+      const std::size_t word = planned->line * config.words_per_line + planned->word;
+      for (std::size_t w = 0; w < before.words.size(); ++w) {
+        EXPECT_EQ(before.words[w] ^ after.words[w], w == word ? 1U << planned->bit : 0U)
+            << where << ", word " << w;
+      }
+      const std::uint32_t line =
+          before.lines[planned->line].tag * config.num_lines + planned->line;
+      EXPECT_EQ(*flipped, (line * config.words_per_line + planned->word) * 4) << where;
+      // apply_flip is the other half: it flips the same bit on a copy.
+      ICache applied = cache;
+      EXPECT_EQ(applied.apply_flip(*planned), *flipped) << where;
+      EXPECT_TRUE(applied.save_state() == after) << where;
+    }
+  }
 }
 
 class CountingTamper : public BusTamper {
