@@ -219,7 +219,8 @@ class Cpu final : private uop::Datapath {
   // --- Fault-injection and observation hooks ---
   mem::Memory& memory() { return memory_; }
   mem::FetchPath& fetch_path() { return fetch_; }
-  void set_post_id_fault(const PostIdFault& fault) { post_id_fault_ = fault; }
+  // Arms the post-ID latch fault; nullopt disarms it.
+  void set_post_id_fault(std::optional<PostIdFault> fault) { post_id_fault_ = fault; }
   // Invoked at every IHT lookup with (start, end) — the dynamic block trace.
   using LookupObserver = std::function<void(std::uint32_t, std::uint32_t)>;
   void set_lookup_observer(LookupObserver observer) { observer_ = std::move(observer); }

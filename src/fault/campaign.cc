@@ -44,6 +44,12 @@ class OneShotBusTamper final : public mem::BusTamper {
   std::uint64_t count_ = 0;
 };
 
+// The global index of the last bus transfer a fetch-bus or fetch-bus-paired
+// fault tampers with.
+std::uint64_t last_tampered_transfer(const FaultSpec& spec) {
+  return spec.trigger_index + (spec.site == FaultSite::kFetchBusPaired ? 1 : 0);
+}
+
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 // An icache-line trial's flips, drawn from the golden I-cache state at its
@@ -89,6 +95,12 @@ Outcome classify(const cpu::RunResult& result, const std::string& golden_console
 // wait here; a trial checks one out, walks it forward, forks it and checks
 // it back in, so a pool holds at most as many cursors as trials ever ran at
 // once. Cursors are built on first use.
+//
+// Idle trial machines wait here too: Cpus on the same configuration that a
+// trial restores its fork into, runs, and checks back in disarmed. Any idle
+// machine serves any trial: the restore installs the whole determinism
+// surface, and its predecode and translation caches are tag-checked per
+// dynamic instruction, so a warm cache runs as a cold one would.
 class CampaignRunner::CursorPool {
  public:
   CursorPool(const CheckpointedGolden& golden, const cpu::CpuConfig& config)
@@ -129,12 +141,31 @@ class CampaignRunner::CursorPool {
     idle_.push_back(std::move(cursor));
   }
 
+  // The most recently checked-in idle trial machine; null when none is idle.
+  std::unique_ptr<cpu::Cpu> checkout_machine() {
+    std::lock_guard lock(mutex_);
+    if (machines_.empty()) return nullptr;
+    std::unique_ptr<cpu::Cpu> machine = std::move(machines_.back());
+    machines_.pop_back();
+    return machine;
+  }
+
+  // Disarms both fault hooks, the only trial state a restore does not
+  // replace, and keeps the machine for the next trial.
+  void checkin_machine(std::unique_ptr<cpu::Cpu> machine) {
+    machine->fetch_path().set_bus_tamper(nullptr);
+    machine->set_post_id_fault(std::nullopt);
+    std::lock_guard lock(mutex_);
+    machines_.push_back(std::move(machine));
+  }
+
  private:
   const CheckpointedGolden& golden_;
   cpu::CpuConfig config_;
   std::uint64_t transfers_per_instruction_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<cpu::Cpu>> idle_;
+  std::vector<std::unique_ptr<cpu::Cpu>> machines_;
 };
 
 // When the golden run touches each text word, by instruction index. It
@@ -568,7 +599,7 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   };
   // With checkpoints, an icache-line trial draws its flips from the golden
   // I-cache state at its trigger when the text-access summary describes that
-  // run: inert flips build no Cpu, live ones fork at their first read.
+  // run: inert flips take no machine, live ones fork at their first read.
   std::optional<PlannedFlips> planned;
   if (golden_ != nullptr && spec.site == FaultSite::kICacheLine) {
     planned = text_access().plan_icache_flips(spec);
@@ -579,24 +610,37 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
     }
   }
 
-  cpu::Cpu cpu(trial_config(spec.site), image_, &loaded_);
-
+  const auto build_machine = [this, &spec] {
+    trial_machines_.fetch_add(1, std::memory_order_relaxed);
+    return std::make_unique<cpu::Cpu>(trial_config(spec.site), image_, &loaded_);
+  };
   // Fast-forward: start from the golden state at the fork point, forked off
-  // a cursor (see CheckpointConfig). The suffix then executes exactly as a
-  // from-zero run would (byte-identity enforced by tests).
+  // a cursor and restored into an idle trial machine (see CheckpointConfig).
+  // The suffix then executes exactly as a from-zero run would (byte-identity
+  // enforced by tests). A trial that starts at instruction 0 starts on a
+  // fresh machine, as every trial does without checkpoints.
+  CursorPool* pool = golden_ != nullptr ? &cursors(spec.site) : nullptr;
+  std::unique_ptr<cpu::Cpu> machine;
   std::uint64_t transfers_done = 0;
-  if (golden_ != nullptr) {
+  if (pool != nullptr) {
     cpu::Snapshot start;
     const std::uint64_t target = planned.has_value() ? planned->first_read : fork_point(spec);
-    if (fork_golden(cursors(spec.site), spec, target, &start)) {
+    if (fork_golden(*pool, spec, target, &start)) {
       static const obs::CounterId k_forks = obs::counter("campaign.forks");
       forks_.fetch_add(1, std::memory_order_relaxed);
       obs::bump(k_forks);
       count_restore(start.instructions);
       transfers_done = start.bus_transfers;
-      cpu.restore_snapshot(std::move(start));
+      machine = pool->checkout_machine();
+      if (machine == nullptr) machine = build_machine();
+      machine->restore_snapshot(std::move(start));
     }
   }
+  if (machine == nullptr) machine = build_machine();
+  cpu::Cpu& cpu = *machine;
+  // A machine's counters span its trials; this trial publishes its share.
+  const std::uint64_t cow_pages_before = cpu.memory().cow_pages_copied();
+  const std::uint64_t resets_before = cpu.tcache_resets();
 
   // The one-shot tamper counts transfers from when it is attached; a forked
   // trial attaches it mid-stream, so its trigger is relative to the fork's
@@ -618,7 +662,7 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
       cpu.fetch_path().set_bus_tamper(&tamper);
       break;
     case FaultSite::kPostIdLatch:
-      cpu.set_post_id_fault({spec.trigger_index, spec.xor_mask});
+      cpu.set_post_id_fault(cpu::PostIdFault{spec.trigger_index, spec.xor_mask});
       break;
     case FaultSite::kICacheLine:
       break;  // injected mid-run below
@@ -661,9 +705,12 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
 
   static const obs::CounterId k_cow_pages = obs::counter("campaign.cow_pages_copied");
   obs::bump(k_trials);
-  obs::bump(k_cow_pages, cpu.memory().cow_pages_copied());
+  obs::bump(k_cow_pages, cpu.memory().cow_pages_copied() - cow_pages_before);
   cpu.publish_metrics();
-  if (loaded_.translations && cpu.tcache_resets() != 0) detached_.fetch_add(1);
+  const bool detached = cpu.tcache_resets() != resets_before;
+  if (loaded_.translations && detached) detached_.fetch_add(1);
+  // A detached machine would run every later trial without the image.
+  if (pool != nullptr && !detached) pool->checkin_machine(std::move(machine));
   return {classify(*result, golden_console_, golden_exit_code_), result->reason, spec,
           converged_at};
 }
@@ -676,9 +723,7 @@ std::size_t CampaignRunner::first_spent_snapshot(const FaultSpec& spec) const {
   if (spec.site == FaultSite::kPostIdLatch) {
     return golden_->first_after_instructions(spec.trigger_index);
   }
-  const std::uint64_t last_tampered =
-      spec.trigger_index + (spec.site == FaultSite::kFetchBusPaired ? 1 : 0);
-  return golden_->first_after_transfers(last_tampered);
+  return golden_->first_after_transfers(last_tampered_transfer(spec));
 }
 
 cpu::RunResult CampaignRunner::run_converging(cpu::Cpu& cpu, const FaultSpec& spec,
@@ -689,6 +734,14 @@ cpu::RunResult CampaignRunner::run_converging(cpu::Cpu& cpu, const FaultSpec& sp
        next += gap, gap *= 2) {
     const cpu::Snapshot& golden = snapshots[next];
     if (auto done = cpu.run_until(golden.instructions)) return *done;
+    // Disarm a fault the trial has spent, by its own clocks: a diverged
+    // trial can reach this boundary's instruction count with fewer bus
+    // transfers than the golden run made.
+    if (spec.site == FaultSite::kPostIdLatch) {
+      if (cpu.instructions_retired() > spec.trigger_index) cpu.set_post_id_fault(std::nullopt);
+    } else if (cpu.fetch_path().bus_transfers() > last_tampered_transfer(spec)) {
+      cpu.fetch_path().set_bus_tamper(nullptr);
+    }
     convergence_checks_.fetch_add(1, std::memory_order_relaxed);
     obs::bump(k_checks);
     if (cpu.matches_snapshot(golden) && cpu.console() == golden.result.console) {

@@ -91,12 +91,24 @@ struct CampaignSummary {
 // out the idle cursor furthest along but not past its fork point, advances
 // it with run_until to the last instruction boundary at or before that point
 // (in the fault's own unit: bus tampers count bus transfers, the other sites
-// retired instructions), saves a fork snapshot, returns the cursor and
-// restores the fork into its own Cpu. Only a cursor that is past the fork
-// point, or behind the nearest recorded snapshot, restores that snapshot
-// first. Campaign sweeps run each shard's trials in fork-point order
-// (exp::SweepSpec::order_key), so a cursor mostly walks the golden run once
-// and each trial executes little more than its fault's consequences.
+// retired instructions), saves a fork snapshot and returns the cursor. Only
+// a cursor that is past the fork point, or behind the nearest recorded
+// snapshot, restores that snapshot first. Campaign sweeps run each shard's
+// trials in fork-point order (exp::SweepSpec::order_key), so a cursor mostly
+// walks the golden run once and each trial executes little more than its
+// fault's consequences.
+//
+// The fork is restored into a trial machine: a Cpu on the same
+// configuration, from the same pool. A trial checks out an idle machine (or
+// builds one when none is idle), restores its fork into it, arms its fault,
+// runs, and checks the machine back in with both fault hooks disarmed, so a
+// campaign builds about one machine per thread. Reuse gives what a fresh Cpu
+// gives: the restore installs the whole determinism surface, the fault hooks
+// are the only state outside it, and the machine's predecode and translation
+// caches, which persist across its trials, are tag-checked per dynamic
+// instruction. A machine that a text rewrite detached from the translation
+// image, or whose trial threw, is dropped. A trial whose fork point is
+// instruction 0 starts on a fresh machine.
 //
 // A transient fault forks at its trigger. A memory-text flip does nothing
 // until something reads the word, so it forks where the golden run first
@@ -119,7 +131,7 @@ struct CampaignSummary {
 // the first instruction at or after the trigger whose fetch reads a flipped
 // word and XORs the flips into the restored cache there. One whose flips the
 // golden run never fetches again is inert: it takes the golden I-cache run's
-// result (benign) without building a Cpu. On any other golden I-cache run a
+// result (benign) without taking a machine. On any other golden I-cache run a
 // trial forks at its trigger, flips there and runs on; it is inert only when
 // no line is resident yet, so nothing flips.
 //
@@ -131,8 +143,10 @@ struct CampaignSummary {
 // golden RunResult (benign). Checks run at golden boundaries on a doubling
 // schedule (the first boundary after the fault is spent, then 1, 3, 7, ...
 // boundaries later), so a trial that never re-converges pays O(log n)
-// compares. Memory-text and icache-line corruption stays resident in memory
-// or cache state, so those trials never converge.
+// compares. At each check a trial whose own clocks show its fault spent
+// disarms it, so the rest of the run pays no fault hook. Memory-text and
+// icache-line corruption stays resident in memory or cache state, so those
+// trials never converge.
 // Trials also read the golden run's sealed translation image as a shared
 // first-level block cache until a text write detaches them. Shipped golden
 // state carries the image's block starts, and the runner rebuilds the same
@@ -169,9 +183,9 @@ class CampaignRunner {
   GoldenState export_golden() const;
 
   // Runs one trial with an explicit fault. Thread-safe: trials share the
-  // golden-run state, read-only, and the mutex-guarded cursor pools; each
-  // checks out a cursor of its own and builds its own CPU. Any call order
-  // gives the same result; trigger order is merely the cheapest.
+  // golden-run state, read-only, and the mutex-guarded pools of cursors and
+  // trial machines; each checks out a cursor and a machine of its own. Any
+  // call order gives the same result; trigger order is merely the cheapest.
   TrialResult run_trial(const FaultSpec& spec) const;
 
   // The campaign as a sweep-engine grid: one cell per trial, u64 payload =
@@ -201,8 +215,9 @@ class CampaignRunner {
   bool checkpoints_enabled() const { return checkpoints_.enabled; }
   std::uint64_t checkpoint_stride() const { return golden_ ? golden_->stride() : 0; }
   std::size_t snapshot_count() const { return golden_ ? golden_->snapshot_count() : 0; }
-  // Blocks in the translation image (0 without one), and trials a text write
-  // detached from it.
+  // Blocks in the translation image (0 without one), and trials whose machine
+  // a text write detached from it: the trial's own, or one an earlier trial
+  // on the same machine left in a private translation's tag.
   std::uint64_t image_blocks() const {
     return loaded_.translations ? loaded_.translations->starts().size() : 0;
   }
@@ -221,6 +236,12 @@ class CampaignRunner {
   std::uint64_t forks() const { return forks_.load(std::memory_order_relaxed); }
   std::uint64_t cursor_instructions() const {
     return cursor_instructions_.load(std::memory_order_relaxed);
+  }
+  // Trial Cpus built: with checkpoints, one each time a forked trial found
+  // no idle machine in its pool plus one per trial that started at
+  // instruction 0; without, one per trial that ran.
+  std::uint64_t trial_machines() const {
+    return trial_machines_.load(std::memory_order_relaxed);
   }
   // Instructions the text-access walk executed (0 until a memory-text or
   // icache-line trial built the summary), and icache-line trials whose flips
@@ -250,12 +271,13 @@ class CampaignRunner {
 
  private:
   // Runs an armed transient-fault trial to its end, or to the first golden
-  // boundary (on the doubling schedule) where it has rejoined the golden run.
+  // boundary (on the doubling schedule) where it has rejoined the golden run,
+  // disarming the fault at the first of those boundaries where it is spent.
   // Sets `converged_at` on an early exit.
   cpu::RunResult run_converging(cpu::Cpu& cpu, const FaultSpec& spec,
                                 std::optional<std::uint64_t>* converged_at) const;
 
-  // Golden cursors over one recording (campaign.cc).
+  // Golden cursors and idle trial machines over one recording (campaign.cc).
   class CursorPool;
   // When the golden run reads, writes and fetches each text word, and when its
   // fetches fill each I-cache line (campaign.cc).
@@ -308,6 +330,7 @@ class CampaignRunner {
   mutable std::atomic<std::uint64_t> skipped_instructions_{0};
   mutable std::atomic<std::uint64_t> forks_{0};
   mutable std::atomic<std::uint64_t> cursor_instructions_{0};
+  mutable std::atomic<std::uint64_t> trial_machines_{0};
   mutable std::atomic<std::uint64_t> text_walk_instructions_{0};
   mutable std::atomic<std::uint64_t> inert_flips_{0};
   mutable std::atomic<std::uint64_t> converged_{0};

@@ -805,15 +805,17 @@ int cmd_campaign(const Options& options) {
   const int code = run_sweep_command(bundle.spec, options);
   // The acceleration report: how much clean-prefix simulation the restores
   // skipped (trial forks and cursor repositionings), what the golden cursors
-  // and the text-access walk executed, how many I-cache flips were inert,
-  // how much golden suffix the re-converged trials did not execute, and how
-  // large the shared translation image is, in this process (a sharded
-  // invocation reports its own shard's share).
+  // and the text-access walk executed, how many trial machines the trials
+  // shared, how many I-cache flips were inert, how much golden suffix the
+  // re-converged trials did not execute, and how large the shared
+  // translation image is, in this process (a sharded invocation reports its
+  // own shard's share).
   if (runner.checkpoints_enabled()) {
     std::fprintf(stderr,
                  "campaign: checkpoints on, stride %llu, %zu snapshot(s); "
                  "%llu restore(s) skipped %llu instructions; "
                  "%llu fork(s), cursors walked %llu instructions; "
+                 "%llu trial machine(s); "
                  "text walk %llu instructions, %llu inert flip(s); "
                  "%llu trial(s) re-converged, skipping %llu instructions; "
                  "translation image %llu block(s), %llu trial(s) detached\n",
@@ -823,6 +825,7 @@ int cmd_campaign(const Options& options) {
                  static_cast<unsigned long long>(runner.skipped_instructions()),
                  static_cast<unsigned long long>(runner.forks()),
                  static_cast<unsigned long long>(runner.cursor_instructions()),
+                 static_cast<unsigned long long>(runner.trial_machines()),
                  static_cast<unsigned long long>(runner.text_walk_instructions()),
                  static_cast<unsigned long long>(runner.inert_flips()),
                  static_cast<unsigned long long>(runner.converged()),

@@ -454,7 +454,7 @@ TEST(Monitoring, PostIdFaultEscapesMonitor) {
   CpuConfig config;
   config.monitoring = true;
   Cpu cpu(config, image);
-  cpu.set_post_id_fault({1, 1U << 16});  // flip an immediate bit after ID
+  cpu.set_post_id_fault(PostIdFault{1, 1U << 16});  // flip an immediate bit after ID
   const RunResult r = cpu.run();
   // The monitor saw the clean word, so no mismatch: the corruption surfaces
   // as a wrong result instead (the §3.2 limitation).

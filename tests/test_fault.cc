@@ -359,8 +359,9 @@ TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
   // with engine.instructions.executed. The cursor publishes its walk like a
   // trial publishes its suffix; in fork-point order one cursor walks the
   // golden run at most once. Memory-text and icache-line campaigns also
-  // publish the one text walk, which runs the golden run once. An inert
-  // I-cache flip builds no Cpu, so it publishes nothing and forks nothing.
+  // publish the one text walk, which runs the golden run once. The trials
+  // share pooled trial machines, and an inert I-cache flip takes none, so it
+  // publishes nothing and forks nothing.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   for (const FaultSite site :
        {FaultSite::kFetchBus, FaultSite::kMemoryText, FaultSite::kICacheLine}) {
@@ -386,9 +387,14 @@ TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
     const bool walks = site != FaultSite::kFetchBus;
     EXPECT_EQ(runner.text_walk_instructions(), walks ? runner.golden_instructions() : 0U)
         << where;
-    // 60 trials less the inert ones, the one cursor, and the text walk where
-    // there is one.
-    EXPECT_EQ(delta["engine.runs"], (walks ? 62U : 61U) - runner.inert_flips()) << where;
+    // The one cursor, the text walk where there is one, and the trial
+    // machines built: at --jobs 1 one serves every trial, but a machine that
+    // a memory-text trial's rewrite detached from the translation image is
+    // dropped, and a trial that starts at instruction 0 builds a fresh one.
+    EXPECT_EQ(delta["engine.runs"], (walks ? 2U : 1U) + runner.trial_machines()) << where;
+    const std::uint64_t unforked = 60U - runner.inert_flips() - runner.forks();
+    EXPECT_GE(runner.trial_machines(), 1U) << where;
+    EXPECT_LE(runner.trial_machines(), 1U + runner.detached_trials() + unforked) << where;
     EXPECT_GT(runner.forks(), 50U) << where;
     EXPECT_LE(runner.forks() + runner.inert_flips(), 60U) << where;
     EXPECT_GE(runner.restores(), runner.forks()) << where;
@@ -668,7 +674,7 @@ TEST(ResidentFaults, ICacheFlipsForkAtFirstReadMatchFullReExecution) {
   // icache-line trial draws its flips from the I-cache state the text walk
   // dates for its trigger, and forks at the first instruction at or after
   // the trigger whose fetch reads a flipped word; one whose flips are never
-  // fetched again builds no Cpu. Every trigger with 1-, 2- and 3-bit masks,
+  // fetched again takes no machine. Every trigger with 1-, 2- and 3-bit masks,
   // cancelling flips and padding flips included, must match full
   // re-execution, with the campaign machine's I-cache off (a lazy icache-on
   // recording serves the trials) and on. Every trial either forks or is
@@ -909,6 +915,112 @@ TEST(Campaign, TranslationImageNeverChangesATrial) {
       EXPECT_LE(recorded.detached_trials(), resets[0]) << kernel << " monitor " << monitoring;
       EXPECT_LE(rebuilt.detached_trials(), resets[1]) << kernel << " monitor " << monitoring;
       EXPECT_EQ(imageless.detached_trials(), 0U);
+    }
+  }
+}
+
+TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
+  // Trials restore their forks into pooled trial machines that earlier
+  // trials ran on, and reuse must give what a fresh machine gives. One
+  // runner per engine and machine runs trials of all five sites interleaved
+  // in descending-trigger order, so a later trial runs past the points where
+  // earlier trials' faults fired, and the trigger-0 trials (for memory-text,
+  // a flip of the entry word, which instruction 0 reads) come last, when the
+  // pool's machines have run other trials. Per trial, outcome and exit
+  // reason must equal full re-execution, and a transient trial's convergence
+  // point must equal the one it reaches on a fresh machine: as the first
+  // trial of a runner rebuilt from the same golden state.
+  //
+  // Machines must really be reused. Run one at a time, trials leave at most
+  // one idle machine per pool until a trial that starts at instruction 0
+  // checks in the fresh machine it started on, so until then a trial that
+  // builds no machine ran on the one the previous trial of its pool left.
+  const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
+  const FaultSite sites[] = {FaultSite::kMemoryText, FaultSite::kFetchBus,
+                             FaultSite::kFetchBusPaired, FaultSite::kPostIdLatch,
+                             FaultSite::kICacheLine};
+  for (const bool icache : {false, true}) {
+    cpu::CpuConfig config = monitored_config();
+    config.icache.enabled = icache;
+    std::vector<FaultSpec> faults;
+    {
+      const CampaignRunner probe(image, config, {false, 0});
+      for (const FaultSite site : sites) {
+        std::vector<FaultSpec> drawn = random_faults(probe, image, site, 16, 53);
+        FaultSpec first = drawn.front();
+        first.trigger_index = 0;
+        first.target_address = image.entry;
+        drawn.push_back(first);
+        faults.insert(faults.end(), drawn.begin(), drawn.end());
+      }
+    }
+    std::stable_sort(faults.begin(), faults.end(), [](const FaultSpec& a, const FaultSpec& b) {
+      return a.trigger_index > b.trigger_index;
+    });
+    const std::vector<TrialResult> wants = reference_trials(image, config, faults);
+    for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+      cpu::CpuConfig machine = config;
+      machine.engine = engine;
+      const CampaignRunner pooled(image, machine);
+      const GoldenState state = pooled.export_golden();
+      // Per pool (icache-line trials have their own when the campaign
+      // machine's I-cache is off): the site of the trial that left its one
+      // idle machine, and whether a trial started at instruction 0 yet.
+      std::optional<FaultSite> left_by[2];
+      bool fresh_checked_in[2] = {false, false};
+      unsigned machine_trials = 0;
+      unsigned unforked = 0;
+      unsigned reused_across_sites = 0;
+      unsigned reused_after_memory_text = 0;
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        const FaultSpec& spec = faults[i];
+        const std::string where = machine_name(config) + ", engine " +
+                                  std::string(cpu::engine_name(engine)) + ": " +
+                                  std::string(fault_site_name(spec.site)) + " address " +
+                                  support::hex32(spec.target_address) + " trigger " +
+                                  std::to_string(spec.trigger_index) + " mask " +
+                                  support::hex32(spec.xor_mask);
+        const std::uint64_t built_before = pooled.trial_machines();
+        const std::uint64_t forks_before = pooled.forks();
+        const std::uint64_t inert_before = pooled.inert_flips();
+        const std::uint64_t detached_before = pooled.detached_trials();
+        const TrialResult got = pooled.run_trial(spec);
+        EXPECT_EQ(got.outcome, wants[i].outcome) << where;
+        EXPECT_EQ(got.exit_reason, wants[i].exit_reason) << where;
+        if (spec.site == FaultSite::kMemoryText || spec.site == FaultSite::kICacheLine) {
+          EXPECT_FALSE(got.converged_at.has_value()) << where;
+        } else {
+          const CampaignRunner fresh(image, machine, {}, state);
+          EXPECT_EQ(got.converged_at, fresh.run_trial(spec).converged_at) << where;
+        }
+
+        if (pooled.inert_flips() != inert_before) continue;  // took no machine
+        ++machine_trials;
+        const std::uint64_t built = pooled.trial_machines() - built_before;
+        const int pool = spec.site == FaultSite::kICacheLine && !icache ? 1 : 0;
+        if (pooled.forks() == forks_before) {
+          EXPECT_EQ(built, 1U) << where << ": a trial at instruction 0 starts on a fresh machine";
+          ++unforked;
+          fresh_checked_in[pool] = true;
+        } else if (built == 0 && !fresh_checked_in[pool]) {
+          ASSERT_TRUE(left_by[pool].has_value()) << where;
+          reused_across_sites += *left_by[pool] != spec.site;
+          reused_after_memory_text += *left_by[pool] == FaultSite::kMemoryText;
+        }
+        // A machine a text rewrite detached is dropped, not checked in.
+        if (pooled.detached_trials() != detached_before) {
+          left_by[pool].reset();
+        } else {
+          left_by[pool] = spec.site;
+        }
+      }
+      const std::string what = machine_name(config) + ", engine " +
+                               std::string(cpu::engine_name(engine));
+      EXPECT_GT(reused_across_sites, 0U) << what;
+      EXPECT_GT(reused_after_memory_text, 0U) << what;
+      const std::uint64_t pools = icache ? 1 : 2;
+      EXPECT_LE(pooled.trial_machines(), pools + unforked + pooled.detached_trials()) << what;
+      EXPECT_LT(pooled.trial_machines() * 4, machine_trials) << what;
     }
   }
 }

@@ -609,7 +609,7 @@ TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
   const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
   for (int i = 0; i < 2; ++i) {
     cpu::Cpu cpu(engine_config(engines[i]), image);
-    cpu.set_post_id_fault({4, 1U << 16});
+    cpu.set_post_id_fault(cpu::PostIdFault{4, 1U << 16});
     results[i] = cpu.run();
     if (cpu.translation_cache() != nullptr) {
       EXPECT_GE(cpu.tcache_mismatches(), 1U);
