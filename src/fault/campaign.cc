@@ -44,30 +44,18 @@ class OneShotBusTamper final : public mem::BusTamper {
   std::uint64_t count_ = 0;
 };
 
-// The global index of the last bus transfer a fetch-bus or fetch-bus-paired
-// fault tampers with.
-std::uint64_t last_tampered_transfer(const FaultSpec& spec) {
-  return spec.trigger_index + (spec.site == FaultSite::kFetchBusPaired ? 1 : 0);
-}
-
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-// An icache-line trial's flips, drawn from the golden I-cache state at its
-// trigger without running anything, and the first instruction at or after
-// the trigger whose fetch reads one of them (kNever: none does, the flips
-// are inert).
-struct PlannedFlips {
-  struct Flip {
-    mem::ICache::Flip bit;
-    std::uint32_t address;  // of the word it flips, in the golden line
-  };
-  std::vector<Flip> flips;
-  std::uint64_t first_read = kNever;
-};
+// The campaign machine: `config`, which must have the I-cache off.
+const cpu::CpuConfig& campaign_machine(const cpu::CpuConfig& config) {
+  support::check(!config.icache.enabled,
+                 "campaign machines have the I-cache off; icache-line trials add one");
+  return config;
+}
 
-// The outcome of a trial that ended with `result`.
-Outcome classify(const cpu::RunResult& result, const std::string& golden_console,
-                 std::uint32_t golden_exit_code) {
+// The outcome of a trial that ended with `result`, on a machine whose golden
+// run ended with `golden`.
+Outcome classify(const cpu::RunResult& result, const cpu::RunResult& golden) {
   switch (result.reason) {
     case cpu::ExitReason::kMonitorTerminated:
       return result.monitor_cause == os::TerminationCause::kNotInFht
@@ -83,7 +71,7 @@ Outcome classify(const cpu::RunResult& result, const std::string& golden_console
     case cpu::ExitReason::kExit:
       break;
   }
-  return result.console == golden_console && result.exit_code == golden_exit_code
+  return result.console == golden.console && result.exit_code == golden.exit_code
              ? Outcome::kBenign
              : Outcome::kWrongOutput;
 }
@@ -103,28 +91,20 @@ Outcome classify(const cpu::RunResult& result, const std::string& golden_console
 // dynamic instruction, so a warm cache runs as a cold one would.
 class CampaignRunner::CursorPool {
  public:
-  CursorPool(const CheckpointedGolden& golden, const cpu::CpuConfig& config)
-      : golden_(golden),
-        config_(config),
-        transfers_per_instruction_(
-            config.icache.enabled ? config.icache.words_per_line : 1) {}
+  explicit CursorPool(const cpu::CpuConfig& config) : config_(config) {}
 
-  const CheckpointedGolden& golden() const { return golden_; }
-  // The most bus transfers one instruction's fetch can make (an I-cache
-  // refill fetches a whole line).
-  std::uint64_t transfers_per_instruction() const { return transfers_per_instruction_; }
-
-  // The idle cursor furthest along `clock` but not past `target`; else any
-  // idle cursor (it will be repositioned); else a new one at instruction 0.
-  std::unique_ptr<cpu::Cpu> checkout(std::uint64_t (*clock)(cpu::Cpu&),
-                                     std::uint64_t target, const casm_::Image& image,
+  // The idle cursor furthest along but not past instruction `target`; else
+  // any idle cursor (it will be repositioned); else a new one at instruction 0.
+  std::unique_ptr<cpu::Cpu> checkout(std::uint64_t target, const casm_::Image& image,
                                      const cpu::LoadedImage& loaded) {
     {
       std::lock_guard lock(mutex_);
       auto best = idle_.end();
       for (auto it = idle_.begin(); it != idle_.end(); ++it) {
-        const std::uint64_t at = clock(**it);
-        if (at <= target && (best == idle_.end() || at > clock(**best))) best = it;
+        const std::uint64_t at = (*it)->instructions_retired();
+        if (at <= target && (best == idle_.end() || at > (*best)->instructions_retired())) {
+          best = it;
+        }
       }
       if (best == idle_.end() && !idle_.empty()) best = idle_.end() - 1;
       if (best != idle_.end()) {
@@ -160,28 +140,25 @@ class CampaignRunner::CursorPool {
   }
 
  private:
-  const CheckpointedGolden& golden_;
   cpu::CpuConfig config_;
-  std::uint64_t transfers_per_instruction_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<cpu::Cpu>> idle_;
   std::vector<std::unique_ptr<cpu::Cpu>> machines_;
 };
 
 // When the golden run touches each text word, by instruction index. It
-// records itself: one clean walk of the campaign machine with the I-cache
-// off carries it as bus tamper and text watch. There bus transfer k is the
-// fetch of instruction k on either engine, so a load or store belongs to the
-// instruction whose fetch was the latest transfer. A machine with the
-// I-cache on retires the same instructions until the program stores into its
-// text; past that store it may fetch a stale cached copy, so for it the
-// summary holds only up to the first text store.
+// records itself: one clean walk of the campaign machine carries it as bus
+// tamper and text watch. There bus transfer k is the fetch of instruction k
+// on either engine, so a load or store belongs to the instruction whose fetch
+// was the latest transfer.
 //
 // The walk also keeps its fetch trace, as runs of consecutive words, and
 // replays it over the I-cache geometry of the icache-line trial machine:
-// when each line is first filled, and whether a later fetch evicts one. A
-// golden I-cache run that neither stores into its text nor evicts holds each
-// line, clean, from its first fill to its end, so its I-cache state at any
+// when each line is first filled, and whether a later fetch evicts one. The
+// I-cache machine retires the same instructions until the program stores
+// into its text, past which it may fetch a stale cached copy. So a golden
+// I-cache run that neither stores into its text nor evicts holds each line,
+// clean, from its first fill to its end, and its I-cache state at any
 // instruction follows from the fill times alone.
 struct CampaignRunner::TextAccess final : mem::BusTamper, cpu::TextWatch {
   TextAccess(const casm_::Image& image, const mem::ICacheConfig& icache)
@@ -222,42 +199,31 @@ struct CampaignRunner::TextAccess final : mem::BusTamper, cpu::TextWatch {
       std::uint64_t& first = first_access[(a - text_base) / 4];
       first = std::min(first, instruction);
     }
-    if (store) first_text_store = std::min(first_text_store, instruction);
+    stores_text = stores_text || store;
   }
 
-  // The instruction that first reads the text word at `address` (word
-  // aligned) on a machine with `icache`: there the first refill of its line
-  // reads it, and the first text store bounds what the summary knows.
-  std::uint64_t first_read(std::uint32_t address, const mem::ICacheConfig& icache) const {
-    if (!icache.enabled) return first_access[(address - text_base) / 4];
-    const std::uint32_t line_bytes = icache.words_per_line * 4;
-    const std::uint32_t line = address & ~(line_bytes - 1);
-    std::uint64_t first = first_text_store;
-    const std::uint64_t end = std::min<std::uint64_t>(std::uint64_t{line} + line_bytes, text_end);
-    for (std::uint64_t a = std::max(line, text_base); a < end; a += 4) {
-      first = std::min(first, first_access[(a - text_base) / 4]);
-    }
-    return first;
-  }
-
-  // The flips of an icache-line `spec`, drawn as the trial machine would
-  // draw them at its trigger, and their first read; nullopt when the golden
-  // I-cache run stores into its text or evicts, so the fill times do not
-  // describe it.
-  std::optional<PlannedFlips> plan_icache_flips(const FaultSpec& spec) const {
-    if (first_text_store != kNever || evicts) return std::nullopt;
+  // Plans an icache-line `spec` when the fill times describe the golden
+  // I-cache run (it neither stores into its text nor evicts): its flips,
+  // drawn as the trial machine would draw them at its trigger, and its fork
+  // at the first fetch of a flipped word at or after the trigger; inert when
+  // there is none. Plans nothing otherwise.
+  void plan_flips(const FaultSpec& spec, TrialPlan* plan) const {
+    if (stores_text || evicts) return;
     const std::vector<std::uint32_t> valid = filled_before(spec.trigger_index);
-    PlannedFlips plan;
     support::Rng rng(icache_flip_seed(spec));
+    std::vector<std::uint32_t> addresses;  // of the flipped words, in the golden lines
+    plan->flips.emplace();
     for (unsigned flip = 0; flip < support::popcount32(spec.xor_mask); ++flip) {
       const std::optional<mem::ICache::Flip> bit =
           mem::ICache::choose_flip(valid, geometry.words_per_line, rng);
       if (!bit.has_value()) break;
+      plan->flips->push_back(*bit);
       const mem::ICache::Slot slot{bit->line, filled_tag[bit->line], bit->word};
-      plan.flips.push_back({*bit, mem::ICache::word_address(geometry, slot)});
+      addresses.push_back(mem::ICache::word_address(geometry, slot));
     }
-    plan.first_read = next_fetch(spec.trigger_index, plan.flips);
-    return plan;
+    const std::uint64_t first_read = next_fetch(spec.trigger_index, addresses);
+    plan->inert = first_read == kNever;
+    if (!plan->inert) plan->fork_at = first_read;
   }
 
   // The I-cache line indices that fetches before instruction `n` fill,
@@ -283,16 +249,15 @@ struct CampaignRunner::TextAccess final : mem::BusTamper, cpu::TextWatch {
     return true;
   }
 
-  // The first instruction at or after `from` whose fetch reads the word of
-  // one of `flips`; kNever when none does. Words outside the text (line
+  // The first instruction at or after `from` whose fetch reads the word at
+  // one of `addresses`; kNever when none does. Words outside the text (line
   // padding) are never fetched.
-  std::uint64_t next_fetch(std::uint64_t from,
-                           const std::vector<PlannedFlips::Flip>& flips) const {
+  std::uint64_t next_fetch(std::uint64_t from, const std::vector<std::uint32_t>& addresses) const {
     std::vector<std::uint32_t> words;
     std::uint64_t until = 0;  // no fetch of any of them from here on
-    for (const PlannedFlips::Flip& flip : flips) {
-      if (flip.address < text_base || flip.address >= text_end) continue;
-      words.push_back((flip.address - text_base) / 4);
+    for (const std::uint32_t address : addresses) {
+      if (address < text_base || address >= text_end) continue;
+      words.push_back((address - text_base) / 4);
       until = std::max(until, fetched_until[words.back()]);
     }
     if (until <= from) return kNever;
@@ -320,7 +285,7 @@ struct CampaignRunner::TextAccess final : mem::BusTamper, cpu::TextWatch {
   mem::ICacheConfig geometry;                // the icache-line trial machine's I-cache
   std::vector<std::uint64_t> first_access;   // any fetch, load or store; kNever: none
   std::vector<std::uint64_t> fetched_until;  // one past the last fetch; 0: never fetched
-  std::uint64_t first_text_store = kNever;
+  bool stores_text = false;
   std::uint64_t transfers = 0;
   // The fetch trace: run r fetches words run_words[r], +1, ... from
   // instruction run_starts[r] up to the next run's start.
@@ -379,39 +344,20 @@ double CampaignSummary::detection_rate_total() const {
 
 CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                                const CheckpointConfig& checkpoints)
-    : image_(image), config_(config), checkpoints_(checkpoints) {
+    : image_(image), config_(campaign_machine(config)), checkpoints_(checkpoints) {
   // Load once, share forever: every trial's CPU reads this frozen image
   // through copy-on-write pages instead of re-running the loader (and, when
   // monitored, its whole-text hash computation), and shares one fused
   // classification of the spec with the golden run.
   loaded_ = cpu::preload_image(config_, image_);
   loaded_.fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*loaded_.spec));
-
-  cpu::RunResult result;
-  if (checkpoints_.enabled) {
-    golden_ = std::make_unique<CheckpointedGolden>(config_, image_, loaded_,
-                                                   checkpoints_.stride);
-    loaded_.translations = golden_->translations();
-    result = golden_->result();
-  } else {
-    cpu::Cpu golden(config_, image_, &loaded_);
-    result = golden.run();
-    support::check(result.reason == cpu::ExitReason::kExit,
-                   "campaign golden run did not exit cleanly");
-  }
-  golden_instructions_ = result.instructions;
-  golden_console_ = result.console;
-  golden_exit_code_ = result.exit_code;
-  golden_result_ = std::move(result);
-  // Every site but icache-line runs on the campaign machine.
-  if (golden_) {
-    cursors_ = std::make_unique<CursorPool>(*golden_, trial_config(FaultSite::kFetchBus));
-  }
+  golden_ = run_golden(FaultSite::kFetchBus, nullptr);
+  if (golden_.recording) loaded_.translations = golden_.recording->translations();
 }
 
 CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                                const CheckpointConfig& checkpoints, const GoldenState& state)
-    : image_(image), config_(config), checkpoints_(checkpoints) {
+    : image_(image), config_(campaign_machine(config)), checkpoints_(checkpoints) {
   // Rebuild the LoadedImage from the shipped parts. The uop spec is the one
   // piece not shipped: build_isa_uops + embed_monitoring are pure functions
   // of the configuration, so rebuilding is bit-identical to the original.
@@ -423,26 +369,8 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   loaded_.fht_was_attached = state.fht_was_attached;
   loaded_.entry = state.entry;
   loaded_.fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*loaded_.spec));
-
-  if (checkpoints_.enabled) {
-    // The rebuild constructor re-validates the schedule, the image starts and
-    // the clean exit, then rebuilds the image from the starts.
-    golden_ = std::make_unique<CheckpointedGolden>(config_, image_, loaded_, state.snapshots,
-                                                   state.result, state.stride,
-                                                   state.image_starts);
-    loaded_.translations = golden_->translations();
-  } else {
-    support::check(state.result.reason == cpu::ExitReason::kExit,
-                   "campaign golden run did not exit cleanly");
-  }
-  golden_instructions_ = state.result.instructions;
-  golden_console_ = state.result.console;
-  golden_exit_code_ = state.result.exit_code;
-  golden_result_ = state.result;
-  // Every site but icache-line runs on the campaign machine.
-  if (golden_) {
-    cursors_ = std::make_unique<CursorPool>(*golden_, trial_config(FaultSite::kFetchBus));
-  }
+  golden_ = run_golden(FaultSite::kFetchBus, &state);
+  if (golden_.recording) loaded_.translations = golden_.recording->translations();
 }
 
 GoldenState CampaignRunner::export_golden() const {
@@ -451,53 +379,65 @@ GoldenState CampaignRunner::export_golden() const {
   state.fht_blob = loaded_.fht.serialize();
   state.fht_was_attached = loaded_.fht_was_attached;
   state.entry = loaded_.entry;
-  if (golden_) {
-    state.snapshots = golden_->snapshots();
-    state.stride = golden_->stride();
+  if (golden_.recording) {
+    state.snapshots = golden_.recording->snapshots();
+    state.stride = golden_.recording->stride();
   }
   if (loaded_.translations) state.image_starts = loaded_.translations->starts();
-  state.result = golden_result_;
+  state.result = golden_.result;
   return state;
 }
 
 CampaignRunner::~CampaignRunner() = default;
 
-cpu::CpuConfig CampaignRunner::trial_config(FaultSite site) const {
-  cpu::CpuConfig config = config_;
+CampaignRunner::Golden CampaignRunner::run_golden(FaultSite site,
+                                                  const GoldenState* shipped) const {
+  Golden golden;
+  golden.machine = config_;
+  golden.machine.icache.enabled = site == FaultSite::kICacheLine;
+  if (shipped != nullptr) {
+    golden.result = shipped->result;
+    // The rebuild constructor re-validates the schedule, the image starts and
+    // the clean exit, then rebuilds the image from the starts.
+    if (checkpoints_.enabled) {
+      golden.recording = std::make_unique<CheckpointedGolden>(
+          golden.machine, image_, loaded_, shipped->snapshots, shipped->result,
+          shipped->stride, shipped->image_starts);
+    }
+  } else if (checkpoints_.enabled) {
+    golden.recording = std::make_unique<CheckpointedGolden>(golden.machine, image_, loaded_,
+                                                            checkpoints_.stride);
+    golden.result = golden.recording->result();
+  } else {
+    cpu::Cpu clean(golden.machine, image_, &loaded_);
+    golden.result = clean.run();
+  }
+  support::check(golden.result.reason == cpu::ExitReason::kExit,
+                 "campaign golden run did not exit cleanly");
   // A corrupted loop counter can spin forever; bound each trial well above
   // the golden length so hangs are classified, not waited out.
-  config.max_instructions = golden_instructions_ * 4 + 100'000;
-  if (site == FaultSite::kICacheLine) config.icache.enabled = true;
-  return config;
+  golden.machine.max_instructions = golden.result.instructions * 4 + 100'000;
+  if (golden.recording) golden.pool = std::make_unique<CursorPool>(golden.machine);
+  return golden;
 }
 
-CampaignRunner::CursorPool& CampaignRunner::cursors(FaultSite site) const {
-  if (site != FaultSite::kICacheLine || config_.icache.enabled) return *cursors_;
-  // Recorded lazily (thread-safe: run_trial races here); the LoadedImage is
+const CampaignRunner::Golden& CampaignRunner::golden(FaultSite site) const {
+  if (site != FaultSite::kICacheLine) return golden_;
+  // Thread-safe: plans and trials race here. The LoadedImage is
   // cache-independent and is reused.
-  std::call_once(icache_once_, [this] {
-    cpu::CpuConfig config = config_;
-    config.icache.enabled = true;
-    icache_golden_ =
-        std::make_unique<CheckpointedGolden>(config, image_, loaded_, checkpoints_.stride);
-    icache_cursors_ =
-        std::make_unique<CursorPool>(*icache_golden_, trial_config(FaultSite::kICacheLine));
-  });
-  return *icache_cursors_;
+  std::call_once(icache_once_,
+                 [this] { icache_golden_ = run_golden(FaultSite::kICacheLine, nullptr); });
+  return icache_golden_;
 }
 
 const CampaignRunner::TextAccess& CampaignRunner::text_access() const {
   std::call_once(text_once_, [this] {
-    auto access =
-        std::make_unique<TextAccess>(image_, trial_config(FaultSite::kICacheLine).icache);
-    cpu::CpuConfig config = trial_config(FaultSite::kFetchBus);
-    config.icache.enabled = false;
-    cpu::Cpu walk(config, image_, &loaded_);
+    auto access = std::make_unique<TextAccess>(image_, config_.icache);
+    cpu::Cpu walk(golden_.machine, image_, &loaded_);
     walk.fetch_path().set_bus_tamper(access.get());
     walk.set_text_watch(access.get());
     const cpu::RunResult result = walk.run();
-    // On the campaign machine itself the walk is the golden run.
-    support::check(config_.icache.enabled || result.instructions == golden_instructions_,
+    support::check(result.instructions == golden_.result.instructions,
                    "text-access walk diverged from the golden run");
     access->run_starts.shrink_to_fit();
     access->run_words.shrink_to_fit();
@@ -510,23 +450,38 @@ const CampaignRunner::TextAccess& CampaignRunner::text_access() const {
   return *text_access_;
 }
 
-std::uint64_t CampaignRunner::fork_point(const FaultSpec& spec) const {
-  if (spec.site == FaultSite::kFetchBus || spec.site == FaultSite::kFetchBusPaired) {
-    return spec.trigger_index;
-  }
-  if (spec.site == FaultSite::kICacheLine) {
-    // Planned flips that the golden run fetches again fork at that fetch,
-    // which is at most its last instruction.
-    const std::optional<PlannedFlips> planned = text_access().plan_icache_flips(spec);
-    if (planned.has_value() && planned->first_read != kNever) return planned->first_read;
-  }
+TrialPlan CampaignRunner::plan(const FaultSpec& spec) const {
+  TrialPlan plan;
+  plan.converge_from = snapshot_count();
+  if (!checkpoints_.enabled) return plan;
   // A cursor never retires the golden run's last instruction: it stays a
   // running golden state that later trials can fork from.
-  const std::uint64_t last = std::max<std::uint64_t>(golden_instructions_, 1) - 1;
-  if (spec.site != FaultSite::kMemoryText) return std::min(spec.trigger_index, last);
-  // A word outside the text has no summary entry: start at instruction 0.
-  if (!image_.contains_text(spec.target_address)) return 0;
-  return std::min(text_access().first_read(spec.target_address, config_.icache), last);
+  const std::uint64_t last =
+      std::max<std::uint64_t>(golden(spec.site).result.instructions, 1) - 1;
+  plan.fork_at = std::min(spec.trigger_index, last);
+  switch (spec.site) {
+    case FaultSite::kMemoryText:
+      // A word outside the text has no summary entry: fork at instruction 0.
+      plan.fork_at = 0;
+      if (image_.contains_text(spec.target_address)) {
+        const std::size_t word = (spec.target_address - image_.text_base) / 4;
+        plan.fork_at = std::min(text_access().first_access[word], last);
+      }
+      break;
+    case FaultSite::kICacheLine:
+      text_access().plan_flips(spec, &plan);
+      break;
+    case FaultSite::kFetchBus:
+    case FaultSite::kFetchBusPaired:
+    case FaultSite::kPostIdLatch:
+      // The fault is spent once the last instruction whose fetch or latch it
+      // corrupts retired. A boundary at or before that may equal the golden
+      // state with the fault still pending.
+      plan.converge_from = golden_.recording->first_after_instructions(
+          spec.trigger_index + (spec.site == FaultSite::kFetchBusPaired ? 1 : 0));
+      break;
+  }
+  return plan;
 }
 
 void CampaignRunner::count_restore(std::uint64_t instructions) const {
@@ -538,41 +493,18 @@ void CampaignRunner::count_restore(std::uint64_t instructions) const {
   obs::bump(k_skipped, instructions);
 }
 
-bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec, std::uint64_t target,
-                                 cpu::Snapshot* out) const {
-  const bool by_transfers =
-      spec.site == FaultSite::kFetchBus || spec.site == FaultSite::kFetchBusPaired;
-  const auto clock = by_transfers
-                         ? +[](cpu::Cpu& c) { return c.fetch_path().bus_transfers(); }
-                         : +[](cpu::Cpu& c) { return c.instructions_retired(); };
-  const std::uint64_t last = std::max<std::uint64_t>(golden_instructions_, 1) - 1;
-  std::unique_ptr<cpu::Cpu> cursor = pool.checkout(clock, target, image_, loaded_);
-
-  const CheckpointedGolden& golden = pool.golden();
-  const cpu::Snapshot& nearest = by_transfers ? golden.nearest_by_transfers(target)
-                                              : golden.nearest_by_instructions(target);
-  if (clock(*cursor) > target || cursor->instructions_retired() < nearest.instructions) {
+cpu::Snapshot CampaignRunner::fork_golden(const Golden& golden, std::uint64_t target) const {
+  std::unique_ptr<cpu::Cpu> cursor = golden.pool->checkout(target, image_, loaded_);
+  const cpu::Snapshot& nearest = golden.recording->nearest_by_instructions(target);
+  const std::uint64_t at = cursor->instructions_retired();
+  if (at > target || at < nearest.instructions) {
     cursor->restore_snapshot(nearest);
     count_restore(nearest.instructions);
   }
-  const auto walk_to = [&cursor](std::uint64_t instructions) {
-    support::check(!cursor->run_until(instructions).has_value(),
-                   "golden cursor ended before its fork point");
-  };
   const std::uint64_t from = cursor->instructions_retired();
-  if (by_transfers) {
-    // One instruction moves the bus clock by at most transfers_per_instruction,
-    // so stepping remaining / that many instructions never overshoots.
-    for (;;) {
-      const std::uint64_t steps =
-          (target - clock(*cursor)) / pool.transfers_per_instruction();
-      const std::uint64_t at = cursor->instructions_retired();
-      if (steps == 0 || at >= last) break;
-      walk_to(std::min(at + steps, last));
-    }
-    support::check(clock(*cursor) <= target, "golden cursor overshot its fork point");
-  } else if (from < target) {
-    walk_to(target);
+  if (from < target) {
+    support::check(!cursor->run_until(target).has_value(),
+                   "golden cursor ended before its fork point");
   }
   static const obs::CounterId k_cursor = obs::counter("campaign.cursor_instructions");
   const std::uint64_t walked = cursor->instructions_retired() - from;
@@ -580,74 +512,54 @@ bool CampaignRunner::fork_golden(CursorPool& pool, const FaultSpec& spec, std::u
   obs::bump(k_cursor, walked);
   cursor->publish_metrics();
 
-  const bool forked = cursor->instructions_retired() != 0;
-  if (forked) cursor->save_snapshot(out);
-  pool.checkin(std::move(cursor));
-  return forked;
+  cpu::Snapshot fork;
+  cursor->save_snapshot(&fork);
+  golden.pool->checkin(std::move(cursor));
+  return fork;
 }
 
 TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   static const obs::CounterId k_trials = obs::counter("campaign.trials");
-  // An icache-line trial that flips nothing, or whose flips the golden run
-  // never fetches again, is the golden I-cache run: only a fetch of a
-  // flipped address reads a flip, and a refill overwrites it.
-  const auto inert = [this, &spec]() -> const cpu::RunResult& {
+  obs::bump(k_trials);
+  const Golden& golden = this->golden(spec.site);
+  const TrialPlan plan = this->plan(spec);
+  if (plan.inert) {
     static const obs::CounterId k_inert = obs::counter("campaign.inert_flips");
     inert_flips_.fetch_add(1, std::memory_order_relaxed);
     obs::bump(k_inert);
-    return cursors(spec.site).golden().result();
-  };
-  // With checkpoints, an icache-line trial draws its flips from the golden
-  // I-cache state at its trigger when the text-access summary describes that
-  // run: inert flips take no machine, live ones fork at their first read.
-  std::optional<PlannedFlips> planned;
-  if (golden_ != nullptr && spec.site == FaultSite::kICacheLine) {
-    planned = text_access().plan_icache_flips(spec);
-    if (planned.has_value() && planned->first_read == kNever) {
-      obs::bump(k_trials);
-      const cpu::RunResult& result = inert();
-      return {classify(result, golden_console_, golden_exit_code_), result.reason, spec, {}};
-    }
+    return {classify(golden.result, golden.result), golden.result.reason, {}};
   }
 
-  const auto build_machine = [this, &spec] {
-    trial_machines_.fetch_add(1, std::memory_order_relaxed);
-    return std::make_unique<cpu::Cpu>(trial_config(spec.site), image_, &loaded_);
-  };
-  // Fast-forward: start from the golden state at the fork point, forked off
-  // a cursor and restored into an idle trial machine (see CheckpointConfig).
+  // Fast-forward: start from the golden state at the fork, forked off a
+  // cursor and restored into an idle trial machine (see CheckpointConfig).
   // The suffix then executes exactly as a from-zero run would (byte-identity
-  // enforced by tests). A trial that starts at instruction 0 starts on a
-  // fresh machine, as every trial does without checkpoints.
-  CursorPool* pool = golden_ != nullptr ? &cursors(spec.site) : nullptr;
-  std::unique_ptr<cpu::Cpu> machine;
-  std::uint64_t transfers_done = 0;
-  if (pool != nullptr) {
-    cpu::Snapshot start;
-    const std::uint64_t target = planned.has_value() ? planned->first_read : fork_point(spec);
-    if (fork_golden(*pool, spec, target, &start)) {
-      static const obs::CounterId k_forks = obs::counter("campaign.forks");
-      forks_.fetch_add(1, std::memory_order_relaxed);
-      obs::bump(k_forks);
-      count_restore(start.instructions);
-      transfers_done = start.bus_transfers;
-      machine = pool->checkout_machine();
-      if (machine == nullptr) machine = build_machine();
-      machine->restore_snapshot(std::move(start));
-    }
+  // enforced by tests). Without checkpoints the trial starts on a fresh
+  // machine.
+  std::unique_ptr<cpu::Cpu> machine = golden.pool ? golden.pool->checkout_machine() : nullptr;
+  if (machine == nullptr) {
+    trial_machines_.fetch_add(1, std::memory_order_relaxed);
+    machine = std::make_unique<cpu::Cpu>(golden.machine, image_, &loaded_);
   }
-  if (machine == nullptr) machine = build_machine();
+  if (golden.pool) {
+    cpu::Snapshot start = fork_golden(golden, plan.fork_at);
+    static const obs::CounterId k_forks = obs::counter("campaign.forks");
+    forks_.fetch_add(1, std::memory_order_relaxed);
+    obs::bump(k_forks);
+    count_restore(start.instructions);
+    machine->restore_snapshot(std::move(start));
+  }
   cpu::Cpu& cpu = *machine;
   // A machine's counters span its trials; this trial publishes its share.
   const std::uint64_t cow_pages_before = cpu.memory().cow_pages_copied();
   const std::uint64_t resets_before = cpu.tcache_resets();
 
-  // The one-shot tamper counts transfers from when it is attached; a forked
-  // trial attaches it mid-stream, so its trigger is relative to the fork's
-  // transfer count. The post-ID trigger compares against the global
-  // retired-instruction count, which restore re-establishes.
-  OneShotBusTamper tamper(spec.trigger_index - transfers_done, spec.xor_mask,
+  // The one-shot tamper counts transfers from when it is attached, so its
+  // trigger is relative to the fork's transfer count. The post-ID trigger
+  // compares against the global retired-instruction count, which restore
+  // re-establishes.
+  OneShotBusTamper tamper(spec.trigger_index - cpu.fetch_path().bus_transfers(), spec.xor_mask,
                           spec.site == FaultSite::kFetchBusPaired);
+  std::optional<cpu::RunResult> result;
   switch (spec.site) {
     case FaultSite::kMemoryText: {
       // The loader has already computed/loaded the expected hashes from the
@@ -664,89 +576,56 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
     case FaultSite::kPostIdLatch:
       cpu.set_post_id_fault(cpu::PostIdFault{spec.trigger_index, spec.xor_mask});
       break;
-    case FaultSite::kICacheLine:
-      break;  // injected mid-run below
-  }
-
-  std::optional<cpu::RunResult> result;
-  if (planned.has_value()) {
-    // Nothing fetched a flipped word since the trigger and nothing was
-    // evicted, so the fork holds each planned line as the trigger did. A
-    // summary that disagrees with the real cache fails here, loudly: the fork
-    // must hold exactly the lines, with the tags, that it dates as filled.
-    mem::ICache& icache = *cpu.fetch_path().icache();
-    support::check(text_access().describes(icache, cpu.instructions_retired()),
-                   "icache-line fork: the cache holds other lines than the summary dates");
-    for (const PlannedFlips::Flip& flip : planned->flips) icache.apply_flip(flip.bit);
-  } else if (spec.site == FaultSite::kICacheLine) {
-    // Run to the trigger on the configured engine, then flip resident bits.
-    support::Rng icache_rng(icache_flip_seed(spec));
-    result = cpu.run_until(spec.trigger_index);
-    if (!result.has_value()) {
-      // Without checkpoints every trial runs to its end (the reference).
-      bool live = golden_ == nullptr;
-      mem::ICache* icache = cpu.fetch_path().icache();
-      if (icache != nullptr) {
-        for (unsigned flip = 0; flip < support::popcount32(spec.xor_mask); ++flip) {
-          const bool flipped = icache->flip_random_resident_bit(icache_rng).has_value();
-          live = live || flipped;
-        }
+    case FaultSite::kICacheLine: {
+      mem::ICache& icache = *cpu.fetch_path().icache();
+      if (plan.flips.has_value()) {
+        // Nothing fetched a flipped word since the trigger and nothing was
+        // evicted, so the fork holds each planned line as the trigger did. A
+        // summary that disagrees with the real cache fails here, loudly: the
+        // fork must hold exactly the lines, with the tags, that it dates as
+        // filled.
+        support::check(text_access().describes(icache, cpu.instructions_retired()),
+                       "icache-line fork: the cache holds other lines than the summary dates");
+        for (const mem::ICache::Flip& flip : *plan.flips) icache.apply_flip(flip);
+        break;
       }
-      if (!live) result = inert();
+      // Run to the trigger on the configured engine, then flip resident bits.
+      result = cpu.run_until(spec.trigger_index);
+      support::Rng rng(icache_flip_seed(spec));
+      for (unsigned flip = 0; !result && flip < support::popcount32(spec.xor_mask); ++flip) {
+        icache.flip_random_resident_bit(rng);
+      }
+      break;
     }
   }
   std::optional<std::uint64_t> converged_at;
-  if (!result.has_value()) {
-    const bool transient = spec.site == FaultSite::kFetchBus ||
-                           spec.site == FaultSite::kFetchBusPaired ||
-                           spec.site == FaultSite::kPostIdLatch;
-    result = transient && golden_ ? run_converging(cpu, spec, &converged_at) : cpu.run();
-  }
+  if (!result.has_value()) result = run_converging(cpu, plan.converge_from, &converged_at);
 
   static const obs::CounterId k_cow_pages = obs::counter("campaign.cow_pages_copied");
-  obs::bump(k_trials);
   obs::bump(k_cow_pages, cpu.memory().cow_pages_copied() - cow_pages_before);
   cpu.publish_metrics();
   const bool detached = cpu.tcache_resets() != resets_before;
   if (loaded_.translations && detached) detached_.fetch_add(1);
   // A detached machine would run every later trial without the image.
-  if (pool != nullptr && !detached) pool->checkin_machine(std::move(machine));
-  return {classify(*result, golden_console_, golden_exit_code_), result->reason, spec,
-          converged_at};
+  if (golden.pool && !detached) golden.pool->checkin_machine(std::move(machine));
+  return {classify(*result, golden.result), result->reason, converged_at};
 }
 
-std::size_t CampaignRunner::first_spent_snapshot(const FaultSpec& spec) const {
-  support::check(golden_ != nullptr, "first_spent_snapshot: checkpoints are off");
-  // The golden clocks pick the boundary; a trial that matches it there has
-  // the same clocks (matches_snapshot compares both), so its own fault is
-  // spent too.
-  if (spec.site == FaultSite::kPostIdLatch) {
-    return golden_->first_after_instructions(spec.trigger_index);
-  }
-  return golden_->first_after_transfers(last_tampered_transfer(spec));
-}
-
-cpu::RunResult CampaignRunner::run_converging(cpu::Cpu& cpu, const FaultSpec& spec,
+cpu::RunResult CampaignRunner::run_converging(cpu::Cpu& cpu, std::size_t from,
                                               std::optional<std::uint64_t>* converged_at) const {
-  const std::vector<cpu::Snapshot>& snapshots = golden_->snapshots();
   static const obs::CounterId k_checks = obs::counter("campaign.convergence_checks");
-  for (std::size_t next = first_spent_snapshot(spec), gap = 1; next < snapshots.size();
-       next += gap, gap *= 2) {
-    const cpu::Snapshot& golden = snapshots[next];
+  for (std::size_t next = from, gap = 1; next < snapshot_count(); next += gap, gap *= 2) {
+    const cpu::Snapshot& golden = golden_.recording->snapshots()[next];
     if (auto done = cpu.run_until(golden.instructions)) return *done;
-    // Disarm a fault the trial has spent, by its own clocks: a diverged
-    // trial can reach this boundary's instruction count with fewer bus
-    // transfers than the golden run made.
-    if (spec.site == FaultSite::kPostIdLatch) {
-      if (cpu.instructions_retired() > spec.trigger_index) cpu.set_post_id_fault(std::nullopt);
-    } else if (cpu.fetch_path().bus_transfers() > last_tampered_transfer(spec)) {
-      cpu.fetch_path().set_bus_tamper(nullptr);
-    }
+    // Past the last instruction the fault corrupts, and with the I-cache off
+    // past its last transfer too: the fault is spent.
+    cpu.fetch_path().set_bus_tamper(nullptr);
+    cpu.set_post_id_fault(std::nullopt);
     convergence_checks_.fetch_add(1, std::memory_order_relaxed);
     obs::bump(k_checks);
     if (cpu.matches_snapshot(golden) && cpu.console() == golden.result.console) {
       // From here the trial is the golden run: same state, fault spent.
-      const std::uint64_t skipped = golden_instructions_ - golden.instructions;
+      const std::uint64_t skipped = golden_.result.instructions - golden.instructions;
       converged_.fetch_add(1, std::memory_order_relaxed);
       converged_skipped_instructions_.fetch_add(skipped, std::memory_order_relaxed);
       static const obs::CounterId k_converged = obs::counter("campaign.converged");
@@ -755,7 +634,7 @@ cpu::RunResult CampaignRunner::run_converging(cpu::Cpu& cpu, const FaultSpec& sp
       obs::bump(k_converged);
       obs::bump(k_skipped, skipped);
       *converged_at = golden.instructions;
-      return golden_->result();
+      return golden_.result;
     }
   }
   return cpu.run();
@@ -780,7 +659,7 @@ exp::SweepSpec CampaignRunner::sweep(FaultSite site, unsigned bits, unsigned tri
     FaultSpec fault;
     fault.site = site;
     fault.xor_mask = random_mask(rng, bits);
-    fault.trigger_index = rng.below(golden_instructions_);
+    fault.trigger_index = rng.below(golden_.result.instructions);
     if (site == FaultSite::kMemoryText) {
       fault.target_address =
           image_.text_base + 4 * static_cast<std::uint32_t>(rng.below(text_words));
@@ -792,11 +671,11 @@ exp::SweepSpec CampaignRunner::sweep(FaultSite site, unsigned bits, unsigned tri
     result.u64 = {static_cast<std::uint64_t>(run_trial(draw(trial)).outcome)};
     return result;
   };
-  // Fork-point order lets the cursors walk the golden run forward instead of
+  // Fork order lets the cursors walk the golden run forward instead of
   // falling back to recorded snapshots. Without checkpoints there are no
   // cursors.
-  if (golden_ != nullptr) {
-    spec.order_key = [this, draw](std::size_t trial) { return fork_point(draw(trial)); };
+  if (checkpoints_.enabled) {
+    spec.order_key = [this, draw](std::size_t trial) { return plan(draw(trial)).fork_at; };
   }
   return spec;
 }

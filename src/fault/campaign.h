@@ -52,11 +52,28 @@ constexpr bool is_detected(Outcome outcome) {
 struct TrialResult {
   Outcome outcome = Outcome::kBenign;
   cpu::ExitReason exit_reason = cpu::ExitReason::kExit;
-  FaultSpec spec;
   // Retired-instruction count of the golden snapshot at which the trial's
   // state rejoined the golden run (the trial stopped there, benign); empty
   // when it ran to its own end.
   std::optional<std::uint64_t> converged_at;
+};
+
+// How a trial runs, computed from its fault alone (CampaignRunner::plan).
+struct TrialPlan {
+  // The retired-instruction count at which the trial forks off its machine's
+  // golden run and injects its fault (0 without checkpoints: a fresh machine).
+  std::uint64_t fork_at = 0;
+  // An icache-line trial's flips, drawn from the golden I-cache state at its
+  // trigger and XORed into the cache at the fork; nullopt: the trial runs to
+  // its trigger and draws them from its own cache there.
+  std::optional<std::vector<mem::ICache::Flip>> flips;
+  // The golden run never reads the planned flips: the trial takes the golden
+  // result without running.
+  bool inert = false;
+  // Index of the first golden snapshot at which the trial may converge, past
+  // the instruction where its transient fault is spent; snapshot_count() when
+  // it never may.
+  std::size_t converge_from = 0;
 };
 
 struct CampaignSummary {
@@ -80,77 +97,85 @@ struct CampaignSummary {
 };
 
 // Golden-run checkpointing (see fault/golden.h). Enabled by default: trials
-// start from the golden state at their fork point instead of re-simulating
-// the clean prefix. A pure execution strategy — like the engine choice or the
+// start from the golden state at their fork instead of re-simulating the
+// clean prefix. A pure execution strategy — like the engine choice or the
 // job count, it never changes a trial outcome (CI enforces byte-identity on
 // vs off, and tests also at fixed strides) — so it is not a sweep parameter.
 //
-// That start state comes from a golden cursor: a clean Cpu on the trial
-// configuration that walks forward through the golden run. The runner keeps
-// a pool of them per golden recording, built on first use. A trial checks
-// out the idle cursor furthest along but not past its fork point, advances
-// it with run_until to the last instruction boundary at or before that point
-// (in the fault's own unit: bus tampers count bus transfers, the other sites
-// retired instructions), saves a fork snapshot and returns the cursor. Only
-// a cursor that is past the fork point, or behind the nearest recorded
-// snapshot, restores that snapshot first. Campaign sweeps run each shard's
-// trials in fork-point order (exp::SweepSpec::order_key), so a cursor mostly
-// walks the golden run once and each trial executes little more than its
-// fault's consequences.
+// The campaign machine has the I-cache off; icache-line trials add one of
+// the configured geometry, and that machine has a golden run of its own,
+// run on first use. Each trial follows the TrialPlan that
+// CampaignRunner::plan computes from its fault alone, forks at plan.fork_at,
+// a retired-instruction count of its machine's golden run held below the
+// run's last instruction, and is classified against that run's console and
+// exit code. With the I-cache off, bus transfer k is the fetch of
+// instruction k, so that one clock serves every site:
 //
-// The fork is restored into a trial machine: a Cpu on the same
-// configuration, from the same pool. A trial checks out an idle machine (or
-// builds one when none is idle), restores its fork into it, arms its fault,
-// runs, and checks the machine back in with both fault hooks disarmed, so a
-// campaign builds about one machine per thread. Reuse gives what a fresh Cpu
-// gives: the restore installs the whole determinism surface, the fault hooks
-// are the only state outside it, and the machine's predecode and translation
-// caches, which persist across its trials, are tag-checked per dynamic
-// instruction. A machine that a text rewrite detached from the translation
-// image, or whose trial threw, is dropped. A trial whose fork point is
-// instruction 0 starts on a fresh machine.
+//  * A transient fault (fetch-bus, fetch-bus-paired, post-ID) forks at its
+//    trigger.
+//  * A memory-text flip does nothing until something reads the word, so it
+//    forks where the golden run first reads it (fetch, load or store) and
+//    writes the flip there: every state before that point is the golden
+//    run's plus one unread word.
+//  * An I-cache flip is read only by a fetch of the flipped address, and any
+//    refill of its line overwrites it. When the golden I-cache run neither
+//    stores into its text nor evicts a line, the first fill of each line
+//    gives its I-cache state at any trigger without running anything: the
+//    plan draws the trial's flips from it (the draws mem::ICache::choose_flip
+//    makes in a run paused at the trigger) and forks at the first
+//    instruction at or after the trigger whose fetch reads a flipped word,
+//    where the flips are XORed into the restored cache. A plan whose flips
+//    the golden run never fetches again is inert: it takes the golden I-cache
+//    run's result (benign) without taking a machine. On any other golden
+//    I-cache run a trial forks at its trigger and draws its flips from the
+//    restored cache there, as the reference does.
 //
-// A transient fault forks at its trigger. A memory-text flip does nothing
-// until something reads the word, so it forks where the golden run first
-// reads it (fetch, load or store; through an I-cache, a refill of any word
-// of its line) and writes the flip there: every state before that point is
-// the golden run's plus one unread word. Those instruction indices come from
-// a golden text-access summary, built lazily by one clean walk with the
-// I-cache off on the first memory-text or icache-line trial or order key,
-// and never shipped. With the I-cache on, a program that stores into its
-// own text may fetch a stale cached copy where the walk fetched the new
-// word, so there the summary holds only up to the first text store.
+// Those first reads, fills and fetches come from a golden text-access
+// summary, built lazily by one clean walk of the campaign machine on the
+// first memory-text or icache-line plan, and never shipped.
 //
-// An I-cache flip is read only by a fetch of the flipped address, and any
-// refill of its line overwrites it. The walk also keeps its fetch trace and
-// replays it over the trial machine's I-cache geometry, dating each line's
-// first fill. When the golden I-cache run neither stores into its text nor
-// evicts a line, that gives its I-cache state at any trigger without running
-// anything: an icache-line trial draws its flips from it (the draws
-// mem::ICache::choose_flip makes in a run paused at the trigger), forks at
-// the first instruction at or after the trigger whose fetch reads a flipped
-// word and XORs the flips into the restored cache there. One whose flips the
-// golden run never fetches again is inert: it takes the golden I-cache run's
-// result (benign) without taking a machine. On any other golden I-cache run a
-// trial forks at its trigger, flips there and runs on; it is inert only when
-// no line is resident yet, so nothing flips.
+// The fork comes from a golden cursor: a clean Cpu on the trial machine that
+// walks forward through its golden run. The runner keeps a pool of them per
+// golden recording, built on first use. A trial checks out the idle cursor
+// furthest along but not past its fork, advances it with run_until to the
+// fork, saves a fork snapshot and returns the cursor. Only a cursor that is
+// past the fork, or behind the nearest recorded snapshot, restores that
+// snapshot first. Campaign sweeps run each shard's trials in fork order
+// (exp::SweepSpec::order_key), so a cursor mostly walks the golden run once
+// and each trial executes little more than its fault's consequences.
+//
+// The fork is restored into a trial machine from the same pool. A trial
+// checks out an idle machine (or builds one when none is idle), restores its
+// fork into it, arms its fault, runs, and checks the machine back in with
+// both fault hooks disarmed, so a campaign builds about one machine per
+// thread. Reuse gives what a fresh Cpu gives: the restore installs the whole
+// determinism surface, the fault hooks are the only state outside it, and
+// the machine's predecode and translation caches, which persist across its
+// trials, are tag-checked per dynamic instruction. A machine that a text
+// rewrite detached from the translation image, or whose trial threw, is
+// dropped.
 //
 // The recorded snapshots also end transient-fault trials early (convergence
-// early-exit). Once a fetch-bus, fetch-bus-paired or post-ID fault is spent —
-// it can no longer fire — a trial whose complete state (Cpu::matches_snapshot)
-// and console equal a golden snapshot's will, by the restore equivalence
-// above, run exactly the rest of the golden run: it stops there with the
-// golden RunResult (benign). Checks run at golden boundaries on a doubling
-// schedule (the first boundary after the fault is spent, then 1, 3, 7, ...
-// boundaries later), so a trial that never re-converges pays O(log n)
-// compares. At each check a trial whose own clocks show its fault spent
-// disarms it, so the rest of the run pays no fault hook. Memory-text and
-// icache-line corruption stays resident in memory or cache state, so those
-// trials never converge.
+// early-exit). Once the fault is spent — the last instruction whose fetch or
+// latch it corrupts has retired — a trial whose complete state
+// (Cpu::matches_snapshot) and console equal a golden snapshot's will, by the
+// restore equivalence above, run exactly the rest of the golden run: it
+// stops there with the golden RunResult (benign). Checks run at golden
+// boundaries on a doubling schedule (plan.converge_from, the first boundary
+// past that instruction, then 1, 3, 7, ... boundaries later), so a trial
+// that never re-converges pays O(log n) compares, and the first check
+// disarms the spent fault, so the rest of the run pays no fault hook.
+// Memory-text and icache-line corruption stays resident in memory or cache
+// state, so those trials never converge.
+//
 // Trials also read the golden run's sealed translation image as a shared
 // first-level block cache until a text write detaches them. Shipped golden
 // state carries the image's block starts, and the runner rebuilds the same
 // image from them, so a fleet worker's trials translate what direct ones do.
+//
+// Without checkpoints every plan forks at instruction 0 and plans no flips:
+// each trial runs on a fresh machine from the start, the full re-execution
+// reference.
 struct CheckpointConfig {
   bool enabled = true;
   // Snapshot spacing in instructions; 0 = automatic. The CLI always uses the
@@ -160,8 +185,9 @@ struct CheckpointConfig {
 
 class CampaignRunner {
  public:
-  // `config` is the machine to attack (monitoring on or off); the image is
-  // loaded once into a shared immutable page base that every trial's CPU
+  // `config` is the machine to attack (monitoring on or off; the I-cache
+  // must be off, and icache-line trials add one of its geometry); the image
+  // is loaded once into a shared immutable page base that every trial's CPU
   // reads through copy-on-write.
   CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                  const CheckpointConfig& checkpoints = {});
@@ -182,17 +208,23 @@ class CampaignRunner {
   // Snapshot of everything the constructor derived, for shipping.
   GoldenState export_golden() const;
 
-  // Runs one trial with an explicit fault. Thread-safe: trials share the
-  // golden-run state, read-only, and the mutex-guarded pools of cursors and
-  // trial machines; each checks out a cursor and a machine of its own. Any
-  // call order gives the same result; trigger order is merely the cheapest.
+  // Runs one trial with an explicit fault by its plan. Thread-safe: trials
+  // share the golden-run state, read-only, and the mutex-guarded pools of
+  // cursors and trial machines; each checks out a cursor and a machine of its
+  // own. Any call order gives the same result; fork order is merely the
+  // cheapest.
   TrialResult run_trial(const FaultSpec& spec) const;
+
+  // How `spec`'s trial runs (see CheckpointConfig). Pure: a function of the
+  // fault and the golden runs, so the sweep's ordering pass and its trials
+  // each recompute it rather than store it.
+  TrialPlan plan(const FaultSpec& spec) const;
 
   // The campaign as a sweep-engine grid: one cell per trial, u64 payload =
   // {outcome code}. Every trial draws from its own RNG stream seeded by
   // (seed, trial index), so the summary is bit-identical for a given seed at
   // any job count, shard count, or process placement. With checkpoints on,
-  // the cells run in fork-point order. The spec borrows this runner — it
+  // the cells run in fork order. The spec borrows this runner — it
   // must outlive any run_cell or order_key call.
   exp::SweepSpec sweep(FaultSite site, unsigned bits, unsigned trials,
                        std::uint64_t seed) const;
@@ -208,13 +240,17 @@ class CampaignRunner {
                              std::uint64_t seed, unsigned jobs = 0);
 
   // Golden-run facts (available after construction).
-  std::uint64_t golden_instructions() const { return golden_instructions_; }
-  const std::string& golden_console() const { return golden_console_; }
+  std::uint64_t golden_instructions() const { return golden_.result.instructions; }
+  const std::string& golden_console() const { return golden_.result.console; }
 
   // Checkpoint accounting, for the CLI's stderr acceleration report.
   bool checkpoints_enabled() const { return checkpoints_.enabled; }
-  std::uint64_t checkpoint_stride() const { return golden_ ? golden_->stride() : 0; }
-  std::size_t snapshot_count() const { return golden_ ? golden_->snapshot_count() : 0; }
+  std::uint64_t checkpoint_stride() const {
+    return golden_.recording ? golden_.recording->stride() : 0;
+  }
+  std::size_t snapshot_count() const {
+    return golden_.recording ? golden_.recording->snapshot_count() : 0;
+  }
   // Blocks in the translation image (0 without one), and trials whose machine
   // a text write detached from it: the trial's own, or one an earlier trial
   // on the same machine left in a private translation's tag.
@@ -230,34 +266,25 @@ class CampaignRunner {
   std::uint64_t skipped_instructions() const {
     return skipped_instructions_.load(std::memory_order_relaxed);
   }
-  // Trials that started from a cursor's fork (the rest started at
-  // instruction 0), and the instructions the cursors executed walking to
-  // those forks.
+  // Trials that started from a cursor's fork (with checkpoints, every trial
+  // but the inert ones), and the instructions the cursors executed walking
+  // to those forks.
   std::uint64_t forks() const { return forks_.load(std::memory_order_relaxed); }
   std::uint64_t cursor_instructions() const {
     return cursor_instructions_.load(std::memory_order_relaxed);
   }
-  // Trial Cpus built: with checkpoints, one each time a forked trial found
-  // no idle machine in its pool plus one per trial that started at
-  // instruction 0; without, one per trial that ran.
+  // Trial Cpus built: with checkpoints, one each time a trial found no idle
+  // machine in its pool; without, one per trial that ran.
   std::uint64_t trial_machines() const {
     return trial_machines_.load(std::memory_order_relaxed);
   }
   // Instructions the text-access walk executed (0 until a memory-text or
-  // icache-line trial built the summary), and icache-line trials whose flips
-  // the golden run never fetched again, which took its result without running.
+  // icache-line plan built the summary), and trials whose plan was inert,
+  // which took the golden result without running.
   std::uint64_t text_walk_instructions() const {
     return text_walk_instructions_.load(std::memory_order_relaxed);
   }
   std::uint64_t inert_flips() const { return inert_flips_.load(std::memory_order_relaxed); }
-  // Index of the first golden snapshot past the point where `spec`'s
-  // transient fault is spent — it can no longer fire: the post-ID latch once
-  // its trigger instruction retired, a bus tamper once its trigger transfer
-  // (both transfers for the paired site) crossed the bus. A boundary before
-  // that may equal the golden state with the fault still pending, so
-  // convergence checks start here. snapshot_count() when there is none.
-  // Requires checkpoints and a fetch-bus, fetch-bus-paired or post-ID spec.
-  std::size_t first_spent_snapshot(const FaultSpec& spec) const;
 
   // Convergence early-exit: trials stopped on a golden match, state compares
   // made, and golden-run instructions those trials did not execute.
@@ -270,59 +297,54 @@ class CampaignRunner {
   }
 
  private:
-  // Runs an armed transient-fault trial to its end, or to the first golden
-  // boundary (on the doubling schedule) where it has rejoined the golden run,
-  // disarming the fault at the first of those boundaries where it is spent.
-  // Sets `converged_at` on an early exit.
-  cpu::RunResult run_converging(cpu::Cpu& cpu, const FaultSpec& spec,
-                                std::optional<std::uint64_t>* converged_at) const;
-
   // Golden cursors and idle trial machines over one recording (campaign.cc).
   class CursorPool;
   // When the golden run reads, writes and fetches each text word, and when its
   // fetches fill each I-cache line (campaign.cc).
   struct TextAccess;
 
-  // The trial machine: the campaign's, with a hang watchdog, and the I-cache
-  // forced on for I-cache-line trials.
-  cpu::CpuConfig trial_config(FaultSite site) const;
+  // A trial machine and its golden run: the clean result that trials are
+  // classified against, and with checkpoints the recording and the pool of
+  // cursors over it.
+  struct Golden {
+    cpu::CpuConfig machine;  // the golden run's, with a hang watchdog
+    cpu::RunResult result;
+    std::unique_ptr<CheckpointedGolden> recording;  // null when checkpoints are off
+    std::unique_ptr<CursorPool> pool;               // over recording
+  };
 
-  // The cursor pool for `site`'s trials. I-cache-line trials force the
-  // I-cache on, so their snapshots must carry its state: when the campaign
-  // config already has it on the main pool serves, otherwise a second golden
-  // recording and its pool are built lazily on the first such trial (most
-  // campaigns attack one site and never pay for the other recording).
-  CursorPool& cursors(FaultSite site) const;
+  // Runs `site`'s trial machine clean, or with `shipped` rebuilds that run
+  // from shipped state.
+  Golden run_golden(FaultSite site, const GoldenState* shipped) const;
+
+  // The golden run of `site`'s trial machine: the campaign machine's, or for
+  // icache-line trials that of the machine with the I-cache on, run on first
+  // use (most campaigns attack one site and never pay for it).
+  const Golden& golden(FaultSite site) const;
 
   // The golden text-access summary, built on first use (thread-safe).
   const TextAccess& text_access() const;
 
-  // Where `spec`'s trial forks off the golden run: its trigger (a bus
-  // transfer for the bus sites, else a retired-instruction count, held below
-  // the golden run's last instruction), for memory-text the instruction that
-  // first reads the flipped word, and for icache-line flips planned from the
-  // summary the first instruction at or after the trigger whose fetch reads
-  // one of them. Also the trial's order key.
-  std::uint64_t fork_point(const FaultSpec& spec) const;
-
-  // Saves into `out` the golden state at the last instruction boundary at
-  // or before `target`, on the clock of `spec`'s site, off a cursor from
-  // `pool`. Returns false, saving nothing, when that boundary is
-  // instruction 0 (a fresh Cpu's state).
-  bool fork_golden(CursorPool& pool, const FaultSpec& spec, std::uint64_t target,
-                   cpu::Snapshot* out) const;
+  // The golden state at instruction `target` of `golden`'s run, off a cursor
+  // from its pool.
+  cpu::Snapshot fork_golden(const Golden& golden, std::uint64_t target) const;
   void count_restore(std::uint64_t instructions) const;
+
+  // Runs an armed trial to its end, or, from golden snapshot `from` on, to the
+  // first golden boundary (on the doubling schedule) where it has rejoined
+  // the golden run, disarming its spent fault at the first of them. Sets
+  // `converged_at` on an early exit.
+  cpu::RunResult run_converging(cpu::Cpu& cpu, std::size_t from,
+                                std::optional<std::uint64_t>* converged_at) const;
 
   casm_::Image image_;
   cpu::CpuConfig config_;
   CheckpointConfig checkpoints_;
   cpu::LoadedImage loaded_;  // shared by every trial; final before the first one
 
-  std::unique_ptr<CheckpointedGolden> golden_;  // null when checkpoints off
-  std::unique_ptr<CursorPool> cursors_;         // over golden_
+  Golden golden_;  // the campaign machine's
   mutable std::once_flag icache_once_;
-  mutable std::unique_ptr<CheckpointedGolden> icache_golden_;
-  mutable std::unique_ptr<CursorPool> icache_cursors_;  // over icache_golden_
+  mutable Golden icache_golden_;  // the icache-line trial machine's
   mutable std::once_flag text_once_;
   mutable std::unique_ptr<const TextAccess> text_access_;
 
@@ -337,11 +359,6 @@ class CampaignRunner {
   mutable std::atomic<std::uint64_t> convergence_checks_{0};
   mutable std::atomic<std::uint64_t> converged_skipped_instructions_{0};
   mutable std::atomic<std::uint64_t> detached_{0};
-
-  std::uint64_t golden_instructions_ = 0;
-  std::string golden_console_;
-  std::uint32_t golden_exit_code_ = 0;
-  cpu::RunResult golden_result_;  // the full result, for export_golden()
 };
 
 }  // namespace cicmon::fault

@@ -93,20 +93,9 @@ std::size_t CheckpointedGolden::first_after_instructions(std::uint64_t n) const 
   return static_cast<std::size_t>(it - snapshots_.begin());
 }
 
-std::size_t CheckpointedGolden::first_after_transfers(std::uint64_t n) const {
-  auto it = std::upper_bound(
-      snapshots_.begin(), snapshots_.end(), n,
-      [](std::uint64_t v, const cpu::Snapshot& s) { return v < s.bus_transfers; });
-  return static_cast<std::size_t>(it - snapshots_.begin());
-}
-
-// Snapshot 0 sits at both clocks' zero <= any n, so the index is >= 1.
+// Snapshot 0 sits at instruction 0 <= any n, so the index is >= 1.
 const cpu::Snapshot& CheckpointedGolden::nearest_by_instructions(std::uint64_t n) const {
   return snapshots_[first_after_instructions(n) - 1];
-}
-
-const cpu::Snapshot& CheckpointedGolden::nearest_by_transfers(std::uint64_t n) const {
-  return snapshots_[first_after_transfers(n) - 1];
 }
 
 }  // namespace cicmon::fault

@@ -4,13 +4,11 @@
 // on an instruction-count schedule (SimPoint/SMARTS-style fast-forward
 // applied to fault injection). Trials fork from golden cursors that walk
 // the golden run (fault/campaign.h); a cursor behind or past its trial's
-// trigger T first restores the nearest snapshot at or before T, and
+// fork F first restores the nearest snapshot at or before F, and
 // convergence early-exit compares trials against the snapshots.
 //
-// Snapshots are interval-indexed on two monotone clocks: retired
-// instructions (post-ID latch and I-cache triggers count these) and fetch-bus
-// transfers (bus tampers count these), so every trigger unit can find its
-// nearest safe restore point.
+// Snapshots are indexed on one monotone clock, retired instructions, in
+// which every trial's fork is counted.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +34,8 @@ class CheckpointedGolden {
 
   // Rebuilds a recording from deserialized state (fault/golden_ser.h)
   // instead of re-running the golden execution. `snapshots` must be the
-  // schedule a recording constructor produced: non-empty, ascending in both
-  // clocks, snapshot 0 at instruction 0; `stride` is the resolved (possibly
+  // schedule a recording constructor produced: non-empty, ascending,
+  // snapshot 0 at the pre-execution state; `stride` is the resolved (possibly
   // auto-doubled) spacing it recorded at. `image_starts` are the recording's
   // translation-image block starts: word-aligned text addresses, strictly
   // ascending. When `config`'s engine translates, they are translated from
@@ -64,21 +62,19 @@ class CheckpointedGolden {
   // The full schedule, for serialization (fault/golden_ser.h).
   const std::vector<cpu::Snapshot>& snapshots() const { return snapshots_; }
 
-  // Last snapshot with instructions (resp. bus transfers) <= n. Always
-  // defined: snapshot 0 is the pre-execution state at both clocks' zero.
+  // Last snapshot with instructions <= n. Always defined: snapshot 0 is the
+  // pre-execution state.
   const cpu::Snapshot& nearest_by_instructions(std::uint64_t n) const;
-  const cpu::Snapshot& nearest_by_transfers(std::uint64_t n) const;
 
-  // Index of the first snapshot with instructions (resp. bus transfers) > n;
-  // snapshot_count() when there is none.
+  // Index of the first snapshot with instructions > n; snapshot_count() when
+  // there is none.
   std::size_t first_after_instructions(std::uint64_t n) const;
-  std::size_t first_after_transfers(std::uint64_t n) const;
 
   static constexpr std::uint64_t kAutoInitialStride = 1024;
   static constexpr std::size_t kAutoMaxSnapshots = 128;
 
  private:
-  std::vector<cpu::Snapshot> snapshots_;  // ascending in both clocks
+  std::vector<cpu::Snapshot> snapshots_;  // ascending in instructions
   cpu::RunResult result_;
   std::uint64_t stride_ = 0;
   std::shared_ptr<const uop::TranslationCache> translations_;

@@ -3,12 +3,12 @@
 // A campaign's golden state is everything a campaign computes before the
 // first trial: the post-loader image (frozen copy-on-write page base +
 // recovered FHT + entry point), the checkpointed golden run (the snapshot
-// schedule with COW page deltas, checker/IHT state, RNG state, and both
-// trigger clocks, plus the final RunResult), and the block starts of the
-// golden run's translation image. Deriving it costs one full clean
-// execution per process — the measured residual of the dispatch tax. This
-// module serializes it once so the orchestrator can ship it to every worker
-// over the session wire.
+// schedule with COW page deltas, checker/IHT state, RNG state, and the
+// instruction and bus-transfer counts, plus the final RunResult), and the
+// block starts of the golden run's translation image. Deriving it costs one
+// full clean execution per process — the measured residual of the dispatch
+// tax. This module serializes it once so the orchestrator can ship it to
+// every worker over the session wire.
 //
 // Record layout (all integers little-endian):
 //

@@ -13,6 +13,7 @@
 #include "fault/campaign.h"
 #include "obs/metrics.h"
 #include "support/bitops.h"
+#include "support/error.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "workloads/workloads.h"
@@ -192,24 +193,23 @@ TEST(Campaign, ParallelDeterminismAcrossSitesOnRealWorkload) {
 TEST(Campaign, ThreadedEngineDoesNotChangeCampaignResults) {
   // The tamper-safety contract of the threaded engine at campaign
   // granularity: across every site that corrupts fetched words (memory
-  // rewrites, per-fetch bus flips, post-ID latch faults, cache-resident
-  // flips through a live I-cache), the fused handlers and the chained block
-  // translation cache must reproduce the interpreter's outcome counts bit
-  // for bit (every injected fault that lands on a translated block must
-  // replay through the interpreter identically). The interpreter decodes
+  // rewrites, single and paired bus flips, post-ID latch faults,
+  // cache-resident flips through a live I-cache), the fused handlers and the
+  // chained block translation cache must reproduce the interpreter's outcome
+  // counts bit for bit (every injected fault that lands on a translated
+  // block must replay through the interpreter identically). The interpreter decodes
   // through its word-tagged predecode cache, so the same comparison holds
   // that cache to the threaded engine's fresh decodes.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   cpu::CpuConfig interp = monitored_config();
-  interp.icache.enabled = true;
   interp.engine = cpu::Engine::kSwitch;
   cpu::CpuConfig threaded = interp;
   threaded.engine = cpu::Engine::kThreaded;
   CampaignRunner a(image, interp);
   CampaignRunner b(image, threaded);
   for (const FaultSite site :
-       {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kPostIdLatch,
-        FaultSite::kICacheLine}) {
+       {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kFetchBusPaired,
+        FaultSite::kPostIdLatch, FaultSite::kICacheLine}) {
     const CampaignSummary sa = a.run_random(site, 1, 60, 13);
     const CampaignSummary sb = b.run_random(site, 1, 60, 13);
     EXPECT_TRUE(summaries_identical(sa, sb)) << fault_site_name(site);
@@ -233,15 +233,20 @@ TEST(Campaign, ICacheResidentFaultCaught) {
   // trap can fire before the block-terminating lookup — the paper's
   // end-of-block detection latency) is a negligible fraction of the code.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
-  cpu::CpuConfig config = monitored_config();
-  config.icache.enabled = true;
-  CampaignRunner runner(image, config);
+  CampaignRunner runner(image, monitored_config());
   const CampaignSummary summary = runner.run_random(FaultSite::kICacheLine, 1, 40, 11);
   // Many flips land in untouched line words (benign); nearly every
   // consequential one is detected in hardware.
   EXPECT_GT(summary.detected(), 0U);
   EXPECT_LE(summary.wrong_output, 2U);
   EXPECT_GT(summary.detected(), summary.wrong_output);
+
+  // Icache-line trials add the I-cache to the campaign machine, which has
+  // it off: both constructors reject one with it on.
+  cpu::CpuConfig cached = monitored_config();
+  cached.icache.enabled = true;
+  EXPECT_THROW(CampaignRunner(image, cached), support::CicError);
+  EXPECT_THROW(CampaignRunner(image, cached, {}, runner.export_golden()), support::CicError);
 }
 
 // `count` random one-bit faults at `site`, triggers uniform over the golden
@@ -267,8 +272,7 @@ TEST(Campaign, CheckpointsDoNotChangeCampaignResults) {
   // trial for trial — the per-trial cell vectors, not just the outcome
   // counts, so a change that swaps outcomes between trials fails too — at
   // every site, on both engines, at --jobs 1 and 4 (several cursors share a
-  // pool). The I-cache is on, so bus transfers and instructions differ. The
-  // memory-text rows also pin down the shared COW image, which
+  // pool). The memory-text rows also pin down the shared COW image, which
   // checkpoint-off trials read through as well. Every runner is reused
   // across legs, so later legs find their cursors past the early triggers.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
@@ -277,7 +281,6 @@ TEST(Campaign, CheckpointsDoNotChangeCampaignResults) {
                              FaultSite::kICacheLine};
   for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
     cpu::CpuConfig config = monitored_config();
-    config.icache.enabled = true;  // exercise the icache-line site too
     config.engine = engine;
     CampaignRunner fast(image, config);  // checkpoints default on, auto stride
     CampaignRunner prime(image, config, {true, 97});
@@ -359,9 +362,9 @@ TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
   // with engine.instructions.executed. The cursor publishes its walk like a
   // trial publishes its suffix; in fork-point order one cursor walks the
   // golden run at most once. Memory-text and icache-line campaigns also
-  // publish the one text walk, which runs the golden run once. The trials
-  // share pooled trial machines, and an inert I-cache flip takes none, so it
-  // publishes nothing and forks nothing.
+  // publish the one text walk, which runs the golden run once. Every trial
+  // forks but an inert I-cache flip, which takes no machine, so it publishes
+  // nothing; the others share pooled trial machines.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   for (const FaultSite site :
        {FaultSite::kFetchBus, FaultSite::kMemoryText, FaultSite::kICacheLine}) {
@@ -390,13 +393,12 @@ TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
     // The one cursor, the text walk where there is one, and the trial
     // machines built: at --jobs 1 one serves every trial, but a machine that
     // a memory-text trial's rewrite detached from the translation image is
-    // dropped, and a trial that starts at instruction 0 builds a fresh one.
+    // dropped.
     EXPECT_EQ(delta["engine.runs"], (walks ? 2U : 1U) + runner.trial_machines()) << where;
-    const std::uint64_t unforked = 60U - runner.inert_flips() - runner.forks();
     EXPECT_GE(runner.trial_machines(), 1U) << where;
-    EXPECT_LE(runner.trial_machines(), 1U + runner.detached_trials() + unforked) << where;
+    EXPECT_LE(runner.trial_machines(), 1U + runner.detached_trials()) << where;
     EXPECT_GT(runner.forks(), 50U) << where;
-    EXPECT_LE(runner.forks() + runner.inert_flips(), 60U) << where;
+    EXPECT_EQ(runner.forks() + runner.inert_flips(), 60U) << where;
     EXPECT_GE(runner.restores(), runner.forks()) << where;
     EXPECT_GT(runner.cursor_instructions(), 0U) << where;
     EXPECT_LE(runner.cursor_instructions(), runner.golden_instructions()) << where;
@@ -468,16 +470,14 @@ std::vector<TrialResult> expect_trials_match_reference(const casm_::Image& image
 }
 
 std::string machine_name(const cpu::CpuConfig& config) {
-  return std::string(config.monitoring ? "monitor on" : "monitor off") +
-         (config.icache.enabled ? ", I-cache on" : ", I-cache off");
+  return config.monitoring ? "monitor on" : "monitor off";
 }
 
 TEST(ResidentFaults, EveryFlippedTextWordMatchesFullReExecution) {
   // Memory-text trials fork where the golden run first reads the flipped
-  // word: its own first fetch, load or store with the I-cache off, the first
-  // refill of its line with the I-cache on. One random flip in every text
-  // word of a kernel must match full re-execution on both machines and
-  // engines, and most trials must actually fork.
+  // word: its first fetch, load or store. One random flip in every text word
+  // of a kernel must match full re-execution on both engines, and every
+  // trial must fork.
   const casm_::Image image = workloads::build_workload("sha", {0.02, 42});
   support::Rng rng(5);
   std::vector<FaultSpec> faults(image.text.size());
@@ -486,17 +486,13 @@ TEST(ResidentFaults, EveryFlippedTextWordMatchesFullReExecution) {
     faults[w].target_address = image.text_base + 4 * static_cast<std::uint32_t>(w);
     faults[w].xor_mask = 1U << rng.below(32);
   }
-  for (const bool icache : {false, true}) {
-    cpu::CpuConfig config = monitored_config();
-    config.icache.enabled = icache;
-    std::uint64_t forks = 0;
-    const std::vector<TrialResult> wants =
-        expect_trials_match_reference(image, config, faults, machine_name(config), &forks);
-    EXPECT_GT(forks, faults.size()) << machine_name(config);  // over two engines
-    EXPECT_GT(std::count_if(wants.begin(), wants.end(),
-                            [](const TrialResult& t) { return t.outcome != Outcome::kBenign; }),
-              0) << machine_name(config);
-  }
+  std::uint64_t forks = 0;
+  const std::vector<TrialResult> wants =
+      expect_trials_match_reference(image, monitored_config(), faults, "sha", &forks);
+  EXPECT_EQ(forks, 2 * faults.size());  // over two engines
+  EXPECT_GT(std::count_if(wants.begin(), wants.end(),
+                          [](const TrialResult& t) { return t.outcome != Outcome::kBenign; }),
+            0);
 }
 
 // Loads one text word and stores to another before either is fetched: the
@@ -537,24 +533,21 @@ TEST(ResidentFaults, LoadsAndStoresOfTextAreReads) {
     }
   }
   for (const bool monitoring : {true, false}) {
-    for (const bool icache : {false, true}) {
-      cpu::CpuConfig config = monitored_config();
-      config.monitoring = monitoring;
-      config.icache.enabled = icache;
-      std::uint64_t forks = 0;
-      const std::vector<TrialResult> wants =
-          expect_trials_match_reference(image, config, faults, machine_name(config), &forks);
-      EXPECT_EQ(forks, 2 * faults.size()) << machine_name(config);
-      for (std::size_t i = 32; i < 64; ++i) {
-        EXPECT_EQ(wants[i].outcome, Outcome::kBenign) << machine_name(config) << " bit " << i - 32;
-      }
-      if (!monitoring) {
-        EXPECT_GT(std::count_if(wants.begin(), wants.begin() + 32,
-                                [](const TrialResult& t) {
-                                  return t.outcome == Outcome::kWrongOutput;
-                                }),
-                  0) << machine_name(config);
-      }
+    cpu::CpuConfig config = monitored_config();
+    config.monitoring = monitoring;
+    std::uint64_t forks = 0;
+    const std::vector<TrialResult> wants =
+        expect_trials_match_reference(image, config, faults, machine_name(config), &forks);
+    EXPECT_EQ(forks, 2 * faults.size()) << machine_name(config);
+    for (std::size_t i = 32; i < 64; ++i) {
+      EXPECT_EQ(wants[i].outcome, Outcome::kBenign) << machine_name(config) << " bit " << i - 32;
+    }
+    if (!monitoring) {
+      EXPECT_GT(std::count_if(wants.begin(), wants.begin() + 32,
+                              [](const TrialResult& t) {
+                                return t.outcome == Outcome::kWrongOutput;
+                              }),
+                0) << machine_name(config);
     }
   }
 }
@@ -584,8 +577,7 @@ TEST(ResidentFaults, InertICacheFlipsMatchFullReExecution) {
   // monitored machine catches a live flip within its block; unmonitored,
   // many of them hang until the watchdog.
   const casm_::Image image = checked_loop_program();
-  cpu::CpuConfig config = monitored_config();
-  config.icache.enabled = true;
+  const cpu::CpuConfig config = monitored_config();
   const CampaignRunner probe(image, config);
   std::uint64_t inert = 0;
   const std::vector<TrialResult> wants = expect_trials_match_reference(
@@ -676,11 +668,9 @@ TEST(ResidentFaults, ICacheFlipsForkAtFirstReadMatchFullReExecution) {
   // the trigger whose fetch reads a flipped word; one whose flips are never
   // fetched again takes no machine. Every trigger with 1-, 2- and 3-bit masks,
   // cancelling flips and padding flips included, must match full
-  // re-execution, with the campaign machine's I-cache off (a lazy icache-on
-  // recording serves the trials) and on. Every trial either forks or is
-  // inert. A two-line cache that the golden run evicts from keeps the
-  // run-from-trigger path: every trial past trigger 0 forks at its trigger,
-  // and only those at trigger 0, which flip nothing, are inert.
+  // re-execution, and every trial either forks or is inert. A two-line cache
+  // that the golden run evicts from is not planned: every trial forks at its
+  // trigger and draws its flips there, and none is inert.
   unsigned cancelling = 0;
   unsigned padding = 0;
   for (const bool sha : {false, true}) {
@@ -690,45 +680,35 @@ TEST(ResidentFaults, ICacheFlipsForkAtFirstReadMatchFullReExecution) {
     // Every weight at every trigger of the loop; one per trigger of sha.
     const std::vector<FaultSpec> faults =
         icache_faults_by_weight(image, monitored_config(), !sha, &cancelling, &padding);
-    // Both machines run icache-line trials with the I-cache on.
-    const std::vector<TrialResult> wants = reference_trials(image, monitored_config(), faults);
-    for (const bool icache : {false, true}) {
-      cpu::CpuConfig config = monitored_config();
-      config.icache.enabled = icache;
-      std::uint64_t forks = 0;
-      std::uint64_t inert = 0;
-      const std::string what = name + ", " + machine_name(config);
-      expect_trials_match(image, config, faults, wants, what, &forks, &inert);
-      EXPECT_GT(forks, 0U) << what;
-      EXPECT_GT(inert, 0U) << what;
-      EXPECT_EQ(forks + inert, 2 * faults.size()) << what;  // over two engines
-    }
+    std::uint64_t forks = 0;
+    std::uint64_t inert = 0;
+    expect_trials_match_reference(image, monitored_config(), faults, name, &forks, &inert);
+    EXPECT_GT(forks, 0U) << name;
+    EXPECT_GT(inert, 0U) << name;
+    EXPECT_EQ(forks + inert, 2 * faults.size()) << name;  // over two engines
   }
   EXPECT_GT(cancelling, 0U);
   EXPECT_GT(padding, 0U);
 
   const casm_::Image image = checked_loop_program();
   cpu::CpuConfig config = monitored_config();
-  config.icache.enabled = true;
-  config.icache.num_lines = 2;
-  unsigned found = 4;  // no cancelling or padding masks: the fallback needs none
+  config.icache.num_lines = 2;  // the geometry icache-line trials add
+  unsigned found = 4;  // no cancelling or padding masks: unplanned flips need none
   const std::vector<FaultSpec> faults =
       icache_faults_by_weight(image, config, true, &found, &found);
   std::uint64_t forks = 0;
   std::uint64_t inert = 0;
   expect_trials_match_reference(image, config, faults, "evicting", &forks, &inert);
-  const auto at_zero = static_cast<std::uint64_t>(std::count_if(
-      faults.begin(), faults.end(), [](const FaultSpec& f) { return f.trigger_index == 0; }));
-  EXPECT_GT(at_zero, 0U);
-  EXPECT_EQ(forks, 2U * (faults.size() - at_zero));
-  EXPECT_EQ(inert, 2U * at_zero);
+  EXPECT_EQ(forks, 2U * faults.size());
+  EXPECT_EQ(inert, 0U);
 }
 
 // Rewrites its own code between two calls of `fn`: the nop becomes `jr ra`.
 // With the I-cache off the second call returns early; with it on, the line
 // cached by the first call still holds the nop, so the call falls through.
 // Past the store the two machines part ways, and a summary walked with the
-// I-cache off no longer describes the one with it on.
+// I-cache off no longer describes the one with it on. The two print 18 and
+// 34.
 casm_::Image self_modifying_program() {
   casm_::Asm jr_ra;
   jr_ra.ret();
@@ -750,18 +730,43 @@ casm_::Image self_modifying_program() {
   return a.finalize();
 }
 
+// As self_modifying_program, but the store turns the first `jr ra` of `fn`
+// into a nop, so with the I-cache off the second call runs on through twenty
+// more instructions: the cached run is the shorter one (18 instructions
+// against 39), and prints 2 against 322.
+casm_::Image shortening_program() {
+  casm_::Asm a;
+  a.func("fn");
+  a.addiu(kT5, kT5, 1);
+  a.ret();  // rewritten to a nop
+  for (int i = 0; i < 20; ++i) a.addiu(kT5, kT5, 16);
+  a.ret();
+  a.func("main");
+  a.call("fn");
+  a.li(kT0, casm_::kTextBase + 4);
+  a.li(kT1, 0);  // a nop's encoding
+  a.sw(kT1, 0, kT0);
+  while (a.here() % 16 != 12) a.nop();
+  a.call("fn");  // the last word of its line: what follows starts a new one
+  a.sys_print_int(kT5);
+  a.sys_exit(0);
+  return a.finalize();
+}
+
 TEST(ResidentFaults, TextStoresEndWhatTheSummaryKnowsOfAnICacheMachine) {
-  // On the I-cache machine the walk is trusted only up to the first text
-  // store: memory-text trials fork no later than it, and no I-cache flip is
-  // inert. Every word with every mask, every trigger with every mask. The
-  // monitored I-cache-off machine is left out: its golden run reaches the
+  // Past a text store the I-cache machine that icache-line trials run on
+  // parts ways with the campaign machine, so the text walk's fill times do
+  // not describe its golden run: no I-cache flip is planned or inert, each
+  // trial forks at its trigger, held below the end of the I-cache machine's
+  // own golden run, and is classified against that run, so one that flips
+  // nothing (at trigger 0 no line is resident yet) is benign. Every word
+  // with every mask, every trigger of the campaign machine's run with every
+  // mask, on two programs whose cached runs print other values, one of them
+  // in fewer instructions. The monitor is off: its golden run reaches the
   // rewritten block, which the monitor rightly rejects.
-  const casm_::Image image = self_modifying_program();
-  for (const auto& [monitoring, icache] :
-       {std::pair{false, false}, std::pair{false, true}, std::pair{true, true}}) {
+  for (const casm_::Image& image : {self_modifying_program(), shortening_program()}) {
     cpu::CpuConfig config = monitored_config();
-    config.monitoring = monitoring;
-    config.icache.enabled = icache;
+    config.monitoring = false;
     const CampaignRunner probe(image, config);
     std::vector<FaultSpec> faults = every_icache_fault(probe.golden_instructions());
     for (std::uint32_t w = 0; w < image.text.size(); ++w) {
@@ -773,10 +778,15 @@ TEST(ResidentFaults, TextStoresEndWhatTheSummaryKnowsOfAnICacheMachine) {
         faults.push_back(spec);
       }
     }
+    const std::string what = std::to_string(image.text.size()) + " text words";
     std::uint64_t inert = 0;
-    expect_trials_match_reference(image, config, faults, machine_name(config), nullptr, &inert);
-    // Only at trigger 0, where no line is resident yet and nothing flips.
-    EXPECT_EQ(inert, 2U * 32U) << machine_name(config);
+    const std::vector<TrialResult> wants =
+        expect_trials_match_reference(image, config, faults, what, nullptr, &inert);
+    EXPECT_EQ(inert, 0U) << what;
+    for (std::size_t i = 0; i < 32; ++i) {
+      ASSERT_EQ(faults[i].trigger_index, 0U);
+      EXPECT_EQ(wants[i].outcome, Outcome::kBenign) << what << " bit " << i;
+    }
   }
 }
 
@@ -922,8 +932,8 @@ TEST(Campaign, TranslationImageNeverChangesATrial) {
 TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
   // Trials restore their forks into pooled trial machines that earlier
   // trials ran on, and reuse must give what a fresh machine gives. One
-  // runner per engine and machine runs trials of all five sites interleaved
-  // in descending-trigger order, so a later trial runs past the points where
+  // runner per engine runs trials of all five sites interleaved in
+  // descending-trigger order, so a later trial runs past the points where
   // earlier trials' faults fired, and the trigger-0 trials (for memory-text,
   // a flip of the entry word, which instruction 0 reads) come last, when the
   // pool's machines have run other trials. Per trial, outcome and exit
@@ -932,96 +942,89 @@ TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
   // trial of a runner rebuilt from the same golden state.
   //
   // Machines must really be reused. Run one at a time, trials leave at most
-  // one idle machine per pool until a trial that starts at instruction 0
-  // checks in the fresh machine it started on, so until then a trial that
-  // builds no machine ran on the one the previous trial of its pool left.
+  // one idle machine per pool, so a trial builds no machine when one is idle,
+  // a trial at instruction 0 included, and builds one only when none is: at
+  // its pool's first trial and after a trial whose machine a text rewrite
+  // detached.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   const FaultSite sites[] = {FaultSite::kMemoryText, FaultSite::kFetchBus,
                              FaultSite::kFetchBusPaired, FaultSite::kPostIdLatch,
                              FaultSite::kICacheLine};
-  for (const bool icache : {false, true}) {
-    cpu::CpuConfig config = monitored_config();
-    config.icache.enabled = icache;
-    std::vector<FaultSpec> faults;
-    {
-      const CampaignRunner probe(image, config, {false, 0});
-      for (const FaultSite site : sites) {
-        std::vector<FaultSpec> drawn = random_faults(probe, image, site, 16, 53);
-        FaultSpec first = drawn.front();
-        first.trigger_index = 0;
-        first.target_address = image.entry;
-        drawn.push_back(first);
-        faults.insert(faults.end(), drawn.begin(), drawn.end());
-      }
+  const cpu::CpuConfig config = monitored_config();
+  std::vector<FaultSpec> faults;
+  {
+    const CampaignRunner probe(image, config, {false, 0});
+    for (const FaultSite site : sites) {
+      std::vector<FaultSpec> drawn = random_faults(probe, image, site, 16, 53);
+      FaultSpec first = drawn.front();
+      first.trigger_index = 0;
+      first.target_address = image.entry;
+      drawn.push_back(first);
+      faults.insert(faults.end(), drawn.begin(), drawn.end());
     }
-    std::stable_sort(faults.begin(), faults.end(), [](const FaultSpec& a, const FaultSpec& b) {
-      return a.trigger_index > b.trigger_index;
-    });
-    const std::vector<TrialResult> wants = reference_trials(image, config, faults);
-    for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
-      cpu::CpuConfig machine = config;
-      machine.engine = engine;
-      const CampaignRunner pooled(image, machine);
-      const GoldenState state = pooled.export_golden();
-      // Per pool (icache-line trials have their own when the campaign
-      // machine's I-cache is off): the site of the trial that left its one
-      // idle machine, and whether a trial started at instruction 0 yet.
-      std::optional<FaultSite> left_by[2];
-      bool fresh_checked_in[2] = {false, false};
-      unsigned machine_trials = 0;
-      unsigned unforked = 0;
-      unsigned reused_across_sites = 0;
-      unsigned reused_after_memory_text = 0;
-      for (std::size_t i = 0; i < faults.size(); ++i) {
-        const FaultSpec& spec = faults[i];
-        const std::string where = machine_name(config) + ", engine " +
-                                  std::string(cpu::engine_name(engine)) + ": " +
-                                  std::string(fault_site_name(spec.site)) + " address " +
-                                  support::hex32(spec.target_address) + " trigger " +
-                                  std::to_string(spec.trigger_index) + " mask " +
-                                  support::hex32(spec.xor_mask);
-        const std::uint64_t built_before = pooled.trial_machines();
-        const std::uint64_t forks_before = pooled.forks();
-        const std::uint64_t inert_before = pooled.inert_flips();
-        const std::uint64_t detached_before = pooled.detached_trials();
-        const TrialResult got = pooled.run_trial(spec);
-        EXPECT_EQ(got.outcome, wants[i].outcome) << where;
-        EXPECT_EQ(got.exit_reason, wants[i].exit_reason) << where;
-        if (spec.site == FaultSite::kMemoryText || spec.site == FaultSite::kICacheLine) {
-          EXPECT_FALSE(got.converged_at.has_value()) << where;
-        } else {
-          const CampaignRunner fresh(image, machine, {}, state);
-          EXPECT_EQ(got.converged_at, fresh.run_trial(spec).converged_at) << where;
-        }
+  }
+  std::stable_sort(faults.begin(), faults.end(), [](const FaultSpec& a, const FaultSpec& b) {
+    return a.trigger_index > b.trigger_index;
+  });
+  const std::vector<TrialResult> wants = reference_trials(image, config, faults);
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    cpu::CpuConfig machine = config;
+    machine.engine = engine;
+    const CampaignRunner pooled(image, machine);
+    const GoldenState state = pooled.export_golden();
+    // Per pool (icache-line trials have their own): the site of the trial
+    // that left its one idle machine.
+    std::optional<FaultSite> left_by[2];
+    unsigned machine_trials = 0;
+    unsigned reused_across_sites = 0;
+    unsigned reused_after_memory_text = 0;
+    unsigned reused_at_zero = 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const FaultSpec& spec = faults[i];
+      const std::string where = "engine " + std::string(cpu::engine_name(engine)) + ": " +
+                                std::string(fault_site_name(spec.site)) + " address " +
+                                support::hex32(spec.target_address) + " trigger " +
+                                std::to_string(spec.trigger_index) + " mask " +
+                                support::hex32(spec.xor_mask);
+      const std::uint64_t built_before = pooled.trial_machines();
+      const std::uint64_t forks_before = pooled.forks();
+      const std::uint64_t inert_before = pooled.inert_flips();
+      const std::uint64_t detached_before = pooled.detached_trials();
+      const TrialResult got = pooled.run_trial(spec);
+      EXPECT_EQ(got.outcome, wants[i].outcome) << where;
+      EXPECT_EQ(got.exit_reason, wants[i].exit_reason) << where;
+      if (spec.site == FaultSite::kMemoryText || spec.site == FaultSite::kICacheLine) {
+        EXPECT_FALSE(got.converged_at.has_value()) << where;
+      } else {
+        const CampaignRunner fresh(image, machine, {}, state);
+        EXPECT_EQ(got.converged_at, fresh.run_trial(spec).converged_at) << where;
+      }
 
-        if (pooled.inert_flips() != inert_before) continue;  // took no machine
-        ++machine_trials;
-        const std::uint64_t built = pooled.trial_machines() - built_before;
-        const int pool = spec.site == FaultSite::kICacheLine && !icache ? 1 : 0;
-        if (pooled.forks() == forks_before) {
-          EXPECT_EQ(built, 1U) << where << ": a trial at instruction 0 starts on a fresh machine";
-          ++unforked;
-          fresh_checked_in[pool] = true;
-        } else if (built == 0 && !fresh_checked_in[pool]) {
-          ASSERT_TRUE(left_by[pool].has_value()) << where;
-          reused_across_sites += *left_by[pool] != spec.site;
-          reused_after_memory_text += *left_by[pool] == FaultSite::kMemoryText;
-        }
-        // A machine a text rewrite detached is dropped, not checked in.
-        if (pooled.detached_trials() != detached_before) {
-          left_by[pool].reset();
-        } else {
-          left_by[pool] = spec.site;
-        }
+      if (pooled.inert_flips() != inert_before) continue;  // took no machine
+      ++machine_trials;
+      EXPECT_EQ(pooled.forks(), forks_before + 1) << where;
+      const int pool = spec.site == FaultSite::kICacheLine ? 1 : 0;
+      const std::uint64_t built = pooled.trial_machines() - built_before;
+      EXPECT_EQ(built, left_by[pool].has_value() ? 0U : 1U)
+          << where << ": a trial builds no machine when one is idle";
+      if (left_by[pool].has_value()) {
+        reused_across_sites += *left_by[pool] != spec.site;
+        reused_after_memory_text += *left_by[pool] == FaultSite::kMemoryText;
+        reused_at_zero += spec.trigger_index == 0;
       }
-      const std::string what = machine_name(config) + ", engine " +
-                               std::string(cpu::engine_name(engine));
-      EXPECT_GT(reused_across_sites, 0U) << what;
-      EXPECT_GT(reused_after_memory_text, 0U) << what;
-      const std::uint64_t pools = icache ? 1 : 2;
-      EXPECT_LE(pooled.trial_machines(), pools + unforked + pooled.detached_trials()) << what;
-      EXPECT_LT(pooled.trial_machines() * 4, machine_trials) << what;
+      // A machine a text rewrite detached is dropped, not checked in.
+      if (pooled.detached_trials() != detached_before) {
+        left_by[pool].reset();
+      } else {
+        left_by[pool] = spec.site;
+      }
     }
+    const std::string what = "engine " + std::string(cpu::engine_name(engine));
+    EXPECT_GT(reused_across_sites, 0U) << what;
+    EXPECT_GT(reused_after_memory_text, 0U) << what;
+    EXPECT_GT(reused_at_zero, 0U) << what;
+    EXPECT_LE(pooled.trial_machines(), 2U + pooled.detached_trials()) << what;
+    EXPECT_LT(pooled.trial_machines() * 4, machine_trials) << what;
   }
 }
 
@@ -1055,7 +1058,7 @@ TEST(Convergence, PendingFaultNeverMatchesAtItsBoundary) {
         spec.site = site;
         spec.trigger_index = trigger;
         spec.xor_mask = 1U << bit;
-        EXPECT_EQ(fast.first_spent_snapshot(spec), 3U)
+        EXPECT_EQ(fast.plan(spec).converge_from, 3U)
             << fault_site_name(site) << " trigger " << trigger;
         const TrialResult got = fast.run_trial(spec);
         const TrialResult want = slow.run_trial(spec);

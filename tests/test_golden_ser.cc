@@ -176,7 +176,9 @@ TEST(GoldenSer, RecordingIsByteIdenticalAcrossEngines) {
   // there: snapshots (registers, memory deltas, checker/IHT state, both
   // clocks), the thinned auto-stride schedule (stringsearch outgrows the
   // snapshot budget) and the final result all encode to the same bytes. The
-  // I-cache rows cover the recording that icache-line trials restore from.
+  // I-cache rows cover the recording that icache-line trials restore from,
+  // which a runner records on first use and never ships, so they record it
+  // directly.
   // The image starts are the one engine-dependent section: the interpreter
   // translates nothing, so it exports none, and the threaded recording
   // exports its image's block starts, ascending.
@@ -190,7 +192,17 @@ TEST(GoldenSer, RecordingIsByteIdenticalAcrossEngines) {
         config.monitoring = true;
         config.cic.iht_entries = 16;
         config.icache.enabled = icache;
-        GoldenState state = CampaignRunner(image, config).export_golden();
+        GoldenState state;
+        if (icache) {
+          const cpu::LoadedImage loaded = cpu::preload_image(config, image);
+          const CheckpointedGolden golden(config, image, loaded, 0);
+          state.snapshots = golden.snapshots();
+          state.stride = golden.stride();
+          state.result = golden.result();
+          if (golden.translations()) state.image_starts = golden.translations()->starts();
+        } else {
+          state = CampaignRunner(image, config).export_golden();
+        }
         starts[engine == cpu::Engine::kThreaded] = std::exchange(state.image_starts, {});
         return encode_golden(state, test_key());
       };
