@@ -536,12 +536,11 @@ Cpu::FusedFlow Cpu::tampered_entry(const uop::TransEntry& e, std::uint32_t word)
   // the monitoring extension, so flow control still checks the block), then
   // return to the block loop. A transient fault (bus, post-ID latch, I-cache)
   // leaves every translation valid; rewritten text may sit in any block, so
-  // detach from the image and drop the private cache (`e` with it) whole.
+  // drop the cache (`e` with it) whole.
   ++tcache_mismatches_;
   ctx_.instr = isa::decode(word);
   const bool retired = exec_stages(&spec_->program(ctx_.instr.mnemonic));
   if (memory_.read32(e.addr) != e.word) {
-    image_.reset();
     tcache_->clear();
     ++tcache_resets_;
   }
@@ -746,9 +745,7 @@ std::optional<RunResult> Cpu::run_threaded() {
       break;
     }
 
-    // The frozen image first, then the private cache.
-    const uop::TranslatedBlock* block = image_ ? image_->lookup(addr) : nullptr;
-    if (block == nullptr) block = tcache_->lookup(addr);
+    const uop::TranslatedBlock* block = tcache_->lookup(addr);
     if (block != nullptr) {
       ++tcache_hits_;
     } else {
@@ -760,9 +757,7 @@ std::optional<RunResult> Cpu::run_threaded() {
           addr, *spec_, *fused_, [this](std::uint32_t a) { return memory_.read32(a); });
     }
     if (link_from != nullptr) {
-      // chain() links two private blocks only, this one at the recorded edge
-      // target. Image blocks were sealed when frozen: an edge between two of
-      // them is already linked, and an edge leaving the image stays a break.
+      // chain() links two live blocks, this one at the recorded edge target.
       tcache_->chain(link_from, link_taken, block);
       link_from = nullptr;
     }

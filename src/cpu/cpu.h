@@ -235,16 +235,8 @@ class Cpu final : private uop::Datapath {
   const cic::CodeIntegrityChecker* checker() const { return cic_ ? &*cic_ : nullptr; }
   const os::OsMonitor* os_monitor() const { return os_ ? &*os_ : nullptr; }
   bool running() const { return running_; }
-  // The private translation cache: null unless the threaded engine is active,
-  // and after freeze_translations().
+  // The block translation cache: null unless the threaded engine is active.
   const uop::TranslationCache* translation_cache() const { return tcache_.get(); }
-  // Moves an ended run's cache out as a frozen, shareable translation image,
-  // sealed: every static edge between two of its blocks is linked.
-  std::shared_ptr<const uop::TranslationCache> freeze_translations() {
-    support::check(!running_, "Cpu: translations freeze only after the run ended");
-    if (tcache_ != nullptr) tcache_->seal();
-    return std::move(tcache_);
-  }
   // Predecode-cache probes and fills (cold slots or tag-mismatch redecodes).
   // Only the interpreter path — the switch engine's run/run_until, and
   // step() on either engine — consults the cache; hits are lookups minus
@@ -253,8 +245,8 @@ class Cpu final : private uop::Datapath {
   std::uint64_t predecode_misses() const { return predecode_misses_; }
   // Translation-tag mismatches the threaded engine replayed via interpreter.
   std::uint64_t tcache_mismatches() const { return tcache_mismatches_; }
-  // Lookups the image or the private cache served, and mismatches on rewritten
-  // text (each detached this Cpu from the image and cleared the private cache).
+  // Lookups the translation cache served, and mismatches on rewritten text
+  // (each cleared the cache whole).
   std::uint64_t tcache_hits() const { return tcache_hits_; }
   std::uint64_t tcache_resets() const { return tcache_resets_; }
   // Block transitions that flowed through a cached chain link, and direct-edge
@@ -396,13 +388,11 @@ class Cpu final : private uop::Datapath {
   // source of truth for machine behaviour.
   bool fast_fetch_ = false;
 
-  // Threaded engine state: the per-mnemonic fused classification, the shared
-  // translation image (null once detached), the private block translation
-  // cache, and the start address of the block being executed. The engine only
-  // activates when the IF program is canonical (fast_fetch_): a reshaped
-  // fetch program must run through the interpreter.
+  // Threaded engine state: the per-mnemonic fused classification, the block
+  // translation cache, and the start address of the block being executed. The
+  // engine only activates when the IF program is canonical (fast_fetch_): a
+  // reshaped fetch program must run through the interpreter.
   std::shared_ptr<const uop::FusedTable> fused_;
-  std::shared_ptr<const uop::TranslationCache> image_;
   std::unique_ptr<uop::TranslationCache> tcache_;
   bool threaded_ = false;
   std::uint32_t cur_block_start_ = 0;

@@ -36,7 +36,6 @@ void Cpu::attach_loaded(const LoadedImage& loaded) {
                  "Cpu: LoadedImage monitoring does not match the configuration");
   spec_ = loaded.spec;
   fused_ = loaded.fused;
-  image_ = loaded.translations;
   memory_.set_base(loaded.pages);
   if (config_.monitoring) {
     cic_.emplace(config_.cic);

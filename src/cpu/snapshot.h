@@ -23,7 +23,8 @@
 // translation cache. Both are tamper-safe (every entry is tagged by the raw
 // fetched word, so any divergence misses and re-decodes), which makes a cold
 // cache semantically identical to a warm one — the existing engine A/B tests
-// enforce exactly that property.
+// enforce exactly that property. Each Cpu owns both; a pooled campaign trial
+// machine keeps them warm from one restored trial to the next.
 #pragma once
 
 #include <cstdint>
@@ -45,13 +46,9 @@ struct LoadedImage {
   cfg::FullHashTable fht;                             // empty when monitoring is off
   bool fht_was_attached = false;
   std::uint32_t entry = 0;
-  // Optional, attached by a campaign: build_fused_table(*spec), and the golden
-  // run's sealed translation image (every block it entered, including the
-  // mid-block starts where recording paused, where restored trials resume,
-  // with every static edge between two of them linked). A runner built from
-  // shipped golden state rebuilds the same image from its block starts.
+  // Optional, attached by a campaign: build_fused_table(*spec), shared by
+  // every trial's Cpu instead of rebuilt per Cpu.
   std::shared_ptr<const uop::FusedTable> fused;
-  std::shared_ptr<const uop::TranslationCache> translations;
 };
 
 // Runs the loader once for `config`/`image`: builds the uop spec (embedding

@@ -132,7 +132,7 @@ std::string ready_mismatch(const SessionMessage& ready, const exp::SweepSpec& sp
 // Golden-state shipment, prepared once per dispatch and offered to every
 // session: the canonical key, the blob size, and the chunk sequence
 // pre-wrapped as wire frames (support::chunk_payloads over the encoded
-// cicmon-golden-v3 blob).
+// cicmon-golden-v4 blob).
 struct GoldenShipment {
   std::string key;
   std::uint64_t bytes = 0;

@@ -352,7 +352,6 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   loaded_ = cpu::preload_image(config_, image_);
   loaded_.fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*loaded_.spec));
   golden_ = run_golden(FaultSite::kFetchBus, nullptr);
-  if (golden_.recording) loaded_.translations = golden_.recording->translations();
 }
 
 CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
@@ -370,7 +369,6 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   loaded_.entry = state.entry;
   loaded_.fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*loaded_.spec));
   golden_ = run_golden(FaultSite::kFetchBus, &state);
-  if (golden_.recording) loaded_.translations = golden_.recording->translations();
 }
 
 GoldenState CampaignRunner::export_golden() const {
@@ -383,7 +381,6 @@ GoldenState CampaignRunner::export_golden() const {
     state.snapshots = golden_.recording->snapshots();
     state.stride = golden_.recording->stride();
   }
-  if (loaded_.translations) state.image_starts = loaded_.translations->starts();
   state.result = golden_.result;
   return state;
 }
@@ -397,12 +394,10 @@ CampaignRunner::Golden CampaignRunner::run_golden(FaultSite site,
   golden.machine.icache.enabled = site == FaultSite::kICacheLine;
   if (shipped != nullptr) {
     golden.result = shipped->result;
-    // The rebuild constructor re-validates the schedule, the image starts and
-    // the clean exit, then rebuilds the image from the starts.
+    // The rebuild constructor re-validates the schedule and the clean exit.
     if (checkpoints_.enabled) {
       golden.recording = std::make_unique<CheckpointedGolden>(
-          golden.machine, image_, loaded_, shipped->snapshots, shipped->result,
-          shipped->stride, shipped->image_starts);
+          shipped->snapshots, shipped->result, shipped->stride);
     }
   } else if (checkpoints_.enabled) {
     golden.recording = std::make_unique<CheckpointedGolden>(golden.machine, image_, loaded_,
@@ -551,7 +546,6 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   cpu::Cpu& cpu = *machine;
   // A machine's counters span its trials; this trial publishes its share.
   const std::uint64_t cow_pages_before = cpu.memory().cow_pages_copied();
-  const std::uint64_t resets_before = cpu.tcache_resets();
 
   // The one-shot tamper counts transfers from when it is attached, so its
   // trigger is relative to the fork's transfer count. The post-ID trigger
@@ -604,10 +598,7 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
   static const obs::CounterId k_cow_pages = obs::counter("campaign.cow_pages_copied");
   obs::bump(k_cow_pages, cpu.memory().cow_pages_copied() - cow_pages_before);
   cpu.publish_metrics();
-  const bool detached = cpu.tcache_resets() != resets_before;
-  if (loaded_.translations && detached) detached_.fetch_add(1);
-  // A detached machine would run every later trial without the image.
-  if (golden.pool && !detached) golden.pool->checkin_machine(std::move(machine));
+  if (golden.pool) golden.pool->checkin_machine(std::move(machine));
   return {classify(*result, golden.result), result->reason, converged_at};
 }
 

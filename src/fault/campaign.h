@@ -151,9 +151,10 @@ struct CampaignSummary {
 // thread. Reuse gives what a fresh Cpu gives: the restore installs the whole
 // determinism surface, the fault hooks are the only state outside it, and
 // the machine's predecode and translation caches, which persist across its
-// trials, are tag-checked per dynamic instruction. A machine that a text
-// rewrite detached from the translation image, or whose trial threw, is
-// dropped.
+// trials and are the only block caches a trial reads, are tag-checked per
+// dynamic instruction. A text rewrite that reaches a translated copy of its
+// word clears the machine's translation cache whole, and the machine still
+// goes back to its pool; only a machine whose trial threw is dropped.
 //
 // The recorded snapshots also end transient-fault trials early (convergence
 // early-exit). Once the fault is spent — the last instruction whose fetch or
@@ -167,11 +168,6 @@ struct CampaignSummary {
 // disarms the spent fault, so the rest of the run pays no fault hook.
 // Memory-text and icache-line corruption stays resident in memory or cache
 // state, so those trials never converge.
-//
-// Trials also read the golden run's sealed translation image as a shared
-// first-level block cache until a text write detaches them. Shipped golden
-// state carries the image's block starts, and the runner rebuilds the same
-// image from them, so a fleet worker's trials translate what direct ones do.
 //
 // Without checkpoints every plan forks at instruction 0 and plans no flips:
 // each trial runs on a fresh machine from the start, the full re-execution
@@ -192,13 +188,12 @@ class CampaignRunner {
   CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                  const CheckpointConfig& checkpoints = {});
 
-  // Builds a runner from shipped golden state instead of deriving
-  // it: the loader run and the golden execution are both skipped (the uop
-  // spec is rebuilt from the config, bit-identical by construction, and the
-  // translation image from its shipped block starts). `state` must come from
-  // an identically configured runner's export_golden() — the golden key
-  // (fault/golden_ser.h) enforces that at the shipping layer, and this
-  // constructor throws on anything structurally inconsistent, which the
+  // Builds a runner from shipped golden state instead of deriving it: the
+  // loader run and the golden execution are both skipped (the uop spec is
+  // rebuilt from the config, bit-identical by construction). `state` must
+  // come from an identically configured runner's export_golden() — the
+  // golden key (fault/golden_ser.h) enforces that at the shipping layer, and
+  // this constructor throws on anything structurally inconsistent, which the
   // caller treats as "fall back to local derivation".
   CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
                  const CheckpointConfig& checkpoints, const GoldenState& state);
@@ -251,13 +246,6 @@ class CampaignRunner {
   std::size_t snapshot_count() const {
     return golden_.recording ? golden_.recording->snapshot_count() : 0;
   }
-  // Blocks in the translation image (0 without one), and trials whose machine
-  // a text write detached from it: the trial's own, or one an earlier trial
-  // on the same machine left in a private translation's tag.
-  std::uint64_t image_blocks() const {
-    return loaded_.translations ? loaded_.translations->starts().size() : 0;
-  }
-  std::uint64_t detached_trials() const { return detached_.load(std::memory_order_relaxed); }
   // Every snapshot restore the campaign made: trial forks plus cursors
   // repositioned onto a recorded snapshot, and the retired-instruction
   // prefixes those restores installed. engine.instructions minus
@@ -358,7 +346,6 @@ class CampaignRunner {
   mutable std::atomic<std::uint64_t> converged_{0};
   mutable std::atomic<std::uint64_t> convergence_checks_{0};
   mutable std::atomic<std::uint64_t> converged_skipped_instructions_{0};
-  mutable std::atomic<std::uint64_t> detached_{0};
 };
 
 }  // namespace cicmon::fault

@@ -44,15 +44,10 @@ CheckpointedGolden::CheckpointedGolden(const cpu::CpuConfig& config,
   result_ = *done;
   support::check(result_.reason == cpu::ExitReason::kExit,
                  "campaign golden run did not exit cleanly");
-  translations_ = cpu.freeze_translations();
 }
 
-CheckpointedGolden::CheckpointedGolden(const cpu::CpuConfig& config,
-                                       const casm_::Image& image,
-                                       const cpu::LoadedImage& loaded,
-                                       std::vector<cpu::Snapshot> snapshots,
-                                       cpu::RunResult result, std::uint64_t stride,
-                                       const std::vector<std::uint32_t>& image_starts)
+CheckpointedGolden::CheckpointedGolden(std::vector<cpu::Snapshot> snapshots,
+                                       cpu::RunResult result, std::uint64_t stride)
     : snapshots_(std::move(snapshots)), result_(std::move(result)), stride_(stride) {
   support::check(result_.reason == cpu::ExitReason::kExit,
                  "campaign golden run did not exit cleanly");
@@ -65,25 +60,6 @@ CheckpointedGolden::CheckpointedGolden(const cpu::CpuConfig& config,
                    "golden snapshot schedule is not ascending");
   }
   support::check(stride_ > 0, "golden snapshot schedule has no stride");
-  // The starts come off the wire, and translate() indexes by them unchecked.
-  for (std::size_t i = 0; i < image_starts.size(); ++i) {
-    const std::uint32_t start = image_starts[i];
-    support::check((start & 3U) == 0 && start >= image.text_base && start < image.text_end() &&
-                       (i == 0 || image_starts[i - 1] < start),
-                   "golden image starts are not ascending word-aligned text addresses");
-  }
-
-  if (image_starts.empty()) return;  // recorded without an image (switch engine)
-  cpu::Cpu cpu(config, image, &loaded);
-  if (cpu.translation_cache() == nullptr) return;  // this engine does not translate
-  support::check(loaded.fused != nullptr, "golden image rebuild needs the fused table");
-  auto cache = std::make_shared<uop::TranslationCache>(image.text_base, image.text_end(), true);
-  for (const std::uint32_t start : image_starts) {
-    cache->translate(start, *loaded.spec, *loaded.fused,
-                     [&cpu](std::uint32_t a) { return cpu.memory().read32(a); });
-  }
-  cache->seal();
-  translations_ = std::move(cache);
 }
 
 std::size_t CheckpointedGolden::first_after_instructions(std::uint64_t n) const {

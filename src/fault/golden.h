@@ -36,17 +36,10 @@ class CheckpointedGolden {
   // instead of re-running the golden execution. `snapshots` must be the
   // schedule a recording constructor produced: non-empty, ascending,
   // snapshot 0 at the pre-execution state; `stride` is the resolved (possibly
-  // auto-doubled) spacing it recorded at. `image_starts` are the recording's
-  // translation-image block starts: word-aligned text addresses, strictly
-  // ascending. When `config`'s engine translates, they are translated from
-  // `loaded`'s pages (with its spec and fused table) and sealed into the same
-  // image the recording froze. Throws on a malformed schedule, a malformed
-  // start or a non-clean result, before translating anything — the shipping
-  // layer treats that as "derive locally".
-  CheckpointedGolden(const cpu::CpuConfig& config, const casm_::Image& image,
-                     const cpu::LoadedImage& loaded, std::vector<cpu::Snapshot> snapshots,
-                     cpu::RunResult result, std::uint64_t stride,
-                     const std::vector<std::uint32_t>& image_starts);
+  // auto-doubled) spacing it recorded at. Throws on a malformed schedule or a
+  // non-clean result — the shipping layer treats that as "derive locally".
+  CheckpointedGolden(std::vector<cpu::Snapshot> snapshots, cpu::RunResult result,
+                     std::uint64_t stride);
 
   // The golden run's final result (this class doubles as THE golden run —
   // recording pauses the configured engine with run_until at each snapshot
@@ -56,8 +49,6 @@ class CheckpointedGolden {
 
   std::uint64_t stride() const { return stride_; }
   std::size_t snapshot_count() const { return snapshots_.size(); }
-  // The recorded or rebuilt translation image, sealed; null on the switch engine.
-  std::shared_ptr<const uop::TranslationCache> translations() const { return translations_; }
 
   // The full schedule, for serialization (fault/golden_ser.h).
   const std::vector<cpu::Snapshot>& snapshots() const { return snapshots_; }
@@ -77,7 +68,6 @@ class CheckpointedGolden {
   std::vector<cpu::Snapshot> snapshots_;  // ascending in instructions
   cpu::RunResult result_;
   std::uint64_t stride_ = 0;
-  std::shared_ptr<const uop::TranslationCache> translations_;
 };
 
 }  // namespace cicmon::fault

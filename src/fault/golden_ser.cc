@@ -364,10 +364,8 @@ std::string encode_golden(const GoldenState& state, std::string_view key) {
   put_u64(&out, state.snapshots.size());
   for (const cpu::Snapshot& s : state.snapshots) put_snapshot(&out, s);
 
-  // Result section, image-starts section, whole-record checksum.
+  // Result section, whole-record checksum.
   put_result(&out, state.result);
-  put_u64(&out, state.image_starts.size());
-  for (const std::uint32_t start : state.image_starts) put_u32(&out, start);
   put_u64(&out, support::wire_checksum(out));
   return out;
 }
@@ -404,10 +402,6 @@ GoldenState decode_golden(std::string_view blob, std::string_view expected_key) 
   for (std::uint64_t i = 0; i < snapshots; ++i) state.snapshots.push_back(get_snapshot(&in));
 
   state.result = get_result(&in);
-  const std::uint64_t starts = in.u64();
-  in.need_per_item(starts, 4);
-  state.image_starts.reserve(starts);
-  for (std::uint64_t i = 0; i < starts; ++i) state.image_starts.push_back(in.u32());
   support::check(in.exhausted(), "golden blob has trailing bytes");
   return state;
 }

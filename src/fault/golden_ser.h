@@ -1,23 +1,21 @@
-// cicmon-golden-v3 — versioned, checksummed golden-state serialization.
+// cicmon-golden-v4 — versioned, checksummed golden-state serialization.
 //
 // A campaign's golden state is everything a campaign computes before the
 // first trial: the post-loader image (frozen copy-on-write page base +
-// recovered FHT + entry point), the checkpointed golden run (the snapshot
+// recovered FHT + entry point) and the checkpointed golden run (the snapshot
 // schedule with COW page deltas, checker/IHT state, RNG state, and the
-// instruction and bus-transfer counts, plus the final RunResult), and the
-// block starts of the golden run's translation image. Deriving it costs one
-// full clean execution per process — the measured residual of the dispatch
-// tax. This module serializes it once so the orchestrator can ship it to
-// every worker over the session wire.
+// instruction and bus-transfer counts, plus the final RunResult). Deriving
+// it costs one full clean execution per process — the measured residual of
+// the dispatch tax. This module serializes it once so the orchestrator can
+// ship it to every worker over the session wire.
 //
 // Record layout (all integers little-endian):
 //
-//     "cicmon-golden-v3"        16-byte magic
+//     "cicmon-golden-v4"        16-byte magic
 //     key                       16-byte canonical golden key (hex digits)
 //     image section             entry, fht_was_attached, FHT blob, pages
 //     golden-run section        stride, snapshots[]
 //     result section            the golden RunResult
-//     image-starts section      u64 count, then that many u32 block starts
 //     checksum                  FNV-1a64 over every preceding byte
 //
 // Zero pages of the image base are elided (an unbacked base page reads as
@@ -28,12 +26,11 @@
 // (the byte-identity contract extends to the shipped blob itself).
 //
 // Deliberately NOT serialized: the uop spec (rebuilt from the config via
-// build_isa_uops + embed_monitoring, bit-identical by construction), the
-// translated blocks themselves (a worker re-translates the shipped starts
-// from its own pages and seals them, which yields the same image), and the
-// lazy icache-golden recording (derived per process on the first
-// icache-line trial; shipping it would double most blobs for a site few
-// campaigns attack).
+// build_isa_uops + embed_monitoring, bit-identical by construction), any
+// translated block (each trial machine translates into its own cache, so the
+// blob does not depend on the engine), and the lazy icache-golden recording
+// (derived per process on the first icache-line trial; shipping it would
+// double most blobs for a site few campaigns attack).
 //
 // decode_golden is strict: any truncation, trailing garbage, length
 // overflow, checksum mismatch, or key skew throws CicError. The session
@@ -52,9 +49,9 @@
 
 namespace cicmon::fault {
 
-// Leading magic of every cicmon-golden-v3 blob (exactly 16 bytes). A blob of
+// Leading magic of every cicmon-golden-v4 blob (exactly 16 bytes). A blob of
 // another version fails this check, so the worker derives locally.
-inline constexpr std::string_view kGoldenMagic = "cicmon-golden-v3";
+inline constexpr std::string_view kGoldenMagic = "cicmon-golden-v4";
 
 // Everything a worker needs to skip its golden run. `snapshots` is empty
 // and `stride` is 0 when the campaign runs with checkpoints off (the golden
@@ -72,11 +69,6 @@ struct GoldenState {
 
   // The golden run's final result.
   cpu::RunResult result;
-
-  // Block starts of the golden run's translation image, ascending. Empty
-  // without an image: on the switch engine and with checkpoints off. The
-  // only section that depends on the engine.
-  std::vector<std::uint32_t> image_starts;
 };
 
 // Canonical golden key: 16 lowercase hex digits of the FNV-1a64 hash over
@@ -89,14 +81,14 @@ struct GoldenState {
 // shipping to local derivation.
 std::string golden_key(const std::vector<std::pair<std::string, std::string>>& fields);
 
-// Serializes `state` into a cicmon-golden-v3 blob carrying `key` (which must
+// Serializes `state` into a cicmon-golden-v4 blob carrying `key` (which must
 // be a 16-character golden_key output).
 std::string encode_golden(const GoldenState& state, std::string_view key);
 
 // Parses a blob, verifying magic, whole-record checksum, structural sanity,
 // and that the embedded key equals `expected_key`. Throws CicError on any
-// violation. The image starts are range-checked by the runner that uses
-// them, against its own text (fault::CheckpointedGolden).
+// violation. The snapshot schedule is checked by the runner that imports it
+// (fault::CheckpointedGolden).
 GoldenState decode_golden(std::string_view blob, std::string_view expected_key);
 
 }  // namespace cicmon::fault

@@ -98,7 +98,7 @@ class FrameReader {
 // ---------------------------------------------------------------------------
 // Chunked bulk records.
 //
-// A bulk blob (e.g. a cicmon-golden-v3 record) is split into frame payloads
+// A bulk blob (e.g. a cicmon-golden-v4 record) is split into frame payloads
 // of the form
 //
 //     cicmon-chunk <index> <total> <fnv1a64-hex>\n<data>

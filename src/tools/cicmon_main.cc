@@ -170,9 +170,9 @@ struct Options {
       "                   (memory-text: to the flipped word's first read)\n"
       "                   instead of re-simulating the clean prefix, end I-cache\n"
       "                   flips the golden run never fetches again as benign,\n"
-      "                   and reuse the golden run's translated blocks; never\n"
-      "                   changes a trial outcome (default on; off is the full\n"
-      "                   re-execution reference)\n"
+      "                   and reuse trial machines with their translated\n"
+      "                   blocks; never changes a trial outcome (default on;\n"
+      "                   off is the full re-execution reference)\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
       "                   handlers behind a tamper-safe translation cache) or\n"
       "                   'switch' (the per-uop predecode interpreter); both\n"
@@ -806,10 +806,9 @@ int cmd_campaign(const Options& options) {
   // The acceleration report: how much clean-prefix simulation the restores
   // skipped (trial forks and cursor repositionings), what the golden cursors
   // and the text-access walk executed, how many trial machines the trials
-  // shared, how many I-cache flips were inert, how much golden suffix the
-  // re-converged trials did not execute, and how large the shared
-  // translation image is, in this process (a sharded invocation reports its
-  // own shard's share).
+  // shared, how many I-cache flips were inert, and how much golden suffix the
+  // re-converged trials did not execute, in this process (a sharded
+  // invocation reports its own shard's share).
   if (runner.checkpoints_enabled()) {
     std::fprintf(stderr,
                  "campaign: checkpoints on, stride %llu, %zu snapshot(s); "
@@ -817,8 +816,7 @@ int cmd_campaign(const Options& options) {
                  "%llu fork(s), cursors walked %llu instructions; "
                  "%llu trial machine(s); "
                  "text walk %llu instructions, %llu inert flip(s); "
-                 "%llu trial(s) re-converged, skipping %llu instructions; "
-                 "translation image %llu block(s), %llu trial(s) detached\n",
+                 "%llu trial(s) re-converged, skipping %llu instructions\n",
                  static_cast<unsigned long long>(runner.checkpoint_stride()),
                  runner.snapshot_count(),
                  static_cast<unsigned long long>(runner.restores()),
@@ -829,9 +827,7 @@ int cmd_campaign(const Options& options) {
                  static_cast<unsigned long long>(runner.text_walk_instructions()),
                  static_cast<unsigned long long>(runner.inert_flips()),
                  static_cast<unsigned long long>(runner.converged()),
-                 static_cast<unsigned long long>(runner.converged_skipped_instructions()),
-                 static_cast<unsigned long long>(runner.image_blocks()),
-                 static_cast<unsigned long long>(runner.detached_trials()));
+                 static_cast<unsigned long long>(runner.converged_skipped_instructions()));
   } else {
     std::fprintf(stderr, "campaign: checkpoints off (full re-execution per trial)\n");
   }

@@ -128,25 +128,4 @@ void TranslationCache::chain(const TranslatedBlock* from, bool taken_edge,
   }
 }
 
-void TranslationCache::seal() {
-  // An edge target is a text address (resolve_edges), so lookup is in range.
-  for (const auto& slot : slots_) {
-    if (slot == nullptr) continue;
-    if (slot->has_taken) {
-      if (const TranslatedBlock* to = lookup(slot->taken_target)) chain(slot.get(), true, to);
-    }
-    if (slot->has_fall) {
-      if (const TranslatedBlock* to = lookup(slot->fall_target)) chain(slot.get(), false, to);
-    }
-  }
-}
-
-std::vector<std::uint32_t> TranslationCache::starts() const {
-  std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i] != nullptr) out.push_back(text_base_ + static_cast<std::uint32_t>(4 * i));
-  }
-  return out;
-}
-
 }  // namespace cicmon::uop

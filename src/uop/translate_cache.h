@@ -12,12 +12,8 @@
 // tamper, cache-resident flip, memory rewrite, post-ID latch fault — misses
 // the tag and executes that one instruction through the interpreter on the
 // word the pipeline actually carries. A rewritten text word (memory no longer
-// equals the tag) also drops the whole private cache at once. A campaign's
-// trials first look blocks up in a shared frozen image of the golden run's
-// cache, which outlives them all. The image is sealed (`seal`) before it is
-// shared, so it is a pure function of its block starts (`starts`) and the
-// text: a worker that translates the same starts from the same text and
-// seals gets the same blocks and links.
+// equals the tag) also drops the whole cache at once. Each Cpu owns its
+// cache; a pooled campaign trial machine keeps it warm across its trials.
 //
 // Superblock chaining: a block whose terminator has statically known
 // successors (direct branches: taken target and fall-through; jumps: target;
@@ -111,8 +107,7 @@ class TranslationCache {
     support::check(cache, "TranslationCache has no uncached mode");
   }
 
-  // Returns the cached block starting at `addr`, or nullptr. A pure read, so a
-  // frozen shared image serves it to any number of threads.
+  // Returns the cached block starting at `addr`, or nullptr.
   const TranslatedBlock* lookup(std::uint32_t addr) const { return slots_[index(addr)].get(); }
 
   // Translates the block starting at `addr`, reading text words through
@@ -147,15 +142,9 @@ class TranslationCache {
   // unlinked and targets `to`'s start; anything else gets no link.
   void chain(const TranslatedBlock* from, bool taken_edge, const TranslatedBlock* to);
 
-  // Links every static edge whose target is a block start of this cache.
-  void seal();
-
   void clear() {  // drops every block at once
     for (auto& slot : slots_) slot.reset();
   }
-
-  // Start addresses of the live blocks, ascending.
-  std::vector<std::uint32_t> starts() const;
 
   const Stats& stats() const { return stats_; }
 

@@ -687,10 +687,11 @@ TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
   EXPECT_NE(read_file(dir + "/ship.err").find("golden 2 shipped/0 derived"), std::string::npos)
       << read_file(dir + "/ship.err");
 
-  // Golden cursors and the text walk run per shard and thread, so only an
-  // unsplit run repeats the direct run's engine work: one worker running the
-  // one shard at --jobs 1 rebuilds the shipped translation image, and its
-  // trials translate and chain exactly what the direct run's trials do.
+  // Golden cursors, trial machines and the text walk run per shard and
+  // thread, so only an unsplit run repeats the direct run's engine work: one
+  // worker running the one shard at --jobs 1 imports the shipped golden
+  // state, and its trials translate and chain exactly what the direct run's
+  // trials do.
   ASSERT_TRUE(support::exit_ok(run_cli(
       cli + " dispatch campaign" + campaign_flags() + " --workers 1 --shards 1 --jobs 1" +
       " --quiet --metrics json --metrics-out " + dir + "/one.json --dir " + dir + "/a0 > " +
@@ -705,8 +706,8 @@ TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
   }
 
   // Cross-engine: the key excludes the engine, so switch workers take a
-  // threaded orchestrator's blob (and ignore its image starts), and threaded
-  // workers take a switch orchestrator's blob (which carries none).
+  // threaded orchestrator's blob, and threaded workers take a switch
+  // orchestrator's blob.
   const std::pair<const char*, const char*> legs[] = {
       {"switch-workers", " --transport '{cmd} --engine switch'"},
       {"threaded-workers", " --engine switch --transport '{cmd} --engine threaded'"}};
@@ -732,12 +733,12 @@ TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
       << read_file(dir + "/skew.err");
 }
 
-TEST(Cli, MalformedImageStartsAreRejectedAndTheWorkerDerivesLocally) {
-  // A golden blob with a valid checksum and the worker's own key, whose last
-  // image start is unaligned. (The GoldenSer tests cover every malformed
-  // shape at the import; one is enough to drive the worker's fallback.) The
-  // real worker must reject it before translating, say so, derive locally,
-  // and still produce the direct cells. The orchestrator side is built as
+TEST(Cli, MalformedGoldenScheduleIsRejectedAndTheWorkerDerivesLocally) {
+  // A golden blob with a valid checksum and the worker's own key, whose
+  // snapshot schedule lacks snapshot 0. (The GoldenSer tests cover every
+  // malformed schedule at the import; one is enough to drive the worker's
+  // fallback.) The real worker must reject it, say so, derive locally, and
+  // still produce the direct cells. The orchestrator side is built as
   // `cicmon dispatch` builds it for campaign_flags(); if it drifted from the
   // CLI, the handshake would fail or no offer would go out, and the
   // rejection line below would be missing.
@@ -760,9 +761,9 @@ TEST(Cli, MalformedImageStartsAreRejectedAndTheWorkerDerivesLocally) {
   for (const std::string_view flag : support::split(flags, " ")) worker.emplace_back(flag);
 
   fault::GoldenState state = runner.export_golden();
-  ASSERT_FALSE(state.image_starts.empty());
-  state.image_starts.back() += 2;
-  const std::string dir = make_test_dir("cli_bad_starts");
+  ASSERT_GE(state.snapshots.size(), 2U);
+  state.snapshots.erase(state.snapshots.begin());
+  const std::string dir = make_test_dir("cli_bad_schedule");
   DispatchConfig config = test_config(dir, 1, 2);
   config.golden = std::make_shared<GoldenShipment>(
       make_golden_shipment(key, fault::encode_golden(state, key)));
@@ -773,7 +774,8 @@ TEST(Cli, MalformedImageStartsAreRejectedAndTheWorkerDerivesLocally) {
   EXPECT_EQ(result.golden_derived, 1U);
   EXPECT_EQ(result.cells, exp::run_all(spec, 1));
   const std::string log = read_file(dir + "/worker.err");
-  EXPECT_NE(log.find("shipped golden state rejected (golden image starts"), std::string::npos)
+  EXPECT_NE(log.find("shipped golden state rejected (golden snapshot schedule"),
+            std::string::npos)
       << log;
 }
 

@@ -390,13 +390,11 @@ TEST(Campaign, InstructionCountersSplitTrialsCursorsAndRestores) {
     const bool walks = site != FaultSite::kFetchBus;
     EXPECT_EQ(runner.text_walk_instructions(), walks ? runner.golden_instructions() : 0U)
         << where;
-    // The one cursor, the text walk where there is one, and the trial
-    // machines built: at --jobs 1 one serves every trial, but a machine that
-    // a memory-text trial's rewrite detached from the translation image is
-    // dropped.
-    EXPECT_EQ(delta["engine.runs"], (walks ? 2U : 1U) + runner.trial_machines()) << where;
-    EXPECT_GE(runner.trial_machines(), 1U) << where;
-    EXPECT_LE(runner.trial_machines(), 1U + runner.detached_trials()) << where;
+    // The one cursor, the text walk where there is one, and the one trial
+    // machine: at --jobs 1 it serves every trial, a memory-text trial whose
+    // rewrite cleared its translation cache included.
+    EXPECT_EQ(runner.trial_machines(), 1U) << where;
+    EXPECT_EQ(delta["engine.runs"], (walks ? 2U : 1U) + 1U) << where;
     EXPECT_GT(runner.forks(), 50U) << where;
     EXPECT_EQ(runner.forks() + runner.inert_flips(), 60U) << where;
     EXPECT_GE(runner.restores(), runner.forks()) << where;
@@ -855,80 +853,6 @@ TEST(Convergence, EveryTrialMatchesFullReExecution) {
   }
 }
 
-TEST(Campaign, TranslationImageNeverChangesATrial) {
-  // The shared translation image is a pure execution strategy. Three runners
-  // of one campaign: one that recorded its own golden run and attaches the
-  // recording's sealed image; one built from that runner's shipped state
-  // (export, encode, decode), which rebuilds the image from its block
-  // starts; and one built from the same state with the starts cleared, which
-  // has no image. Every trial at every site, on both machines, must agree
-  // across all three: outcome, exit reason and convergence point. The
-  // recorded and rebuilt images must also do identical engine work per trial
-  // (an image is a pure function of its starts and the text), and only the
-  // image-less runner translates more.
-  const FaultSite sites[] = {FaultSite::kMemoryText, FaultSite::kFetchBus,
-                             FaultSite::kFetchBusPaired, FaultSite::kPostIdLatch,
-                             FaultSite::kICacheLine};
-  const std::string key = golden_key({{"test", "translation-image"}});
-  for (const char* kernel : {"dijkstra", "bitcount"}) {
-    const casm_::Image image = workloads::build_workload(kernel, {0.02, 42});
-    for (const bool monitoring : {true, false}) {
-      cpu::CpuConfig config = monitored_config();
-      config.monitoring = monitoring;
-      config.engine = cpu::Engine::kThreaded;
-      const CampaignRunner recorded(image, config);
-      const GoldenState shipped = decode_golden(encode_golden(recorded.export_golden(), key), key);
-      GoldenState bare = shipped;
-      bare.image_starts.clear();
-      const CampaignRunner rebuilt(image, config, {}, shipped);
-      const CampaignRunner imageless(image, config, {}, bare);
-      const CampaignRunner* runners[3] = {&recorded, &rebuilt, &imageless};
-      ASSERT_GT(recorded.image_blocks(), 0U) << kernel;
-      ASSERT_EQ(shipped.image_starts.size(), recorded.image_blocks()) << kernel;
-      EXPECT_EQ(rebuilt.image_blocks(), recorded.image_blocks()) << kernel;
-      EXPECT_EQ(imageless.image_blocks(), 0U) << kernel;
-      std::uint64_t translations[3] = {0, 0, 0};
-      std::uint64_t resets[3] = {0, 0, 0};
-      for (const FaultSite site : sites) {
-        const std::vector<FaultSpec> faults = random_faults(recorded, image, site, 25, 29);
-        for (std::size_t i = 0; i < faults.size(); ++i) {
-          TrialResult got[3];
-          std::vector<std::pair<std::string, std::uint64_t>> engine[3];
-          for (int r = 0; r < 3; ++r) {
-            const std::vector<std::uint64_t> before = obs::counter_values();
-            got[r] = runners[r]->run_trial(faults[i]);
-            for (const auto& [name, value] : obs::counter_delta(before)) {
-              if (name.rfind("engine.", 0) == 0) engine[r].emplace_back(name, value);
-              if (name == "engine.tcache.translations") translations[r] += value;
-              if (name == "engine.tcache.resets") resets[r] += value;
-            }
-          }
-          const std::string where = std::string(kernel) + " " +
-                                    std::string(fault_site_name(site)) + " trigger " +
-                                    std::to_string(faults[i].trigger_index) + " mask " +
-                                    support::hex32(faults[i].xor_mask) + " monitor " +
-                                    (monitoring ? "on" : "off");
-          for (int r = 1; r < 3; ++r) {
-            EXPECT_EQ(got[0].outcome, got[r].outcome) << where << " runner " << r;
-            EXPECT_EQ(got[0].exit_reason, got[r].exit_reason) << where << " runner " << r;
-            EXPECT_EQ(got[0].converged_at, got[r].converged_at) << where << " runner " << r;
-          }
-          EXPECT_EQ(engine[0], engine[1]) << where;
-        }
-      }
-      EXPECT_EQ(translations[0], translations[1]) << kernel << " monitor " << monitoring;
-      EXPECT_LT(translations[0], translations[2]) << kernel << " monitor " << monitoring;
-      // Memory-text trials that reach their rewritten word detach, and each
-      // detach is published as at least one cache reset.
-      EXPECT_GT(recorded.detached_trials(), 0U) << kernel << " monitor " << monitoring;
-      EXPECT_EQ(rebuilt.detached_trials(), recorded.detached_trials());
-      EXPECT_LE(recorded.detached_trials(), resets[0]) << kernel << " monitor " << monitoring;
-      EXPECT_LE(rebuilt.detached_trials(), resets[1]) << kernel << " monitor " << monitoring;
-      EXPECT_EQ(imageless.detached_trials(), 0U);
-    }
-  }
-}
-
 TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
   // Trials restore their forks into pooled trial machines that earlier
   // trials ran on, and reuse must give what a fresh machine gives. One
@@ -943,9 +867,10 @@ TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
   //
   // Machines must really be reused. Run one at a time, trials leave at most
   // one idle machine per pool, so a trial builds no machine when one is idle,
-  // a trial at instruction 0 included, and builds one only when none is: at
-  // its pool's first trial and after a trial whose machine a text rewrite
-  // detached.
+  // a trial at instruction 0 included, and builds one only at its pool's
+  // first trial. On the threaded engine a memory-text trial that reaches a
+  // translated copy of its flipped word clears the machine's translation
+  // cache; that machine must serve a later trial all the same.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   const FaultSite sites[] = {FaultSite::kMemoryText, FaultSite::kFetchBus,
                              FaultSite::kFetchBusPaired, FaultSite::kPostIdLatch,
@@ -973,11 +898,14 @@ TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
     const CampaignRunner pooled(image, machine);
     const GoldenState state = pooled.export_golden();
     // Per pool (icache-line trials have their own): the site of the trial
-    // that left its one idle machine.
+    // that left its one idle machine, and whether that trial cleared the
+    // machine's translation cache.
     std::optional<FaultSite> left_by[2];
+    bool left_reset[2] = {false, false};
     unsigned machine_trials = 0;
     unsigned reused_across_sites = 0;
     unsigned reused_after_memory_text = 0;
+    unsigned reused_after_reset = 0;
     unsigned reused_at_zero = 0;
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const FaultSpec& spec = faults[i];
@@ -989,8 +917,12 @@ TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
       const std::uint64_t built_before = pooled.trial_machines();
       const std::uint64_t forks_before = pooled.forks();
       const std::uint64_t inert_before = pooled.inert_flips();
-      const std::uint64_t detached_before = pooled.detached_trials();
+      const std::vector<std::uint64_t> counters_before = obs::counter_values();
       const TrialResult got = pooled.run_trial(spec);
+      std::uint64_t resets = 0;
+      for (const auto& [name, value] : obs::counter_delta(counters_before)) {
+        if (name == "engine.tcache.resets") resets = value;
+      }
       EXPECT_EQ(got.outcome, wants[i].outcome) << where;
       EXPECT_EQ(got.exit_reason, wants[i].exit_reason) << where;
       if (spec.site == FaultSite::kMemoryText || spec.site == FaultSite::kICacheLine) {
@@ -1010,20 +942,21 @@ TEST(Campaign, PooledTrialMachinesMatchFullReExecution) {
       if (left_by[pool].has_value()) {
         reused_across_sites += *left_by[pool] != spec.site;
         reused_after_memory_text += *left_by[pool] == FaultSite::kMemoryText;
+        reused_after_reset += left_reset[pool];
         reused_at_zero += spec.trigger_index == 0;
       }
-      // A machine a text rewrite detached is dropped, not checked in.
-      if (pooled.detached_trials() != detached_before) {
-        left_by[pool].reset();
-      } else {
-        left_by[pool] = spec.site;
-      }
+      // Every machine goes back to its pool, a cleared one included.
+      left_by[pool] = spec.site;
+      left_reset[pool] = spec.site == FaultSite::kMemoryText && resets > 0;
     }
     const std::string what = "engine " + std::string(cpu::engine_name(engine));
     EXPECT_GT(reused_across_sites, 0U) << what;
     EXPECT_GT(reused_after_memory_text, 0U) << what;
     EXPECT_GT(reused_at_zero, 0U) << what;
-    EXPECT_LE(pooled.trial_machines(), 2U + pooled.detached_trials()) << what;
+    if (engine == cpu::Engine::kThreaded) {
+      EXPECT_GT(reused_after_reset, 0U) << what << ": no cleared machine served a later trial";
+    }
+    EXPECT_LE(pooled.trial_machines(), 2U) << what;
     EXPECT_LT(pooled.trial_machines() * 4, machine_trials) << what;
   }
 }

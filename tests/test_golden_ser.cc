@@ -1,14 +1,13 @@
-// Tests for cicmon-golden-v3 (fault/golden_ser.h): key canonicalization,
+// Tests for cicmon-golden-v4 (fault/golden_ser.h): key canonicalization,
 // the encode/decode round trip (re-encoding is byte-identical, an imported
 // runner is behaviorally identical to a derived one), strict rejection of
 // corruption — any flipped byte, truncation, trailing garbage, or key skew
-// fails to decode, and malformed image starts fail the import — and engine
-// independence: a golden run recorded on the threaded engine encodes to the
-// switch interpreter's exact bytes in every section but the image starts.
+// fails to decode, and a malformed snapshot schedule fails the import — and
+// engine independence: a golden run recorded on the threaded engine encodes
+// to the switch interpreter's exact bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,9 +89,6 @@ TEST(GoldenSer, RoundTripIsByteIdenticalAndImportsAnEquivalentRunner) {
   EXPECT_EQ(imported.golden_console(), derived.golden_console());
   EXPECT_EQ(imported.snapshot_count(), derived.snapshot_count());
   EXPECT_EQ(imported.checkpoint_stride(), derived.checkpoint_stride());
-  // The translation image travels as its block starts and is rebuilt whole.
-  EXPECT_FALSE(decoded.image_starts.empty());
-  EXPECT_EQ(imported.image_blocks(), derived.image_blocks());
   const CampaignSummary a = derived.run_random(FaultSite::kMemoryText, 1, 48, 9, 1);
   const CampaignSummary b = imported.run_random(FaultSite::kMemoryText, 1, 48, 9, 1);
   EXPECT_EQ(a.trials, b.trials);
@@ -135,36 +131,35 @@ TEST(GoldenSer, TruncationTrailingGarbageAndKeySkewAreRejected) {
   EXPECT_THROW(decode_golden(blob, other), support::CicError);
 }
 
-TEST(GoldenSer, MalformedImageStartsFailTheImportBeforeTranslation) {
-  // The image starts arrive off the wire, and translation indexes its slots
-  // with them unchecked. A blob with a valid checksum whose starts include
-  // one at the text end, an unaligned one, a duplicate or a descending pair
-  // decodes, but the shipped constructor must throw on its start check —
-  // before it translates anything — so the caller derives locally.
+TEST(GoldenSer, MalformedScheduleFailsTheImport) {
+  // The snapshot schedule arrives off the wire, and trials index it by
+  // instruction count. A blob with a valid checksum whose schedule is empty,
+  // does not start at instruction 0, has a pair out of order, or has no
+  // stride decodes, but the shipped constructor must throw on its schedule
+  // check, so the caller derives locally. A fixed stride gives the loop
+  // several snapshots to disorder.
   const casm_::Image image = checked_loop_program();
-  const GoldenState good = CampaignRunner(image, monitored_config()).export_golden();
-  ASSERT_GE(good.image_starts.size(), 2U);
-  const std::uint32_t last = good.image_starts.back();
-  std::vector<std::pair<const char*, std::vector<std::uint32_t>>> cases;
-  cases.emplace_back("at the text end", good.image_starts);
-  cases.back().second.push_back(image.text_end());
-  cases.emplace_back("unaligned", good.image_starts);
-  cases.back().second.back() = last + 2;
-  cases.emplace_back("duplicate", good.image_starts);
-  cases.back().second.push_back(last);
-  cases.emplace_back("descending", good.image_starts);
-  std::vector<std::uint32_t>& descending = cases.back().second;
-  std::swap(descending[descending.size() - 1], descending[descending.size() - 2]);
-  for (const auto& [what, starts] : cases) {
-    GoldenState state = good;
-    state.image_starts = starts;
+  const CheckpointConfig checkpoints{true, 8};
+  const GoldenState good = CampaignRunner(image, monitored_config(), checkpoints).export_golden();
+  ASSERT_GE(good.snapshots.size(), 3U);
+  std::vector<std::pair<const char*, GoldenState>> cases;
+  cases.emplace_back("empty", good);
+  cases.back().second.snapshots.clear();
+  cases.emplace_back("not at instruction 0", good);
+  cases.back().second.snapshots.erase(cases.back().second.snapshots.begin());
+  cases.emplace_back("not ascending", good);
+  std::swap(cases.back().second.snapshots[1], cases.back().second.snapshots[2]);
+  cases.emplace_back("stride 0", good);
+  cases.back().second.stride = 0;
+  for (const auto& [what, state] : cases) {
     const GoldenState decoded = decode_golden(encode_golden(state, test_key()), test_key());
-    ASSERT_EQ(decoded.image_starts, starts) << what;
+    ASSERT_EQ(decoded.snapshots.size(), state.snapshots.size()) << what;
+    ASSERT_EQ(decoded.stride, state.stride) << what;
     try {
-      const CampaignRunner imported(image, monitored_config(), {}, decoded);
-      ADD_FAILURE() << "starts " << what << " were accepted";
+      const CampaignRunner imported(image, monitored_config(), checkpoints, decoded);
+      ADD_FAILURE() << "schedule " << what << " was accepted";
     } catch (const support::CicError& error) {
-      EXPECT_NE(std::string(error.what()).find("golden image starts"), std::string::npos)
+      EXPECT_NE(std::string(error.what()).find("golden snapshot schedule"), std::string::npos)
           << what << ": " << error.what();
     }
   }
@@ -179,13 +174,9 @@ TEST(GoldenSer, RecordingIsByteIdenticalAcrossEngines) {
   // I-cache rows cover the recording that icache-line trials restore from,
   // which a runner records on first use and never ships, so they record it
   // directly.
-  // The image starts are the one engine-dependent section: the interpreter
-  // translates nothing, so it exports none, and the threaded recording
-  // exports its image's block starts, ascending.
   for (const workloads::WorkloadInfo& info : workloads::all_workloads()) {
     const casm_::Image image = workloads::build_workload(info.name, {0.02, 42});
     for (const bool icache : {false, true}) {
-      std::vector<std::uint32_t> starts[2];
       auto record = [&](cpu::Engine engine) {
         cpu::CpuConfig config;
         config.engine = engine;
@@ -199,22 +190,15 @@ TEST(GoldenSer, RecordingIsByteIdenticalAcrossEngines) {
           state.snapshots = golden.snapshots();
           state.stride = golden.stride();
           state.result = golden.result();
-          if (golden.translations()) state.image_starts = golden.translations()->starts();
         } else {
           state = CampaignRunner(image, config).export_golden();
         }
-        starts[engine == cpu::Engine::kThreaded] = std::exchange(state.image_starts, {});
         return encode_golden(state, test_key());
       };
       // EXPECT_TRUE, not EXPECT_EQ: a mismatch should name the kernel, not
       // print two blobs of binary.
       EXPECT_TRUE(record(cpu::Engine::kSwitch) == record(cpu::Engine::kThreaded))
           << info.name << (icache ? " (I-cache on)" : "");
-      EXPECT_TRUE(starts[0].empty()) << info.name;
-      EXPECT_FALSE(starts[1].empty()) << info.name;
-      EXPECT_TRUE(std::adjacent_find(starts[1].begin(), starts[1].end(),
-                                     std::greater_equal<>()) == starts[1].end())
-          << info.name << ": image starts are not strictly ascending";
     }
   }
 }

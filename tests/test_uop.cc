@@ -2,23 +2,19 @@
 // pass (Figures 3 and 4), paper-notation rendering, and the interpreter.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "casm/builder.h"
 #include "cpu/cpu.h"
-#include "cpu/snapshot.h"
 #include "isa/instruction.h"
 #include "mem/fetch_path.h"
 #include "support/error.h"
 #include "support/rng.h"
-#include "support/strings.h"
 #include "uop/interp.h"
 #include "uop/monitor_pass.h"
 #include "uop/threaded.h"
 #include "uop/translate_cache.h"
 #include "uop/uop.h"
-#include "workloads/workloads.h"
 
 namespace cicmon::uop {
 namespace {
@@ -620,31 +616,21 @@ TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
   expect_runs_identical(results[0], results[1]);
 }
 
-TEST(TranslationCache, ImageAttachedCpuResetsOnceOnTextRewrite) {
-  // A Cpu attached to a finished run's frozen image serves its blocks from
-  // it; a loop word rewritten mid-run detaches it and discards its private
-  // cache exactly once, and the rest of the run still equals the switch
-  // engine's under the same rewrite.
+TEST(TranslationCache, TextRewriteResetsTheCacheOnce) {
+  // A loop word rewritten mid-run, after the threaded engine translated its
+  // block from the clean word, discards the whole translation cache exactly
+  // once, and the rest of the run still equals the switch engine's under the
+  // same rewrite.
   const casm_::Image image = checked_sum_loop();
-  const cpu::CpuConfig config = engine_config(cpu::Engine::kThreaded);
-  cpu::LoadedImage loaded = cpu::preload_image(config, image);
-  {
-    cpu::Cpu golden(config, image, &loaded);
-    EXPECT_THROW(golden.freeze_translations(), support::CicError);  // still running
-    ASSERT_EQ(golden.run().reason, cpu::ExitReason::kExit);
-    loaded.translations = golden.freeze_translations();
-  }
-  ASSERT_NE(loaded.translations, nullptr);
   const std::uint32_t loop_word = casm_::kTextBase + 8;  // addu in the loop body
-
   cpu::RunResult results[2];
   const cpu::Engine engines[2] = {cpu::Engine::kSwitch, cpu::Engine::kThreaded};
   for (int i = 0; i < 2; ++i) {
-    cpu::Cpu cpu(engine_config(engines[i]), image, &loaded);
+    cpu::Cpu cpu(engine_config(engines[i]), image);
     ASSERT_FALSE(cpu.run_until(30).has_value());
     if (engines[i] == cpu::Engine::kThreaded) {
-      EXPECT_GT(cpu.tcache_hits(), 0U);
-      EXPECT_EQ(cpu.translation_cache()->stats().translations, 0U);  // all from the image
+      EXPECT_GT(cpu.translation_cache()->stats().translations, 0U);
+      EXPECT_EQ(cpu.tcache_resets(), 0U);
     }
     cpu.memory().write32(loop_word, cpu.memory().read32(loop_word) ^ (1U << 11));
     results[i] = cpu.run();
@@ -672,7 +658,7 @@ TEST(TranslationCache, ChainedRunMatchesInterpreterAndFollowsLinks) {
 TEST(TranslationCache, ChainLinksOnlyLiveBlocksOfThisCache) {
   // The link invariant: a link joins two live blocks of one cache, the
   // target at the verified edge address. chain() refuses anything else — a
-  // block of another cache (a shared image's, say) at either end, or a live
+  // block of another cache (another Cpu's, say) at either end, or a live
   // block that is not at the edge target. Links die with clear().
   const IsaUopSpec spec = build_isa_uops();
   const FusedTable fused = build_fused_table(spec);
@@ -716,68 +702,6 @@ TEST(TranslationCache, ChainLinksOnlyLiveBlocksOfThisCache) {
   const TranslatedBlock* fresh = tc.translate(base, spec, fused, peek);
   EXPECT_EQ(fresh->taken, nullptr);
   EXPECT_EQ(other.lookup(base + 8), foreign);  // another cache is untouched
-}
-
-TEST(TranslationCache, SealLinksAnEdgeExactlyWhenABlockStartsAtItsTarget) {
-  // seal() links each static edge whose target is a block start of the same
-  // cache and leaves every other edge unlinked; a block translated later is
-  // linked by the next seal, and links already made stay.
-  const IsaUopSpec spec = build_isa_uops();
-  const FusedTable fused = build_fused_table(spec);
-  const std::uint32_t base = 0x00400000;
-  const std::uint32_t words[4] = {
-      isa::encode_i(isa::Mnemonic::kBeq, 1, 0, 2),       // taken base+12, fall base+4
-      isa::encode_i(isa::Mnemonic::kBeq, 0, 0, 0xFFFE),  // taken base, fall base+8
-      isa::encode_i(isa::Mnemonic::kBne, 2, 1, 0xFFFD),  // taken base, fall base+12
-      isa::encode_r(isa::Mnemonic::kJr, 0, 31, 0),       // indirect: no static edges
-  };
-  const auto peek = [&](std::uint32_t a) { return words[(a - base) / 4]; };
-  TranslationCache tc(base, base + 16, /*cache=*/true);
-  const TranslatedBlock* a = tc.translate(base, spec, fused, peek);
-  const TranslatedBlock* c = tc.translate(base + 8, spec, fused, peek);
-  const TranslatedBlock* b = tc.translate(base + 4, spec, fused, peek);
-  tc.seal();
-  EXPECT_EQ(tc.starts(), (std::vector<std::uint32_t>{base, base + 4, base + 8}));
-  EXPECT_EQ(a->taken, nullptr);  // no block starts at base+12
-  EXPECT_EQ(a->fall, b);
-  EXPECT_EQ(b->taken, a);
-  EXPECT_EQ(b->fall, c);
-  EXPECT_EQ(c->taken, a);
-  EXPECT_EQ(c->fall, nullptr);
-
-  const TranslatedBlock* d = tc.translate(base + 12, spec, fused, peek);
-  tc.seal();
-  EXPECT_EQ(a->taken, d);
-  EXPECT_EQ(c->fall, d);
-  EXPECT_EQ(b->fall, c);
-  EXPECT_EQ(d->taken, nullptr);
-  EXPECT_EQ(d->fall, nullptr);
-}
-
-TEST(TranslationCache, FrozenImageIsSealed) {
-  // freeze_translations() seals, so a frozen image links every static edge
-  // that lands on one of its block starts, the edges the run never took
-  // included, and no other edge.
-  for (const char* kernel : {"dijkstra", "stringsearch"}) {
-    const casm_::Image image = workloads::build_workload(kernel, {0.02, 42});
-    cpu::Cpu cpu(engine_config(cpu::Engine::kThreaded), image);
-    ASSERT_EQ(cpu.run().reason, cpu::ExitReason::kExit) << kernel;
-    const std::shared_ptr<const TranslationCache> frozen = cpu.freeze_translations();
-    ASSERT_NE(frozen, nullptr);
-    const std::vector<std::uint32_t> starts = frozen->starts();
-    ASSERT_FALSE(starts.empty());
-    std::size_t links = 0;
-    for (const std::uint32_t start : starts) {
-      const TranslatedBlock* block = frozen->lookup(start);
-      ASSERT_NE(block, nullptr);
-      EXPECT_EQ(block->taken, block->has_taken ? frozen->lookup(block->taken_target) : nullptr)
-          << kernel << " block " << support::hex32(start);
-      EXPECT_EQ(block->fall, block->has_fall ? frozen->lookup(block->fall_target) : nullptr)
-          << kernel << " block " << support::hex32(start);
-      links += (block->taken != nullptr) + (block->fall != nullptr);
-    }
-    EXPECT_GT(links, 0U) << kernel;
-  }
 }
 
 TEST(TranslationCache, TranslateIntoOccupiedSlotThrows) {
