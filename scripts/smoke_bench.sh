@@ -100,7 +100,7 @@ if [[ -x ${build_dir}/cicmon ]]; then
        --out "${shard_dir}/t1.json" 2> /dev/null &&
      "${build_dir}/cicmon" table1 --scale "${scale}" --shard 2/2 --jobs 2 \
        --out "${shard_dir}/t2.json" 2> /dev/null &&
-     grep -q '"schema": "cicmon-shard-v1"' "${shard_dir}/t1.json" &&
+     grep -q '"schema": "cicmon-shard-v2"' "${shard_dir}/t1.json" &&
      "${build_dir}/cicmon" merge "${shard_dir}/t1.json" "${shard_dir}/t2.json" \
        > "${shard_dir}/merged.txt" &&
      diff "${shard_dir}/direct.txt" "${shard_dir}/merged.txt"; then

@@ -21,11 +21,12 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // The merge-time artifact checks, applied per item the moment its worker
-// acks: the file must decode as a cicmon-shard-v1 document (catching
-// truncation and tampering) and match (spec, shard) exactly (catching a
-// transport that ran the wrong command). On success the decoded artifact is
-// handed to `out` so the merge never re-reads the file; on failure `why`
-// reports the violation for the retry log.
+// acks: the file must decode as a cicmon-shard-v2 document (its cell count,
+// column lengths and digest catch truncation and tampering) and match
+// (spec, shard) exactly (catching a transport that ran the wrong command).
+// On success the decoded artifact is handed to `out` so the merge never
+// re-reads the file; on failure `why` reports the violation for the retry
+// log.
 bool artifact_is_valid(const std::string& path, const exp::SweepSpec& spec,
                        const exp::Shard& shard, exp::ShardArtifact* out, std::string* why) {
   try {

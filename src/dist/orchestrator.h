@@ -69,7 +69,7 @@ struct DispatchConfig {
 struct DispatchResult {
   bool ok = false;
   // Merged full cell grid (every shard through exp::MergeState) when ok.
-  std::vector<exp::CellResult> cells;
+  exp::Cells cells;
   unsigned shard_count = 0;
   std::size_t reused = 0;    // shards resumed from matching on-disk artifacts
   std::size_t launched = 0;  // session spawns, replacements included

@@ -40,12 +40,11 @@ void encode_shard(support::JsonWriter& json, const exp::Shard& shard) {
 }
 
 exp::Shard decode_shard(const support::JsonValue& root) {
-  exp::Shard shard;
-  shard.index = static_cast<unsigned>(root.at("shard").as_u64());
-  shard.count = static_cast<unsigned>(root.at("shard_count").as_u64());
-  support::check(shard.count >= 1 && shard.index >= 1 && shard.index <= shard.count,
-                 "session record has invalid shard coordinates");
-  return shard;
+  try {
+    return exp::checked_shard(root.at("shard").as_u64(), root.at("shard_count").as_u64());
+  } catch (const support::CicError& error) {
+    throw support::CicError(std::string("session record: ") + error.what());
+  }
 }
 
 std::string finish(support::JsonWriter& json) {

@@ -14,16 +14,19 @@
 //
 //   merge(shard 1/N, ..., shard N/N) == run of shard 1/1
 //
-// byte-for-byte, for any N and any --jobs value in any process. Shards
-// persist their cells as `cicmon-shard-v1` JSON artifacts (support/json.h,
-// whose doubles round-trip bit-exactly); merging validates that the
-// artifacts are from the same sweep and parameters, cover every cell
-// exactly once, and were not truncated or tampered with.
+// byte-for-byte, for any N and any --jobs value in any process. Results
+// live in flat, typed columns (Cells) from run_cells to the renderers.
+// Shards persist their cells as `cicmon-shard-v2` JSON artifacts: the
+// header plus two packed, base64-encoded columns and an FNV-1a digest over
+// both; merging validates that the artifacts are from the same sweep,
+// parameters and payload shape, cover every cell exactly once, and were
+// not truncated or tampered with.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,14 +34,71 @@
 
 namespace cicmon::exp {
 
-// Mergeable result of one cell: a fixed-shape numeric payload. Each sweep
-// defines what the slots mean (cycles, outcome codes, miss rates, ...) and
-// decodes rows from them; the engine only moves them around.
+// What one cell computes: a fixed-shape numeric payload. Each sweep defines
+// what the slots mean (cycles, outcome codes, miss rates, ...) and decodes
+// rows from them; the engine only moves them around.
 struct CellResult {
   std::vector<std::uint64_t> u64;
   std::vector<double> f64;
 
   bool operator==(const CellResult&) const = default;
+};
+
+// How many u64 and f64 slots every cell of a sweep carries.
+struct CellShape {
+  std::size_t u64 = 0;
+  std::size_t f64 = 0;
+
+  bool operator==(const CellShape&) const = default;
+};
+
+// A run of cells in flat, typed columns: cell c's u64 slots are
+// u64_column()[c * shape.u64 ...], its f64 slots f64_column()[c * shape.f64
+// ...]. Holds either a whole grid (run_all, a merge) or one shard's owned
+// cells by ordinal (run_cells, an artifact).
+class Cells {
+ public:
+  Cells() = default;
+  // `count` zero-valued cells of `shape`.
+  Cells(CellShape shape, std::size_t count);
+  // `count` cells of `shape` holding the given columns; throws CicError
+  // unless each column has exactly count * slots values.
+  Cells(CellShape shape, std::size_t count, std::vector<std::uint64_t> u64,
+        std::vector<double> f64);
+
+  CellShape shape() const { return shape_; }
+  std::size_t size() const { return count_; }
+
+  std::uint64_t u64(std::size_t cell, std::size_t slot) const {
+    return u64_[cell * shape_.u64 + slot];
+  }
+  double f64(std::size_t cell, std::size_t slot) const { return f64_[cell * shape_.f64 + slot]; }
+  std::span<const std::uint64_t> u64_slots(std::size_t cell) const {
+    return {u64_.data() + cell * shape_.u64, shape_.u64};
+  }
+  std::span<const double> f64_slots(std::size_t cell) const {
+    return {f64_.data() + cell * shape_.f64, shape_.f64};
+  }
+  const std::vector<std::uint64_t>& u64_column() const { return u64_; }
+  const std::vector<double>& f64_column() const { return f64_; }
+
+  // Writes `result` into cell `cell`; throws CicError unless it has this
+  // run's shape. Distinct cells may be set concurrently.
+  void set(std::size_t cell, const CellResult& result);
+  // Copies cell `from` of `source` (same shape) into cell `to`.
+  void copy_cell(std::size_t to, const Cells& source, std::size_t from);
+
+  // Per-cell copies, for callers that inspect or compare whole cells.
+  CellResult cell(std::size_t cell) const;
+  operator std::vector<CellResult>() const;
+
+  bool operator==(const Cells&) const = default;
+
+ private:
+  CellShape shape_;
+  std::size_t count_ = 0;
+  std::vector<std::uint64_t> u64_;
+  std::vector<double> f64_;
 };
 
 // Sweep parameters as ordered (name, value) pairs. They are baked into every
@@ -55,9 +115,9 @@ struct SweepSpec {
   std::string sweep;   // artifact namespace: "table1", "fig6", "campaign", ...
   SweepParams params;  // everything the cell grid was derived from
   std::size_t cells = 0;
-  // Stable human-readable key of a cell ("dijkstra/cic16", "trial/000041");
-  // recorded next to the cell's payload in artifacts.
-  std::function<std::string(std::size_t)> cell_key;
+  // Every run_cell result has this shape; run_cells fails the run, naming
+  // the sweep and the cell, on one that does not.
+  CellShape shape;
   // Computes one cell. Must depend on the index alone and be safe to call
   // concurrently for distinct indices.
   std::function<CellResult(std::size_t)> run_cell;
@@ -65,7 +125,7 @@ struct SweepSpec {
   // ascending (order_key(cell), cell) order instead of index order, so cells
   // that share work (campaign trials forking from one walking golden run)
   // run next to each other. Results still land by index: the order never
-  // changes a cell vector, artifact or merge.
+  // changes a cell, artifact or merge.
   std::function<std::uint64_t(std::size_t)> order_key;
 };
 
@@ -78,9 +138,16 @@ struct Shard {
 // Parses "I/N" with 1 <= I <= N; throws CicError otherwise.
 Shard parse_shard(std::string_view text);
 
-// Round-robin cell ownership — a disjoint cover of [0, cells) for any N.
-constexpr bool owns_cell(const Shard& shard, std::size_t cell) {
-  return cell % shard.count == shard.index - 1;
+// Shard coordinates read as 64-bit integers (artifacts, session records):
+// throws CicError unless 1 <= index <= count < 2^32, checked before
+// narrowing, so an out-of-range value can never alias a valid one.
+Shard checked_shard(std::uint64_t index, std::uint64_t count);
+
+// Round-robin cell ownership — a disjoint cover of [0, cells) for any N:
+// shard I/N owns the cells c with c % N == I - 1, and its ordinal-th owned
+// cell is (I - 1) + ordinal * N.
+constexpr std::size_t owned_cell(const Shard& shard, std::size_t ordinal) {
+  return shard.index - 1 + ordinal * shard.count;
 }
 
 // How many of [0, cells) the shard owns, in O(1).
@@ -89,45 +156,43 @@ constexpr std::size_t owned_cell_count(const Shard& shard, std::size_t cells) {
 }
 
 // Runs the cells owned by `shard` over `jobs` threads (support::parallel_for
-// semantics), in spec.order_key order when one is set. The returned vector
-// always has spec.cells slots; cells not owned by the shard are left
-// default-constructed.
-std::vector<CellResult> run_cells(const SweepSpec& spec, const Shard& shard, unsigned jobs);
+// semantics), in spec.order_key order when one is set. The result holds the
+// owned cells only, by ordinal (see owned_cell); for shard 1/1 that is the
+// whole grid.
+Cells run_cells(const SweepSpec& spec, const Shard& shard, unsigned jobs);
 
-// --- cicmon-shard-v1 artifacts -----------------------------------------
+// --- cicmon-shard-v2 artifacts -----------------------------------------
 
 struct ShardArtifact {
   std::string sweep;
   SweepParams params;
   Shard shard;
   std::size_t total_cells = 0;
-  // (cell index, key, payload) for the owned cells, ascending by index.
-  struct Cell {
-    std::size_t index = 0;
-    std::string key;
-    CellResult result;
-  };
-  std::vector<Cell> cells;
+  Cells cells;  // the shard's owned cells, by ordinal
 };
 
-// Serializes the shard-owned slice of `results` (indices filtered by
-// owns_cell) as a cicmon-shard-v1 document.
+// Serializes a shard's owned cells (run_cells' result) as a cicmon-shard-v2
+// document. Throws CicError unless they match spec's shape and the shard's
+// owned cell count.
+std::string encode_shard_artifact(const SweepSpec& spec, const Shard& shard, const Cells& owned);
+// The same document from a whole grid of per-cell results (index = cell).
 std::string encode_shard_artifact(const SweepSpec& spec, const Shard& shard,
                                   const std::vector<CellResult>& results);
 
-// Parses and structurally validates one artifact (schema tag, shard bounds,
-// cell ownership and ordering). Throws CicError describing the corruption.
+// Parses and validates one artifact: schema tag, shard bounds, the cell
+// count its shard owns, both columns' lengths, and the digest over header
+// and columns. Throws CicError describing the corruption.
 ShardArtifact decode_shard_artifact(std::string_view text);
 
 // File variants. Writing goes through a temp file + rename so a crashed or
 // interrupted shard never leaves a truncated artifact behind; loading wraps
 // decode errors with the path.
 void write_shard_artifact(const std::string& path, const SweepSpec& spec, const Shard& shard,
-                          const std::vector<CellResult>& results);
+                          const Cells& owned);
 ShardArtifact load_shard_artifact(const std::string& path);
 
 // True when `artifact` is a usable partial of exactly (spec, shard): same
-// sweep, same parameters, same shard coordinates, every owned cell present.
+// sweep, same parameters, same shape, same shard coordinates and grid.
 bool artifact_matches(const ShardArtifact& artifact, const SweepSpec& spec, const Shard& shard);
 
 // Incremental merge: accepts validated artifacts one at a time, in any
@@ -137,18 +202,20 @@ bool artifact_matches(const ShardArtifact& artifact, const SweepSpec& spec, cons
 // in from worker sessions instead of waiting for the last shard.
 //
 // Every add() validates the newcomer against the first artifact accepted
-// (same sweep, same params, same shard count, same cell grid, no cell
-// covered twice) and throws CicError naming the violation, leaving the
-// already-merged state untouched. The per-shard/per-cell bookkeeping is
-// deterministic: two MergeStates fed the same artifact *set* in different
-// orders report identical progress and finalise to identical cells.
+// (same sweep, params, shape, shard count and cell grid, its shard not yet
+// merged, exactly the cells its shard owns) and throws CicError naming the
+// violation, leaving the already-merged state untouched. An artifact covers
+// exactly its shard, so one flag per shard is the whole coverage record,
+// and its columns are scattered into the full-grid columns on arrival. Two
+// MergeStates fed the same artifact *set* in different orders report
+// identical progress and finalise to identical cells.
 class MergeState {
  public:
   void add(ShardArtifact artifact);
 
   std::size_t shards_merged() const { return shards_merged_; }
   std::size_t cells_merged() const { return cells_merged_; }
-  bool complete() const { return shard_count_ > 0 && cells_merged_ == covered_.size(); }
+  bool complete() const { return shard_count_ > 0 && cells_merged_ == cells_.size(); }
 
   // One deterministic progress line: "3/7 shards, 120/280 cells (42.9%)".
   std::string progress() const;
@@ -157,10 +224,9 @@ class MergeState {
   // rendering incrementally. Depends only on the set of merged shards.
   std::string progress_table() const;
 
-  // The full cell vector; throws CicError while cells are missing. The
-  // result is indistinguishable from run_cells(spec, {1,1}, jobs) of the
-  // producing binary.
-  std::vector<CellResult> finalize() &&;
+  // The full grid; throws CicError while cells are missing. The result is
+  // indistinguishable from run_all(spec, jobs) of the producing binary.
+  Cells finalize() &&;
 
   // Sweep identity of the first accepted artifact (valid once
   // shards_merged() > 0) — what the caller renders with.
@@ -174,30 +240,28 @@ class MergeState {
   std::size_t shards_merged_ = 0;
   std::size_t cells_merged_ = 0;
   std::vector<bool> shard_merged_;  // by shard index - 1
-  std::vector<bool> covered_;       // by cell index
-  std::vector<CellResult> results_;
+  Cells cells_;                     // the full grid
 };
 
-// Merges partial artifacts into the full cell vector. Validates that all
-// artifacts agree on (sweep, params, shard count, total cells) and that
+// Merges partial artifacts into the full grid. Validates that all artifacts
+// agree on (sweep, params, shape, shard count, total cells) and that
 // together they cover every cell exactly once; throws CicError naming the
 // first violation. Implemented over MergeState; the batch entry point also
 // pre-checks the provided cell count against the claimed grid, so a
 // tampered total_cells fails before sizing any allocation by it. Takes the
-// artifacts by value so callers can std::move a large set in and the cell
-// payloads transfer instead of copying.
-std::vector<CellResult> merge_artifacts(std::vector<ShardArtifact> artifacts);
+// artifacts by value so each one's columns are freed as soon as they are
+// scattered.
+Cells merge_artifacts(std::vector<ShardArtifact> artifacts);
 
-// Resume: returns this shard's cells, loading them from `path` when a valid
-// artifact for exactly (spec, shard) already exists there, otherwise running
-// the cells and (re)writing the artifact. `force` skips the load. `reused`
-// (optional) reports whether the artifact was reused.
-std::vector<CellResult> run_or_load_shard(const SweepSpec& spec, const Shard& shard,
-                                          unsigned jobs, const std::string& path, bool force,
-                                          bool* reused = nullptr);
+// Resume: returns this shard's owned cells, loading them from `path` when a
+// valid artifact for exactly (spec, shard) already exists there, otherwise
+// running the cells and (re)writing the artifact. `force` skips the load.
+// `reused` (optional) reports whether the artifact was reused.
+Cells run_or_load_shard(const SweepSpec& spec, const Shard& shard, unsigned jobs,
+                        const std::string& path, bool force, bool* reused = nullptr);
 
 // Convenience: all cells in this process ("--shard 1/1").
-std::vector<CellResult> run_all(const SweepSpec& spec, unsigned jobs);
+Cells run_all(const SweepSpec& spec, unsigned jobs);
 
 // Looks up a parameter recorded in an artifact; throws CicError when absent.
 std::string_view param(const SweepParams& params, std::string_view name);

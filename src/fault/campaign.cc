@@ -644,7 +644,7 @@ exp::SweepSpec CampaignRunner::sweep(FaultSite site, unsigned bits, unsigned tri
                  {"trials", std::to_string(trials)},
                  {"seed", std::to_string(seed)}};
   spec.cells = trials;
-  spec.cell_key = [](std::size_t trial) { return "trial/" + std::to_string(trial); };
+  spec.shape = {1, 0};
   const auto draw = [this, site, bits, seed, text_words](std::size_t trial) {
     support::Rng rng(support::derive_stream_seed(seed, trial));
     FaultSpec fault;
@@ -671,12 +671,15 @@ exp::SweepSpec CampaignRunner::sweep(FaultSite site, unsigned bits, unsigned tri
   return spec;
 }
 
-CampaignSummary CampaignRunner::summary_from_cells(const std::vector<exp::CellResult>& cells) {
+CampaignSummary CampaignRunner::summary_from_cells(const exp::Cells& cells) {
+  support::check(cells.shape() == exp::CellShape{1, 0},
+                 "campaign cells do not carry one outcome code each");
   CampaignSummary summary;
-  for (const exp::CellResult& cell : cells) {
-    support::check(cell.u64.size() == 1 && cell.u64[0] <= static_cast<std::uint64_t>(Outcome::kHang),
-                   "campaign cell does not carry an outcome code");
-    summary.add(static_cast<Outcome>(cell.u64[0]));
+  for (const std::uint64_t outcome : cells.u64_column()) {
+    if (outcome > static_cast<std::uint64_t>(Outcome::kHang)) {
+      throw support::CicError("campaign cell does not carry an outcome code");
+    }
+    summary.add(static_cast<Outcome>(outcome));
   }
   return summary;
 }

@@ -215,17 +215,17 @@ class CampaignRunner {
   // each recompute it rather than store it.
   TrialPlan plan(const FaultSpec& spec) const;
 
-  // The campaign as a sweep-engine grid: one cell per trial, u64 payload =
-  // {outcome code}. Every trial draws from its own RNG stream seeded by
-  // (seed, trial index), so the summary is bit-identical for a given seed at
-  // any job count, shard count, or process placement. With checkpoints on,
-  // the cells run in fork order. The spec borrows this runner — it
+  // The campaign as a sweep-engine grid: one cell per trial, shape 1 + 0,
+  // u64 payload = {outcome code}. Every trial draws from its own RNG stream
+  // seeded by (seed, trial index), so the summary is bit-identical for a
+  // given seed at any job count, shard count, or process placement. With
+  // checkpoints on, the cells run in fork order. The spec borrows this runner — it
   // must outlive any run_cell or order_key call.
   exp::SweepSpec sweep(FaultSite site, unsigned bits, unsigned trials,
                        std::uint64_t seed) const;
 
-  // Rebuilds the summary from a full (possibly shard-merged) cell vector.
-  static CampaignSummary summary_from_cells(const std::vector<exp::CellResult>& cells);
+  // Rebuilds the summary from a full (possibly shard-merged) grid of cells.
+  static CampaignSummary summary_from_cells(const exp::Cells& cells);
 
   // Runs `trials` random injections at `site`, each flipping `bits` distinct
   // bits of one instruction word, fanned out over `jobs` threads (0 resolves

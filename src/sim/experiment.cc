@@ -2,6 +2,7 @@
 
 #include <list>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "cfg/fht.h"
@@ -41,8 +42,8 @@ cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& con
 
 namespace {
 
-// One machine of a variant grid: its cell-key suffix and configuration (the
-// builder sets the engine).
+// One machine of a variant grid: its name and configuration (the builder
+// sets the engine).
 struct Variant {
   std::string name;
   cpu::CpuConfig config;
@@ -62,10 +63,7 @@ exp::SweepSpec variant_sweep(std::string sweep, exp::SweepParams params,
   spec.sweep = std::move(sweep);
   spec.params = std::move(params);
   spec.cells = infos.size() * variants.size();
-  spec.cell_key = [infos, variants](std::size_t cell) {
-    return std::string(infos[cell / variants.size()].name) + "/" +
-           variants[cell % variants.size()].name;
-  };
+  spec.shape = {1, 1};
   spec.run_cell = [infos, variants, scale, engine](std::size_t cell) {
     cpu::CpuConfig config = variants[cell % variants.size()].config;
     config.engine = engine;
@@ -80,20 +78,19 @@ exp::SweepSpec variant_sweep(std::string sweep, exp::SweepParams params,
 
 }  // namespace
 
-std::vector<VariantRow> variant_rows(const std::vector<exp::CellResult>& cells,
-                                     std::size_t variants) {
+std::vector<VariantRow> variant_rows(const exp::Cells& cells, std::size_t variants) {
   const auto infos = workloads::all_workloads();
   support::check(variants > 0 && cells.size() == infos.size() * variants,
-                 "variant cell vector does not match the workload grid");
+                 "variant cells do not match the workload grid");
+  support::check(cells.shape() == exp::CellShape{1, 1},
+                 "variant cell payload has the wrong shape");
   std::vector<VariantRow> rows;
   for (std::size_t cell = 0; cell < cells.size(); ++cell) {
-    support::check(cells[cell].u64.size() == 1 && cells[cell].f64.size() == 1,
-                   "variant cell payload has the wrong shape");
     if (cell % variants == 0) {
       rows.push_back({std::string(infos[cell / variants].name), {}, {}});
     }
-    rows.back().cycles.push_back(cells[cell].u64[0]);
-    rows.back().miss_rates.push_back(cells[cell].f64[0]);
+    rows.back().cycles.push_back(cells.u64(cell, 0));
+    rows.back().miss_rates.push_back(cells.f64(cell, 0));
   }
   return rows;
 }
@@ -208,7 +205,7 @@ exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale,
   spec.sweep = "blocks";
   spec.params = {{"scale", exp::fmt_f64(scale)}, {"capacities", join_list(capacities)}};
   spec.cells = infos.size();
-  spec.cell_key = [infos](std::size_t cell) { return std::string(infos[cell].name); };
+  spec.shape = {4, capacities.size()};
   spec.run_cell = [infos, capacities, scale, engine](std::size_t cell) {
     const BlockStats stats = characterize_blocks(infos[cell].name, capacities, scale, engine);
     exp::CellResult result;
@@ -220,27 +217,27 @@ exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale,
   return spec;
 }
 
-std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
+std::vector<BlockStats> blocks_rows(const exp::Cells& cells,
                                     const std::vector<unsigned>& capacities) {
   const auto infos = workloads::all_workloads();
-  support::check(cells.size() == infos.size(),
-                 "blocks cell vector does not match the workload grid");
+  support::check(cells.size() == infos.size(), "blocks cells do not match the workload grid");
+  support::check(cells.shape() == exp::CellShape{4, capacities.size()},
+                 "blocks cell payload has the wrong shape");
   std::vector<BlockStats> rows;
   rows.reserve(cells.size());
   for (std::size_t w = 0; w < cells.size(); ++w) {
-    support::check(cells[w].u64.size() == 4 && cells[w].f64.size() == capacities.size(),
-                   "blocks cell payload has the wrong shape");
     BlockStats stats;
     stats.workload = std::string(infos[w].name);
-    stats.static_regions = cells[w].u64[0];
-    stats.dynamic_keys = cells[w].u64[1];
-    stats.lookups = cells[w].u64[2];
-    stats.instructions = cells[w].u64[3];
+    stats.static_regions = cells.u64(w, 0);
+    stats.dynamic_keys = cells.u64(w, 1);
+    stats.lookups = cells.u64(w, 2);
+    stats.instructions = cells.u64(w, 3);
     stats.mean_block_instructions =
         stats.lookups == 0 ? 0.0
                            : static_cast<double>(stats.instructions) /
                                  static_cast<double>(stats.lookups);
-    stats.lru_hit_rate = cells[w].f64;
+    const std::span<const double> rates = cells.f64_slots(w);
+    stats.lru_hit_rate.assign(rates.begin(), rates.end());
     stats.capacities = capacities;
     rows.push_back(std::move(stats));
   }
@@ -276,12 +273,7 @@ exp::SweepSpec campaign_grid(std::string sweep, std::vector<CampaignCell> grid,
   spec.sweep = std::move(sweep);
   spec.params = {{"scale", exp::fmt_f64(scale)}};
   spec.cells = grid.size();
-  spec.cell_key = [grid](std::size_t cell) {
-    const CampaignCell& c = grid[cell];
-    return std::string(hash::hash_kind_name(c.config.cic.hash_kind)) +
-           (c.config.monitoring ? "/on/" : "/off/") +
-           std::string(fault::fault_site_name(c.site)) + "/" + std::to_string(c.bits) + "b";
-  };
+  spec.shape = {6, 0};
   spec.run_cell = [grid, trials, seed, scale, engine](std::size_t cell) {
     cpu::CpuConfig config = grid[cell].config;
     config.engine = engine;
@@ -298,14 +290,14 @@ exp::SweepSpec campaign_grid(std::string sweep, std::vector<CampaignCell> grid,
 
 }  // namespace
 
-std::vector<fault::CampaignSummary> campaign_rows(const std::vector<exp::CellResult>& cells,
+std::vector<fault::CampaignSummary> campaign_rows(const exp::Cells& cells,
                                                   std::size_t campaigns) {
-  support::check(cells.size() == campaigns, "campaign cell vector does not match the grid");
+  support::check(cells.size() == campaigns, "campaign cells do not match the grid");
+  support::check(cells.shape() == exp::CellShape{6, 0},
+                 "campaign grid cell payload has the wrong shape");
   std::vector<fault::CampaignSummary> rows;
-  for (const exp::CellResult& cell : cells) {
-    support::check(cell.u64.size() == 6 && cell.f64.empty(),
-                   "campaign grid cell payload has the wrong shape");
-    const std::vector<std::uint64_t>& n = cell.u64;
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    const std::span<const std::uint64_t> n = cells.u64_slots(cell);
     rows.push_back(
         {n[0] + n[1] + n[2] + n[3] + n[4] + n[5], n[0], n[1], n[2], n[3], n[4], n[5]});
   }

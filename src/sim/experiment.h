@@ -9,7 +9,7 @@
 // (exp/sweep.h), which provides the parallel fan-out, process sharding,
 // partial-summary artifacts, resume, and byte-identical merge for all of
 // them at once. The `*_sweep` builders expose the grids, and the `*_rows`
-// decoders rebuild typed rows from a full (possibly merged) cell vector.
+// decoders rebuild typed rows from a full (possibly merged) grid of cells.
 // `engine` picks how every cell's machine executes; it is an execution
 // strategy, so it never enters the sweep parameters and never changes a
 // cell.
@@ -37,9 +37,9 @@ cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& con
 
 // --- Machine-variant grids (Table 1, Figure 6, §6.1 and §7 ablations) ----
 //
-// One cell per (workload, machine variant), u64 = {cycles}, f64 = {IHT miss
-// rate}. Overhead sweeps put the unmonitored baseline first, so each
-// workload's baseline runs once per grid.
+// One cell per (workload, machine variant), shape 1 + 1: u64 = {cycles},
+// f64 = {IHT miss rate}. Overhead sweeps put the unmonitored baseline
+// first, so each workload's baseline runs once per grid.
 
 // One workload's runs, in the sweep's variant order.
 struct VariantRow {
@@ -52,8 +52,7 @@ struct VariantRow {
   }
 };
 // Decodes any variant grid, one row per workload in all_workloads() order.
-std::vector<VariantRow> variant_rows(const std::vector<exp::CellResult>& cells,
-                                     std::size_t variants);
+std::vector<VariantRow> variant_rows(const exp::Cells& cells, std::size_t variants);
 
 // Table 1 cycle overheads. Variants: baseline, CIC8, CIC16.
 exp::SweepSpec table1_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
@@ -105,21 +104,21 @@ BlockStats characterize_blocks(std::string_view workload,
                                cpu::Engine engine = cpu::Engine::kThreaded);
 
 // Grid: one cell per workload (each workload's reference stream is
-// inherently serial; the fan-out is across workloads). u64 =
-// {static_regions, dynamic_keys, lookups, instructions}, f64 = one LRU hit
-// rate per capacity.
+// inherently serial; the fan-out is across workloads), shape 4 +
+// capacities: u64 = {static_regions, dynamic_keys, lookups, instructions},
+// f64 = one LRU hit rate per capacity.
 exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale = 1.0,
                             cpu::Engine engine = cpu::Engine::kThreaded);
-std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
+std::vector<BlockStats> blocks_rows(const exp::Cells& cells,
                                     const std::vector<unsigned>& capacities);
 
 // --- §6.3 fault tables and the hash ablation: grids of whole campaigns ----
 //
 // One cell runs one campaign on sha (image seed 42) against a 16-entry IHT,
-// u64 = its six outcome counts in fault::Outcome order.
+// shape 6 + 0: u64 = its six outcome counts in fault::Outcome order.
 
 // Decodes a campaign grid of `campaigns` cells, one summary per cell.
-std::vector<fault::CampaignSummary> campaign_rows(const std::vector<exp::CellResult>& cells,
+std::vector<fault::CampaignSummary> campaign_rows(const exp::Cells& cells,
                                                   std::size_t campaigns);
 
 // §6.3 fault tables, 120 trials at seed 2026 per campaign: single-bit faults

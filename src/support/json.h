@@ -1,12 +1,13 @@
 // Deterministic JSON writing and a small reader for machine artifacts.
 //
-// The repo's machine-readable documents (the `cicmon-shard-v1` partial-
+// The repo's machine-readable documents (the `cicmon-shard-v2` partial-
 // summary artifacts of the sweep engine, the session records and the
 // `cicmon-metrics-v1` summary) flow through JsonWriter, so formatting is
 // byte-stable across subcommands and hosts: two-space indentation, keys in
 // insertion order, integers in decimal, and doubles in shortest round-trip
-// form (std::to_chars), which guarantees parse(format(x)) == x bitwise — the
-// property the sweep engine's byte-identical merge rests on.
+// form (std::to_chars), which guarantees parse(format(x)) == x bitwise. (Shard
+// artifacts carry their result columns as base64 strings of packed bytes, so
+// their doubles never pass through decimal at all.)
 //
 // JsonValue/parse_json is the matching reader, sized for those artifacts:
 // the full JSON grammar, order-preserving objects, and numbers kept as raw

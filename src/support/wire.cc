@@ -90,8 +90,8 @@ std::string preview(std::string_view bytes) {
 
 }  // namespace
 
-std::uint64_t wire_checksum(std::string_view payload) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV offset basis
+std::uint64_t wire_checksum(std::string_view payload, std::uint64_t seed) {
+  std::uint64_t hash = seed;
   for (const char c : payload) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001B3ULL;  // FNV prime

@@ -60,7 +60,11 @@ inline constexpr std::size_t kMaxWirePayload = 1 << 20;
 
 // FNV-1a 64-bit — cheap, dependency-free, and plenty to catch truncation and
 // accidental corruption (this is an integrity check, not authentication).
-std::uint64_t wire_checksum(std::string_view payload);
+// FNV-1a is a running fold, so passing one piece's checksum as `seed`
+// continues it over the next: a digest over several buffers without
+// concatenating them.
+inline constexpr std::uint64_t kWireChecksumSeed = 0xCBF29CE484222325ULL;  // offset basis
+std::uint64_t wire_checksum(std::string_view payload, std::uint64_t seed = kWireChecksumSeed);
 
 // Encodes one payload as a complete frame. Throws CicError when the payload
 // exceeds kMaxWirePayload (an internal bug, not a peer failure).

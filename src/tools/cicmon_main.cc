@@ -18,15 +18,16 @@
 //
 // Every sweep subcommand also takes `--shard I/N [--out PATH] [--force]`,
 // which runs only the cells owned by shard I of N and persists them as a
-// `cicmon-shard-v1` partial artifact instead of printing the table;
-// `cicmon merge` aggregates the partials and renders output byte-identical
-// to the unsharded run. A sharded invocation whose artifact already exists
-// and matches is skipped (resume); corrupt or mismatched artifacts are
-// re-run. Determinism contract: everything a sweep subcommand prints to
-// stdout is identical at any --jobs value, shard count, engine, and process
-// placement — host wall-clock measurements go to stderr, and host speed is
-// measured by perfbench/, not by the CLI. CICMON_JOBS is the environment
-// fallback; 0/unset resolves to hardware concurrency, 1 is the serial path.
+// `cicmon-shard-v2` partial artifact (packed result columns plus a digest)
+// instead of printing the table; `cicmon merge` aggregates the partials
+// and renders output byte-identical to the unsharded run. A sharded
+// invocation whose artifact already exists and matches is skipped (resume);
+// corrupt or mismatched artifacts are re-run. Determinism contract:
+// everything a sweep subcommand prints to stdout is identical at any --jobs
+// value, shard count, engine, and process placement — host wall-clock
+// measurements go to stderr, and host speed is measured by perfbench/, not
+// by the CLI. CICMON_JOBS is the environment fallback; 0/unset resolves to
+// hardware concurrency, 1 is the serial path.
 //
 // `cicmon dispatch <sweep> ...` is the scale-out driver: it over-decomposes
 // the sweep into shard work items and schedules them through src/dist/ onto
@@ -137,7 +138,7 @@ struct Options {
       "  dispatch    scale a sweep out over worker processes or hosts\n"
       "  worker      persistent dispatch worker (serves shards over stdin/stdout;\n"
       "              spawned by dispatch, not meant for interactive use)\n"
-      "  merge       aggregate cicmon-shard-v1 artifacts into the full output\n"
+      "  merge       aggregate cicmon-shard-v2 artifacts into the full output\n"
       "  report      render a cicmon-trace-v1 event log (--trace output) as\n"
       "              per-phase/per-worker breakdown tables\n"
       "  workloads   list the benchmark kernels\n"
@@ -181,7 +182,7 @@ struct Options {
       "sharding (every sweep: table1 fig6 blocks faults ablation-hash\n"
       "ablation-os-cost ablation-replacement campaign):\n"
       "  --shard I/N      run only the cells owned by shard I of N and write\n"
-      "                   a cicmon-shard-v1 partial artifact, not the table\n"
+      "                   a cicmon-shard-v2 partial artifact, not the table\n"
       "  --out PATH       artifact path (default cicmon-<sweep>-shard-IofN.json);\n"
       "                   a matching existing artifact is reused (resume)\n"
       "  --force          rerun the shard even when its artifact matches\n"
@@ -424,7 +425,7 @@ fault::FaultSite parse_site(const std::string& name) {
 // rendering depends only on (params, cells) — that shared funnel is what
 // makes the merged output byte-identical to the unsharded run.
 
-using Cells = std::vector<exp::CellResult>;
+using exp::Cells;
 
 // Averages sum the workloads' overheads in all_workloads() order, then
 // divide; the ablations below repeat that arithmetic exactly.
@@ -674,7 +675,7 @@ int run_sweep_command(const exp::SweepSpec& spec, const Options& options) {
     return 0;
   }
   const std::uint64_t run_t_us = obs::trace_now_us();
-  const std::vector<exp::CellResult> cells = exp::run_all(spec, options.jobs);
+  const Cells cells = exp::run_all(spec, options.jobs);
   if (obs::trace_enabled()) {
     obs::TraceArgs args;
     args.add("sweep", spec.sweep);
@@ -916,7 +917,7 @@ int cmd_merge(const Options& options) {
   }
   const std::string sweep = artifacts.front().sweep;
   const exp::SweepParams params = artifacts.front().params;
-  const std::vector<exp::CellResult> cells = exp::merge_artifacts(std::move(artifacts));
+  const Cells cells = exp::merge_artifacts(std::move(artifacts));
   return render_cells(sweep, params, cells);
 }
 

@@ -58,7 +58,7 @@ exp::SweepSpec synthetic_sweep(std::size_t cells) {
   spec.sweep = "synthetic";
   spec.params = {{"cells", std::to_string(cells)}};
   spec.cells = cells;
-  spec.cell_key = [](std::size_t cell) { return "cell/" + std::to_string(cell); };
+  spec.shape = {2, 1};
   spec.run_cell = [](std::size_t cell) {
     exp::CellResult result;
     result.u64 = {cell, cell * cell};
@@ -269,11 +269,17 @@ TEST(Session, MessagesRoundTripThroughEncodeDecode) {
 
   EXPECT_THROW(decode_session_message("not json"), support::CicError);
   EXPECT_THROW(decode_session_message("{\"type\": \"launch-missiles\"}"), support::CicError);
-  // Out-of-range shard coordinates are a structural violation.
-  EXPECT_THROW(decode_session_message(
-                   "{\"type\": \"done\", \"shard\": 9, \"shard_count\": 5, "
-                   "\"out\": \"x\", \"reused\": false, \"wall_ms\": 0}"),
-               support::CicError);
+  // Out-of-range shard coordinates are a structural violation, and so are
+  // coordinates past 2^32 - 1 that would narrow to a valid 2/3.
+  for (const char* coordinates : {"\"shard\": 9, \"shard_count\": 5",
+                                  "\"shard\": 4294967298, \"shard_count\": 4294967299",
+                                  "\"shard\": 2, \"shard_count\": 4294967299"}) {
+    EXPECT_THROW(decode_session_message(std::string("{\"type\": \"done\", ") + coordinates +
+                                        ", \"out\": \"x\", \"reused\": false, "
+                                        "\"wall_ms\": 0}"),
+                 support::CicError)
+        << coordinates;
+  }
   // A golden offer whose key and chunk count disagree is structurally bogus:
   // "something to ship" needs both, "nothing" needs neither.
   EXPECT_THROW(decode_session_message(
@@ -330,8 +336,8 @@ constexpr double kSessionScale = 0.02;
 
 exp::SweepSpec session_sweep() { return sim::table1_sweep(kSessionScale); }
 
-const std::vector<exp::CellResult>& session_direct_cells() {
-  static const std::vector<exp::CellResult> cells = exp::run_all(session_sweep(), 1);
+const exp::Cells& session_direct_cells() {
+  static const exp::Cells cells = exp::run_all(session_sweep(), 1);
   return cells;
 }
 
@@ -563,7 +569,7 @@ TEST(Sessions, AckedInvalidArtifactIsRetried) {
   // A done ack for a truncated artifact: the merge-time checks, not the ack,
   // decide, so the shard is retried and the real worker rewrites the file.
   expect_sabotage_recovered("wire_invalid_artifact",
-                            "printf '{\"schema\": \"cicmon-shard-v1\", \"swee' > "
+                            "printf '{\"schema\": \"cicmon-shard-v2\", \"swee' > "
                             "\"%DIR%/artifacts/table1-1of3.shard.json\"\n"
                             "cat \"%DIR%/done.bin\"");
 }
@@ -576,7 +582,7 @@ TEST(Sessions, ExhaustedBudgetReportsFailureAndKeepsPeersResumable) {
       dispatch_sweep(session_sweep(), saboteur_command(dir, "exit 7"), Transport(),
                      test_config(dir, 1, 3, /*retries=*/0));
   ASSERT_FALSE(result.ok);
-  EXPECT_TRUE(result.cells.empty());
+  EXPECT_EQ(result.cells.size(), 0U);
   ASSERT_EQ(result.failures.size(), 1U);
   EXPECT_EQ(result.failures[0].item.shard.index, 1U);
   EXPECT_EQ(result.failures[0].item.shard.count, 3U);

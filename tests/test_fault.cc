@@ -291,7 +291,7 @@ TEST(Campaign, CheckpointsDoNotChangeCampaignResults) {
     // The golden run is long enough for restores past snapshot 0 at 4096.
     ASSERT_GT(coarse.snapshot_count(), 2U);
     for (const FaultSite site : sites) {
-      const std::vector<exp::CellResult> want = exp::run_all(slow.sweep(site, 1, 60, 13), 1);
+      const exp::Cells want = exp::run_all(slow.sweep(site, 1, 60, 13), 1);
       const std::string where =
           std::string(fault_site_name(site)) + ", engine " + std::string(cpu::engine_name(engine));
       for (const unsigned jobs : {1U, 4U}) {
