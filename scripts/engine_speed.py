@@ -3,14 +3,20 @@
 
     python3 scripts/engine_speed.py
 
-Run from the root of a source checkout. Two checks:
+Run from the root of a source checkout. Three checks:
 
 1. perfbench's paper-sweeps workload (table1, fig6 and blocks at scale 5 on
    the default threaded engine, built in Release into .bench_build/) must
-   match its pinned stdout digests, fail nothing, and simulate at least
-   MIN_SIM_MIPS million instructions per CPU second: 0.75 x the 38 MIPS
-   threaded reference recorded in BENCH_PR10.json.
-2. `cicmon table1 --scale 2 --jobs 1` must cost between MIN_RATIO and
+   match its pinned stdout digests and fail nothing.
+2. `cicmon table1 --scale 5 --jobs 1` must simulate at least MIN_SIM_MIPS
+   million instructions per CPU second, best of ROUNDS runs. The count is
+   the run's own `engine.instructions` (--metrics json), so it follows
+   what the command simulates. The floor is 0.4 x the 72.0 MIPS that
+   table1 read on the 4-vCPU reference VM (best of 10) when it was set.
+   perfbench's paper-sweeps `sim_mips` is not gated: its numerator is
+   pinned at 8 kernel runs per pass, and a pass now runs 5 (fig6 reads
+   every table size off one run), so it over-reports by 8/5.
+3. `cicmon table1 --scale 2 --jobs 1` must cost between MIN_RATIO and
    MAX_RATIO times more CPU on `--engine switch` than on `--engine
    threaded`, best of ROUNDS interleaved runs per engine, with identical
    stdout. A ratio near 1 means the threaded engine lost its speedup; one
@@ -24,11 +30,13 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 
-MIN_SIM_MIPS = 28.5
+MIN_SIM_MIPS = 28.8
 MIN_RATIO, MAX_RATIO = 2.0, 8.0
 ROUNDS = 3
 TABLE1 = ["table1", "--scale", "2", "--jobs", "1"]
+TABLE1_SPEED = ["table1", "--scale", "5", "--jobs", "1"]
 
 
 def cpu_run(argv):
@@ -40,6 +48,12 @@ def cpu_run(argv):
     return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime), out
 
 
+def bench_cicmon():
+    """The Release CLI that perfbench built in check 1."""
+    return os.path.join(os.environ.get("CARGO_TARGET_DIR") or ".bench_build", "cicmon",
+                        "cicmon")
+
+
 def check_paper_sweeps():
     run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "paper-sweeps",
                           "--seconds", "5"], stdout=subprocess.PIPE, text=True)
@@ -47,19 +61,30 @@ def check_paper_sweeps():
     if run.returncode != 0:
         return "perfbench exited with %d" % run.returncode
     report = json.loads(run.stdout.strip().splitlines()[-1])
-    mips = report["metrics"].get("sim_mips", {}).get("value", 0.0)
-    print("paper-sweeps: %.1f Minstr/CPU-s (floor %.1f)" % (mips, MIN_SIM_MIPS))
     if not report["correct"] or report["failed"] != 0:
         return "paper-sweeps output is wrong (%d of %d failed)" % (report["failed"],
                                                                   report["attempted"])
-    if mips < MIN_SIM_MIPS:
-        return "paper-sweeps at %.1f Minstr/CPU-s, below %.1f" % (mips, MIN_SIM_MIPS)
+    return None
+
+
+def check_sim_mips():
+    best = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics_path = os.path.join(tmp, "metrics.json")
+        for _ in range(ROUNDS):
+            cpu_s, _ = cpu_run([bench_cicmon()] + TABLE1_SPEED +
+                               ["--metrics", "json", "--metrics-out", metrics_path])
+            with open(metrics_path) as f:
+                instructions = json.load(f)["counters"]["engine.instructions"]
+            best = max(best, instructions / cpu_s / 1e6)
+    print("table1 --scale 5: %.1f Minstr/CPU-s (floor %.1f)" % (best, MIN_SIM_MIPS))
+    if best < MIN_SIM_MIPS:
+        return "table1 at %.1f Minstr/CPU-s, below %.1f" % (best, MIN_SIM_MIPS)
     return None
 
 
 def check_engine_ratio():
-    cicmon = os.path.join(os.environ.get("CARGO_TARGET_DIR") or ".bench_build", "cicmon",
-                          "cicmon")
+    cicmon = bench_cicmon()
     best = {}
     outputs = set()
     for _ in range(ROUNDS):
@@ -79,7 +104,7 @@ def check_engine_ratio():
 
 
 def main():
-    failures = [f for f in (check_paper_sweeps(), check_engine_ratio()) if f]
+    failures = [f for f in (check_paper_sweeps(), check_sim_mips(), check_engine_ratio()) if f]
     for failure in failures:
         print("engine_speed: FAILED: " + failure, file=sys.stderr)
     return 1 if failures else 0

@@ -267,7 +267,7 @@ void Asm::data_symbol(const std::string& name) {
 
 std::uint32_t Asm::data_address(const std::string& name) const {
   auto it = image_.symbols.find(name);
-  check(it != image_.symbols.end(), "undefined data symbol: " + name);
+  if (it == image_.symbols.end()) throw support::CicError("undefined data symbol: " + name);
   return it->second;
 }
 
@@ -287,8 +287,10 @@ Label Asm::func_label(const std::string& name) {
 void Asm::patch(const Fixup& fixup) {
   check(fixup.label_id < label_addr_.size(), "patch: unknown label");
   const std::int64_t target = label_addr_[fixup.label_id];
-  check(target >= 0, "unbound label referenced by instruction at " +
-                         support::hex32(addr_of(fixup.text_index)));
+  if (target < 0) {
+    throw support::CicError("unbound label referenced by instruction at " +
+                            support::hex32(addr_of(fixup.text_index)));
+  }
   std::uint32_t& word = image_.text[fixup.text_index];
   if (fixup.kind == Fixup::Kind::kBranch) {
     const std::int64_t offset_words =
@@ -305,7 +307,7 @@ void Asm::patch(const Fixup& fixup) {
 Image Asm::finalize() {
   check(!finalized_, "finalize() called twice");
   for (const auto& [name, l] : func_labels_) {
-    check(label_addr_[l.id] >= 0, "undefined function: " + name);
+    if (label_addr_[l.id] < 0) throw support::CicError("undefined function: " + name);
   }
   for (const Fixup& fixup : fixups_) patch(fixup);
   finalized_ = true;

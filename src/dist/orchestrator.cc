@@ -114,12 +114,13 @@ struct RunState {
             "s";
     }
     // Before the first artifact lands MergeState knows no totals; show the
-    // plan's denominators so the operator never reads "0/0".
+    // plan's denominators (the shards that own cells) so the operator never
+    // reads "0/0".
     const std::string merged =
         merge.shards_merged() > 0
             ? merge.progress()
-            : "0/" + std::to_string(plan.shards) + " shards, 0/" +
-                  std::to_string(spec.cells) + " cells (0.0%)";
+            : "0/" + std::to_string(std::min<std::size_t>(plan.shards, spec.cells)) +
+                  " shards, 0/" + std::to_string(spec.cells) + " cells (0.0%)";
     std::fprintf(stderr, "dispatch: merged %s | %zu active, %zu reused, %zu retried, ETA %s\n",
                  merged.c_str(), active, result.reused, result.retried, eta.c_str());
   }

@@ -481,23 +481,28 @@ void MergeState::add(ShardArtifact artifact) {
                    "cannot merge artifacts from different shard counts");
     support::check(artifact.total_cells == cells_.size(),
                    "cannot merge artifacts with different cell grids");
-    support::check(!shard_merged_[shard.index - 1],
-                   "shard " + std::to_string(shard.index) + "/" + std::to_string(shard.count) +
-                       " is covered by two artifacts");
+    if (shard.index <= shard_merged_.size() && shard_merged_[shard.index - 1]) {
+      throw support::CicError("shard " + std::to_string(shard.index) + "/" +
+                              std::to_string(shard.count) + " is covered by two artifacts");
+    }
   }
   const std::size_t owned = owned_cell_count(shard, artifact.total_cells);
-  support::check(artifact.cells.size() == owned,
-                 "artifact is incomplete: has " + std::to_string(artifact.cells.size()) +
-                     " of " + std::to_string(owned) + " owned cells");
+  if (artifact.cells.size() != owned) {
+    throw support::CicError("artifact is incomplete: has " +
+                            std::to_string(artifact.cells.size()) + " of " +
+                            std::to_string(owned) + " owned cells");
+  }
   if (first) {
     // Everything validated: the first artifact fixes the sweep identity
-    // every later add is held to.
+    // every later add is held to. Only shards 1..min(N, cells) own cells,
+    // so only they get a flag: the state is bounded by the grid, not by N.
     sweep_ = artifact.sweep;
     params_ = artifact.params;
     shard_count_ = shard.count;
-    shard_merged_.assign(shard_count_, false);
+    shard_merged_.assign(std::min<std::size_t>(shard_count_, artifact.total_cells), false);
     cells_ = Cells(artifact.cells.shape(), artifact.total_cells);
   }
+  if (owned == 0) return;  // a shard past the cell count: validated, nothing to merge
   shard_merged_[shard.index - 1] = true;
   ++shards_merged_;
   for (std::size_t j = 0; j < owned; ++j) cells_.copy_cell(owned_cell(shard, j), artifact.cells, j);
@@ -510,14 +515,14 @@ std::string MergeState::progress() const {
                                 : 100.0 * static_cast<double>(cells_merged_) /
                                       static_cast<double>(total);
   char line[96];
-  std::snprintf(line, sizeof line, "%zu/%u shards, %zu/%zu cells (%.1f%%)", shards_merged_,
-                shard_count_, cells_merged_, total, pct);
+  std::snprintf(line, sizeof line, "%zu/%zu shards, %zu/%zu cells (%.1f%%)", shards_merged_,
+                shard_merged_.size(), cells_merged_, total, pct);
   return line;
 }
 
 std::string MergeState::progress_table() const {
   std::string table = "shard  cells  state\n";
-  for (unsigned index = 1; index <= shard_count_; ++index) {
+  for (unsigned index = 1; index <= shard_merged_.size(); ++index) {
     const std::size_t cells = owned_cell_count(Shard{index, shard_count_}, cells_.size());
     char row[64];
     std::snprintf(row, sizeof row, "%-5u  %-5zu  %s\n", index, cells,

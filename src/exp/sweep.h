@@ -205,10 +205,13 @@ bool artifact_matches(const ShardArtifact& artifact, const SweepSpec& spec, cons
 // (same sweep, params, shape, shard count and cell grid, its shard not yet
 // merged, exactly the cells its shard owns) and throws CicError naming the
 // violation, leaving the already-merged state untouched. An artifact covers
-// exactly its shard, so one flag per shard is the whole coverage record,
-// and its columns are scattered into the full-grid columns on arrival. Two
-// MergeStates fed the same artifact *set* in different orders report
-// identical progress and finalise to identical cells.
+// exactly its shard, so one flag per shard that owns cells is the whole
+// coverage record (a shard past the cell count owns none: its artifact is
+// validated and merges nothing), and its columns are scattered into the
+// full-grid columns on arrival. Memory is bounded by the grid, whatever
+// the shard count. Two MergeStates fed the same artifact *set* in
+// different orders report identical progress and finalise to identical
+// cells.
 class MergeState {
  public:
   void add(ShardArtifact artifact);
@@ -217,11 +220,13 @@ class MergeState {
   std::size_t cells_merged() const { return cells_merged_; }
   bool complete() const { return shard_count_ > 0 && cells_merged_ == cells_.size(); }
 
-  // One deterministic progress line: "3/7 shards, 120/280 cells (42.9%)".
+  // One deterministic progress line: "3/7 shards, 120/280 cells (42.9%)",
+  // counting the shards that own cells.
   std::string progress() const;
-  // Deterministic partial-progress table: one row per shard with its cell
-  // count and merged/pending status — what a long campaign shows while
-  // rendering incrementally. Depends only on the set of merged shards.
+  // Deterministic partial-progress table: one row per shard that owns cells
+  // with its cell count and merged/pending status — what a long campaign
+  // shows while rendering incrementally. Depends only on the set of merged
+  // shards.
   std::string progress_table() const;
 
   // The full grid; throws CicError while cells are missing. The result is
@@ -239,7 +244,7 @@ class MergeState {
   unsigned shard_count_ = 0;
   std::size_t shards_merged_ = 0;
   std::size_t cells_merged_ = 0;
-  std::vector<bool> shard_merged_;  // by shard index - 1
+  std::vector<bool> shard_merged_;  // by shard index - 1, shards that own cells
   Cells cells_;                     // the full grid
 };
 

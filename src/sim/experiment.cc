@@ -1,7 +1,6 @@
 #include "sim/experiment.h"
 
-#include <list>
-#include <map>
+#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -32,9 +31,10 @@ cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& con
   cpu::Cpu cpu(config, image);
   const cpu::RunResult result = cpu.run();
   cpu.publish_metrics();
-  support::check(result.reason == cpu::ExitReason::kExit,
-                 std::string(workload) + ": workload did not exit cleanly (" +
-                     std::string(cpu::exit_reason_name(result.reason)) + ")");
+  if (result.reason != cpu::ExitReason::kExit) {
+    throw support::CicError(std::string(workload) + ": workload did not exit cleanly (" +
+                            std::string(cpu::exit_reason_name(result.reason)) + ")");
+  }
   return result;
 }
 
@@ -100,15 +100,6 @@ exp::SweepSpec table1_sweep(double scale, cpu::Engine engine) {
                        {{"baseline", {}}, monitored(8), monitored(16)}, scale, engine);
 }
 
-exp::SweepSpec fig6_sweep(const std::vector<unsigned>& entry_counts, double scale,
-                          cpu::Engine engine) {
-  std::vector<Variant> variants;
-  for (const unsigned entries : entry_counts) variants.push_back(monitored(entries));
-  return variant_sweep("fig6",
-                       {{"scale", exp::fmt_f64(scale)}, {"entries", join_list(entry_counts)}},
-                       std::move(variants), scale, engine);
-}
-
 exp::SweepSpec os_cost_sweep(double scale, cpu::Engine engine) {
   std::vector<Variant> variants{{"baseline", {}}};
   for (const std::uint64_t cost : kOsCosts) {
@@ -133,113 +124,161 @@ exp::SweepSpec replacement_sweep(double scale, cpu::Engine engine) {
                        std::move(variants), scale, engine);
 }
 
-// --- Block characterisation ---------------------------------------------
+// --- Reuse profiles -------------------------------------------------------
 
-BlockStats characterize_blocks(std::string_view workload,
-                               const std::vector<unsigned>& capacities, double scale,
-                               cpu::Engine engine) {
+std::uint64_t ReuseProfile::misses(unsigned entries) const {
+  std::uint64_t misses = cold;
+  for (std::size_t depth = entries; depth < depths.size(); ++depth) {
+    misses += depths[depth];
+  }
+  return misses;
+}
+
+ReuseProfile reuse_profile(std::string_view workload, double scale, cpu::Engine engine) {
   workloads::BuildOptions options;
   options.scale = scale;
   const casm_::Image image = workloads::build_workload(workload, options);
 
-  // A large IHT so capacity effects do not perturb the reference stream.
+  // A clean run's reference stream does not depend on the IHT size: a miss
+  // exception charges cycles and runs no instructions. A table that holds
+  // every key takes only the cold misses.
   cpu::CpuConfig config;
   config.engine = engine;
   config.monitoring = true;
   config.cic.iht_entries = 1024;
 
-  // Exact LRU stack distances via a recency list (streams are short enough
-  // that the O(n·k) scan is fine and keeps the computation transparent).
-  using Key = std::pair<std::uint32_t, std::uint32_t>;
-  std::list<Key> recency;
-  std::map<Key, std::list<Key>::iterator> where;
-  support::Histogram distances;
-  std::uint64_t lookups = 0;
-
+  // Keys most recent first, (start << 32) | end: a hit at depth d moves the
+  // d keys before it down one slot. Kernels execute tens of keys, so the
+  // linear scan is short, and only a cold key grows the arrays.
+  ReuseProfile profile;
+  std::vector<std::uint64_t> recency;
   cpu::Cpu cpu(config, image);
   cpu.set_lookup_observer([&](std::uint32_t start, std::uint32_t end) {
-    const Key key{start, end};
-    ++lookups;
-    auto it = where.find(key);
-    if (it == where.end()) {
-      distances.add(-1);  // cold reference
-    } else {
-      std::int64_t depth = 0;
-      for (auto pos = recency.begin(); pos != it->second; ++pos) ++depth;
-      distances.add(depth);
-      recency.erase(it->second);
+    const std::uint64_t key = (std::uint64_t{start} << 32) | end;
+    ++profile.lookups;
+    const auto hit = std::find(recency.begin(), recency.end(), key);
+    if (hit == recency.end()) {
+      ++profile.cold;
+      recency.insert(recency.begin(), key);
+      profile.depths.push_back(0);
+      return;
     }
-    recency.push_front(key);
-    where[key] = recency.begin();
+    ++profile.depths[static_cast<std::size_t>(hit - recency.begin())];
+    std::rotate(recency.begin(), hit, hit + 1);
   });
   const cpu::RunResult result = cpu.run();
   cpu.publish_metrics();
-  support::check(result.reason == cpu::ExitReason::kExit,
-                 std::string(workload) + ": characterisation run did not exit cleanly");
-
-  BlockStats stats;
-  stats.workload = std::string(workload);
-  const auto unit = hash::make_hash_unit(hash::HashKind::kXor);
-  stats.static_regions = cfg::build_fht(image, *unit).size();
-  stats.dynamic_keys = where.size();
-  stats.lookups = lookups;
-  stats.instructions = result.instructions;
-  stats.mean_block_instructions =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(result.instructions) / static_cast<double>(lookups);
-  stats.capacities = capacities;
-  // Hit in an LRU table of C entries <=> stack distance in [0, C); the -1
-  // bin holds cold references and is excluded.
-  const double cold = distances.cdf_at(-1);
-  for (unsigned capacity : capacities) {
-    stats.lru_hit_rate.push_back(
-        distances.cdf_at(static_cast<std::int64_t>(capacity) - 1) - cold);
+  if (result.reason != cpu::ExitReason::kExit) {
+    throw support::CicError(std::string(workload) +
+                            ": reuse-profile run did not exit cleanly");
   }
-  return stats;
+  const auto unit = hash::make_hash_unit(hash::HashKind::kXor);
+  profile.static_regions = cfg::build_fht(image, *unit).size();
+  profile.instructions = result.instructions;
+  return profile;
 }
 
-exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale,
-                            cpu::Engine engine) {
+namespace {
+
+// A reuse-profile cell: the four counts, then the misses at each size.
+exp::CellResult profile_cell(const ReuseProfile& profile, const std::vector<unsigned>& sizes) {
+  exp::CellResult result;
+  result.u64 = {profile.static_regions, profile.cold, profile.lookups, profile.instructions};
+  for (const unsigned size : sizes) result.u64.push_back(profile.misses(size));
+  return result;
+}
+
+exp::SweepSpec profile_sweep(std::string sweep, const char* list, std::vector<unsigned> sizes,
+                             double scale, cpu::Engine engine) {
   const auto infos = workloads::all_workloads();
   exp::SweepSpec spec;
-  spec.sweep = "blocks";
-  spec.params = {{"scale", exp::fmt_f64(scale)}, {"capacities", join_list(capacities)}};
+  spec.sweep = std::move(sweep);
+  spec.params = {{"scale", exp::fmt_f64(scale)}, {list, join_list(sizes)}};
   spec.cells = infos.size();
-  spec.shape = {4, capacities.size()};
-  spec.run_cell = [infos, capacities, scale, engine](std::size_t cell) {
-    const BlockStats stats = characterize_blocks(infos[cell].name, capacities, scale, engine);
-    exp::CellResult result;
-    // The mean is derived in the decoder from the two exact integers.
-    result.u64 = {stats.static_regions, stats.dynamic_keys, stats.lookups, stats.instructions};
-    result.f64 = stats.lru_hit_rate;
-    return result;
+  spec.shape = {4 + sizes.size(), 0};
+  spec.run_cell = [infos, sizes = std::move(sizes), scale, engine](std::size_t cell) {
+    return profile_cell(reuse_profile(infos[cell].name, scale, engine), sizes);
   };
   return spec;
 }
 
+void check_profile_cells(const exp::Cells& cells, std::size_t sizes, const char* sweep) {
+  if (cells.size() != workloads::all_workloads().size()) {
+    throw support::CicError(std::string(sweep) + " cells do not match the workload grid");
+  }
+  if (cells.shape() != exp::CellShape{4 + sizes, 0}) {
+    throw support::CicError(std::string(sweep) + " cell payload has the wrong shape");
+  }
+}
+
+// Decodes one reuse-profile cell's slots. The hit rate at capacity C is
+// cdf_at(C - 1) - cdf_at(-1) of the stack-distance histogram (cold
+// references at -1), in that double arithmetic: the share of lookups that
+// are cold or at depth < C, less the cold share.
+BlockStats block_stats(std::string workload, std::span<const std::uint64_t> slots,
+                       const std::vector<unsigned>& capacities) {
+  BlockStats stats{std::move(workload), slots[0], slots[1], slots[2], slots[3], 0.0, {},
+                   capacities};
+  const auto share = [&stats](std::uint64_t count) {
+    return stats.lookups == 0
+               ? 0.0
+               : static_cast<double>(count) / static_cast<double>(stats.lookups);
+  };
+  stats.mean_block_instructions = share(stats.instructions);
+  for (std::size_t c = 0; c < capacities.size(); ++c) {
+    stats.lru_hit_rate.push_back(share(stats.dynamic_keys + stats.lookups - slots[4 + c]) -
+                                 share(stats.dynamic_keys));
+  }
+  return stats;
+}
+
+}  // namespace
+
+exp::SweepSpec fig6_sweep(const std::vector<unsigned>& entry_counts, double scale,
+                          cpu::Engine engine) {
+  return profile_sweep("fig6", "entries", entry_counts, scale, engine);
+}
+
+std::vector<Fig6Row> fig6_rows(const exp::Cells& cells,
+                               const std::vector<unsigned>& entry_counts) {
+  check_profile_cells(cells, entry_counts.size(), "fig6");
+  const auto infos = workloads::all_workloads();
+  std::vector<Fig6Row> rows;
+  rows.reserve(cells.size());
+  for (std::size_t w = 0; w < cells.size(); ++w) {
+    Fig6Row row{std::string(infos[w].name), {}};
+    const std::uint64_t lookups = cells.u64(w, 2);
+    for (std::size_t e = 0; e < entry_counts.size(); ++e) {
+      // A clean run never mismatches: every lookup hits or misses.
+      const std::uint64_t misses = cells.u64(w, 4 + e);
+      row.iht.push_back({lookups, lookups - misses, misses, 0});
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+BlockStats characterize_blocks(std::string_view workload,
+                               const std::vector<unsigned>& capacities, double scale,
+                               cpu::Engine engine) {
+  const exp::CellResult cell =
+      profile_cell(reuse_profile(workload, scale, engine), capacities);
+  return block_stats(std::string(workload), cell.u64, capacities);
+}
+
+exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale,
+                            cpu::Engine engine) {
+  return profile_sweep("blocks", "capacities", std::move(capacities), scale, engine);
+}
+
 std::vector<BlockStats> blocks_rows(const exp::Cells& cells,
                                     const std::vector<unsigned>& capacities) {
+  check_profile_cells(cells, capacities.size(), "blocks");
   const auto infos = workloads::all_workloads();
-  support::check(cells.size() == infos.size(), "blocks cells do not match the workload grid");
-  support::check(cells.shape() == exp::CellShape{4, capacities.size()},
-                 "blocks cell payload has the wrong shape");
   std::vector<BlockStats> rows;
   rows.reserve(cells.size());
   for (std::size_t w = 0; w < cells.size(); ++w) {
-    BlockStats stats;
-    stats.workload = std::string(infos[w].name);
-    stats.static_regions = cells.u64(w, 0);
-    stats.dynamic_keys = cells.u64(w, 1);
-    stats.lookups = cells.u64(w, 2);
-    stats.instructions = cells.u64(w, 3);
-    stats.mean_block_instructions =
-        stats.lookups == 0 ? 0.0
-                           : static_cast<double>(stats.instructions) /
-                                 static_cast<double>(stats.lookups);
-    const std::span<const double> rates = cells.f64_slots(w);
-    stats.lru_hit_rate.assign(rates.begin(), rates.end());
-    stats.capacities = capacities;
-    rows.push_back(std::move(stats));
+    rows.push_back(block_stats(std::string(infos[w].name), cells.u64_slots(w), capacities));
   }
   return rows;
 }

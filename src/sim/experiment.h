@@ -20,10 +20,10 @@
 #include <utility>
 #include <vector>
 
+#include "cic/iht.h"
 #include "cpu/cpu.h"
 #include "exp/sweep.h"
 #include "fault/campaign.h"
-#include "support/stats.h"
 #include "workloads/workloads.h"
 
 namespace cicmon::sim {
@@ -35,11 +35,12 @@ namespace cicmon::sim {
 cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& config,
                             double scale = 1.0, std::uint64_t seed = 42);
 
-// --- Machine-variant grids (Table 1, Figure 6, §6.1 and §7 ablations) ----
+// --- Machine-variant grids (Table 1, §6.1 and §7 ablations) ------------
 //
 // One cell per (workload, machine variant), shape 1 + 1: u64 = {cycles},
 // f64 = {IHT miss rate}. Overhead sweeps put the unmonitored baseline
-// first, so each workload's baseline runs once per grid.
+// first, so each workload's baseline runs once per grid. Each variant is a
+// full machine: its cycle count depends on its exception timing.
 
 // One workload's runs, in the sweep's variant order.
 struct VariantRow {
@@ -56,10 +57,6 @@ std::vector<VariantRow> variant_rows(const exp::Cells& cells, std::size_t varian
 
 // Table 1 cycle overheads. Variants: baseline, CIC8, CIC16.
 exp::SweepSpec table1_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
-
-// Figure 6 IHT miss rates. Variants: one monitored machine per entry count.
-exp::SweepSpec fig6_sweep(const std::vector<unsigned>& entry_counts, double scale = 1.0,
-                          cpu::Engine engine = cpu::Engine::kThreaded);
 
 // §6.1 ablation, Table 1 against the OS exception-handling cost. Variants:
 // baseline, then CIC8 and CIC16 at each cost (100 is the paper's, and Table
@@ -85,7 +82,47 @@ inline constexpr ReplacementPolicy kReplacementPolicies[] = {
 exp::SweepSpec replacement_sweep(double scale = 1.0,
                                  cpu::Engine engine = cpu::Engine::kThreaded);
 
-// --- Workload characterisation (§6.1 block counts / locality) ------------
+// --- Reuse profiles (Figure 6, §6.1 block counts / locality) -------------
+
+// LRU stack-distance profile of one workload's IHT reference stream: the
+// (start, end) key of every lookup, from one monitored run. A clean run's
+// stream does not depend on the IHT size (a miss exception charges cycles
+// and runs no instructions), and an LRU table with demand fill holds the N
+// most recently used keys (inclusion), so one profile gives the exact miss
+// count of every table size.
+struct ReuseProfile {
+  std::uint64_t static_regions = 0;  // FHT records
+  std::uint64_t lookups = 0;
+  std::uint64_t instructions = 0;    // dynamic instruction count of the run
+  std::uint64_t cold = 0;            // first references: the executed keys
+  // depths[d]: lookups whose key was the (d+1)-th most recently used one
+  // (depth 0: the previous lookup's key).
+  std::vector<std::uint64_t> depths;
+
+  // Misses of an `entries`-entry LRU table with demand fill: the cold
+  // references plus every lookup at depth >= entries.
+  std::uint64_t misses(unsigned entries) const;
+};
+ReuseProfile reuse_profile(std::string_view workload, double scale = 1.0,
+                           cpu::Engine engine = cpu::Engine::kThreaded);
+
+// Figure 6 and the blocks table: one cell per workload (each reference
+// stream is inherently serial; the fan-out is across workloads), shape
+// (4 + sizes) + 0: u64 = {static_regions, executed keys, lookups,
+// instructions}, then the misses of an LRU table of each size.
+
+// Figure 6 IHT miss rates, one per entry count, of the paper's LRU +
+// demand-fill machine (`cicmon fig6`).
+exp::SweepSpec fig6_sweep(const std::vector<unsigned>& entry_counts, double scale = 1.0,
+                          cpu::Engine engine = cpu::Engine::kThreaded);
+struct Fig6Row {
+  std::string workload;
+  std::vector<cic::IhtStats> iht;  // the N-entry machine's, per entry count
+};
+std::vector<Fig6Row> fig6_rows(const exp::Cells& cells,
+                               const std::vector<unsigned>& entry_counts);
+
+// §6.1 block counts and locality (`cicmon blocks`).
 struct BlockStats {
   std::string workload;
   std::uint64_t static_regions = 0;    // FHT records
@@ -93,20 +130,14 @@ struct BlockStats {
   std::uint64_t lookups = 0;
   std::uint64_t instructions = 0;      // dynamic instruction count of the run
   double mean_block_instructions = 0.0;
-  // LRU stack-distance profile of the block reference stream: the fraction
-  // of lookups whose reuse distance is < the given capacities (i.e. the hit
-  // rate of an ideal LRU table of that size).
+  // The fraction of lookups whose reuse distance is < the given capacity,
+  // cold references excluded (the hit rate of an LRU table of that size).
   std::vector<double> lru_hit_rate;    // one per capacity in `capacities`
   std::vector<unsigned> capacities;
 };
 BlockStats characterize_blocks(std::string_view workload,
                                const std::vector<unsigned>& capacities, double scale = 1.0,
                                cpu::Engine engine = cpu::Engine::kThreaded);
-
-// Grid: one cell per workload (each workload's reference stream is
-// inherently serial; the fan-out is across workloads), shape 4 +
-// capacities: u64 = {static_regions, dynamic_keys, lookups, instructions},
-// f64 = one LRU hit rate per capacity.
 exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale = 1.0,
                             cpu::Engine engine = cpu::Engine::kThreaded);
 std::vector<BlockStats> blocks_rows(const exp::Cells& cells,

@@ -18,7 +18,13 @@ class CicError : public std::runtime_error {
 };
 
 // Throws CicError when `condition` is false. `message` should name the
-// violated precondition from the caller's perspective.
+// violated precondition from the caller's perspective. A literal message
+// becomes a std::string only on failure, so a passing check costs a branch;
+// a message built by concatenation is built before the test, so on a
+// per-cell or per-trial path put it behind an `if (!condition)` instead.
+inline void check(bool condition, const char* message) {
+  if (!condition) throw CicError(message);
+}
 inline void check(bool condition, const std::string& message) {
   if (!condition) throw CicError(message);
 }

@@ -449,13 +449,13 @@ void render_table1(const exp::SweepParams&, const Cells& cells) {
 void render_fig6(const exp::SweepParams& params, const Cells& cells) {
   const std::vector<unsigned> entries =
       parse_unsigned_list(exp::param(params, "entries"), "artifact parameter 'entries'");
-  const auto rows = sim::variant_rows(cells, entries.size());
+  const auto rows = sim::fig6_rows(cells, entries);
   std::vector<std::string> headers{"benchmark"};
   for (const unsigned entry : entries) headers.push_back(std::to_string(entry));
   Table table(headers);
-  for (const sim::VariantRow& row : rows) {
+  for (const sim::Fig6Row& row : rows) {
     std::vector<std::string> line{row.workload};
-    for (const double rate : row.miss_rates) line.push_back(Table::fmt_pct(rate));
+    for (const cic::IhtStats& iht : row.iht) line.push_back(Table::fmt_pct(iht.miss_rate()));
     table.add_row(line);
   }
   std::fputs(table.render().c_str(), stdout);

@@ -355,23 +355,29 @@ std::uint8_t max_temp_plus_one(const Uop& op) {
   return highest;
 }
 
+// Throws CicError("<where> op <i>: <what>") when `ok` is false, building the
+// message only then: every Cpu construction validates its spec.
+void require_op(bool ok, const std::string& where, std::size_t i, const char* what) {
+  if (!ok) throw support::CicError(where + " op " + std::to_string(i) + ": " + what);
+}
+
 // Bounds and def-before-use checks over one program, updating the running
 // set of defined temps (`defined` is a bitmask over the kMaxTemps file).
 void validate_ops(std::span<const Uop> ops, std::uint32_t* defined, const std::string& where) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Uop& op = ops[i];
-    const std::string at = where + " op " + std::to_string(i);
-    support::check(op.guard == GuardKind::kAlways || op.guard_tmp != kNoTemp,
-                   at + ": guarded microoperation without guard_tmp");
+    const auto require = [&](bool ok, const char* what) { require_op(ok, where, i, what); };
+    require(op.guard == GuardKind::kAlways || op.guard_tmp != kNoTemp,
+            "guarded microoperation without guard_tmp");
     const OperandUse use = operand_use(op);
     for (const std::uint8_t t : use.reads) {
       if (t == kNoTemp) continue;
-      support::check(t < kMaxTemps, at + ": source temp index out of range");
-      support::check((*defined >> t) & 1U, at + ": temp read before written");
+      require(t < kMaxTemps, "source temp index out of range");
+      require((*defined >> t) & 1U, "temp read before written");
     }
     for (const std::uint8_t t : use.writes) {
       if (t == kNoTemp) continue;
-      support::check(t < kMaxTemps, at + ": destination temp index out of range");
+      require(t < kMaxTemps, "destination temp index out of range");
       // A guard-skipped write leaves the temp holding whatever the previous
       // dynamic instruction left there (the temp file is not re-zeroed), so
       // only unconditional writes may satisfy later reads.
@@ -385,39 +391,36 @@ void validate_ops(std::span<const Uop> ops, std::uint32_t* defined, const std::s
 void validate_required(std::span<const Uop> ops, const std::string& where) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Uop& op = ops[i];
-    const std::string at = where + " op " + std::to_string(i);
+    const auto require = [&](bool ok, const char* what) { require_op(ok, where, i, what); };
     switch (op.kind) {
       case UopKind::kReadSpecial:
       case UopKind::kReadGpr:
       case UopKind::kImm:
-        support::check(op.dst != kNoTemp, at + ": missing destination temp");
+        require(op.dst != kNoTemp, "missing destination temp");
         break;
       case UopKind::kWriteSpecial:
       case UopKind::kWriteGpr:
       case UopKind::kSetPc:
-        support::check(op.src_a != kNoTemp, at + ": missing src_a");
+        require(op.src_a != kNoTemp, "missing src_a");
         break;
       case UopKind::kAlu:
       case UopKind::kFetchInstr:
       case UopKind::kLoad:
-        support::check(op.dst != kNoTemp, at + ": missing destination temp");
-        support::check(op.src_a != kNoTemp, at + ": missing src_a");
+        require(op.dst != kNoTemp, "missing destination temp");
+        require(op.src_a != kNoTemp, "missing src_a");
         break;
       case UopKind::kMulDiv:
       case UopKind::kStore:
-        support::check(op.src_a != kNoTemp && op.src_b != kNoTemp,
-                       at + ": missing src_a/src_b");
+        require(op.src_a != kNoTemp && op.src_b != kNoTemp, "missing src_a/src_b");
         break;
       case UopKind::kHashStep:
-        support::check(op.dst != kNoTemp, at + ": missing destination temp");
-        support::check(op.src_a != kNoTemp && op.src_b != kNoTemp,
-                       at + ": missing src_a/src_b");
+        require(op.dst != kNoTemp, "missing destination temp");
+        require(op.src_a != kNoTemp && op.src_b != kNoTemp, "missing src_a/src_b");
         break;
       case UopKind::kIhtLookup:
-        support::check(op.src_a != kNoTemp && op.src_b != kNoTemp && op.src_c != kNoTemp,
-                       at + ": IHT lookup needs src_a/src_b/src_c");
-        support::check(op.dst != kNoTemp && op.dst2 != kNoTemp,
-                       at + ": IHT lookup needs dst and dst2");
+        require(op.src_a != kNoTemp && op.src_b != kNoTemp && op.src_c != kNoTemp,
+                "IHT lookup needs src_a/src_b/src_c");
+        require(op.dst != kNoTemp && op.dst2 != kNoTemp, "IHT lookup needs dst and dst2");
         break;
       case UopKind::kResetSpecial:
       case UopKind::kRaiseExc:
@@ -462,19 +465,19 @@ void validate_spec(const IsaUopSpec& spec) {
   for (std::size_t m = 0; m < spec.per_instr.size(); ++m) {
     const InstrUops& prog = spec.per_instr[m];
     const std::string name(isa::info(static_cast<isa::Mnemonic>(m)).name);
+    const auto require = [&](bool ok, const char* what) {
+      if (!ok) throw support::CicError(name + ": " + what);
+    };
     // Slice offsets must partition the stage-sorted ops vector.
-    support::check(prog.stage_begin[0] == 0 &&
-                       prog.stage_begin[kNumStages] == prog.ops.size(),
-                   name + ": stage slices do not cover the program");
+    require(prog.stage_begin[0] == 0 && prog.stage_begin[kNumStages] == prog.ops.size(),
+            "stage slices do not cover the program");
     for (unsigned s = 0; s < kNumStages; ++s) {
-      support::check(prog.stage_begin[s] <= prog.stage_begin[s + 1],
-                     name + ": stage slice offsets not monotone");
+      require(prog.stage_begin[s] <= prog.stage_begin[s + 1], "stage slice offsets not monotone");
       for (const Uop& op : prog.stage(static_cast<Stage>(s))) {
-        support::check(op.stage == static_cast<Stage>(s),
-                       name + ": op filed under the wrong stage slice");
+        require(op.stage == static_cast<Stage>(s), "op filed under the wrong stage slice");
       }
     }
-    support::check(prog.num_temps <= kMaxTemps, name + ": temp file overflow");
+    require(prog.num_temps <= kMaxTemps, "temp file overflow");
     validate_required(prog.ops, name);
     // The IF program runs first every dynamic instruction, so its defs are
     // live when the per-instruction stages execute.

@@ -5,14 +5,20 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <list>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cfg/fht.h"
 #include "exp/sweep.h"
 #include "fault/campaign.h"
 #include "sim/experiment.h"
 #include "support/error.h"
+#include "support/stats.h"
 #include "workloads/workloads.h"
 
 namespace cicmon::exp {
@@ -253,7 +259,7 @@ TEST(Artifact, EncodeDecodeRoundTripsExactly) {
 
 TEST(Artifact, EveryRealPayloadShapeRoundTripsAndMergesToRunAll) {
   // One real sweep per payload shape: campaign 1 + 0, a variant grid 1 + 1,
-  // blocks 4 + capacities, a campaign grid 6 + 0. Each grid is computed
+  // blocks (4 + capacities) + 0, a campaign grid 6 + 0. Each grid is computed
   // once; the sharded runs replay those cells, so what is under test is the
   // packing, the codec and the merge at every shard count, job count and
   // add order.
@@ -570,6 +576,60 @@ TEST(MergeState, RejectsDuplicatesAndStaysUsableAfterARejectedAdd) {
   EXPECT_EQ(fresh.progress(), "1/3 shards, 3/8 cells (37.5%)");
 }
 
+TEST(MergeState, ShardsPastTheCellCountAreValidatedNoOps) {
+  // Shards 4/6 to 6/6 of a 3-cell grid own no cells: their artifacts merge
+  // nothing, in any order, and only the three shards that own cells get a
+  // flag and a progress row.
+  const SweepSpec spec = synthetic_sweep(3);
+  constexpr unsigned kShards = 6;
+  std::vector<ShardArtifact> artifacts;
+  for (unsigned i = 1; i <= kShards; ++i) artifacts.push_back(round_trip(spec, Shard{i, kShards}));
+  EXPECT_EQ(artifacts[4].cells.size(), 0U);
+  const std::string table =
+      "shard  cells  state\n1      1      merged\n2      1      merged\n3      1      merged\n";
+  for (const std::vector<unsigned>& order : std::vector<std::vector<unsigned>>{
+           {1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1}, {5, 1, 6, 2, 4, 3}}) {
+    MergeState merge;
+    for (const unsigned i : order) merge.add(artifacts[i - 1]);
+    EXPECT_TRUE(merge.complete());
+    EXPECT_EQ(merge.shards_merged(), 3U);
+    EXPECT_EQ(merge.progress(), "3/3 shards, 3/3 cells (100.0%)");
+    EXPECT_EQ(merge.progress_table(), table);
+    EXPECT_EQ(std::move(merge).finalize(), run_all(spec, 1));
+  }
+  EXPECT_EQ(merge_artifacts(artifacts), run_all(spec, 1));
+
+  // An empty shard is still validated. Arriving first, it fixes the sweep
+  // identity that a foreign artifact then fails; arriving later, a foreign
+  // one fails like any other, and a repeat is a no-op.
+  MergeState empty_first;
+  empty_first.add(artifacts[5]);
+  EXPECT_EQ(empty_first.shards_merged(), 0U);
+  EXPECT_FALSE(empty_first.complete());
+  EXPECT_THROW(empty_first.add(round_trip(synthetic_sweep(4), Shard{1, kShards})),
+               support::CicError);
+  MergeState merge;
+  merge.add(artifacts[0]);
+  EXPECT_THROW(merge.add(round_trip(synthetic_sweep(4), Shard{6, kShards})),
+               support::CicError);
+  EXPECT_THROW(merge.add(round_trip(spec, Shard{7, kShards + 1})), support::CicError);
+  merge.add(artifacts[5]);
+  merge.add(artifacts[5]);
+  EXPECT_EQ(merge.progress(), "1/3 shards, 1/3 cells (33.3%)");
+
+  // A one-cell grid split as finely as a shard run accepts: one flag and
+  // one row, not one per shard.
+  const SweepSpec one = synthetic_sweep(1);
+  constexpr unsigned kMost = std::numeric_limits<unsigned>::max();
+  MergeState wide;
+  wide.add(round_trip(one, Shard{kMost, kMost}));
+  wide.add(round_trip(one, Shard{1, kMost}));
+  EXPECT_TRUE(wide.complete());
+  EXPECT_EQ(wide.progress(), "1/1 shards, 1/1 cells (100.0%)");
+  EXPECT_EQ(wide.progress_table(), "shard  cells  state\n1      1      merged\n");
+  EXPECT_EQ(std::move(wide).finalize(), run_all(one, 1));
+}
+
 TEST(Resume, SkipsCompletedShardAndRerunsCorruptOrMismatched) {
   std::atomic<unsigned> runs{0};
   const SweepSpec spec = synthetic_sweep(9, &runs);
@@ -780,8 +840,17 @@ TEST(RealSweeps, RowDecodersRejectWrongShapedPayloads) {
   const Cells campaign = pack({6, 0}, {{{1, 2, 3, 4, 5, 6}, {}}});
   EXPECT_THROW(sim::campaign_rows(campaign, 3), support::CicError);
   EXPECT_EQ(sim::campaign_rows(campaign, 1)[0].trials, 21U);
-  EXPECT_THROW(sim::blocks_rows(Cells({4, 0}, workloads_count), {1, 8}), support::CicError);
-  EXPECT_NO_THROW(sim::blocks_rows(Cells({4, 2}, workloads_count), {1, 8}));
+  // fig6 and blocks cells: four counts, then one miss count per size. The
+  // earlier payloads (a variant grid; four counts and one rate per
+  // capacity) and a grid of the wrong size are refused.
+  EXPECT_THROW(sim::fig6_rows(Cells({1, 1}, workloads_count * 2), {1, 8}), support::CicError);
+  EXPECT_THROW(sim::fig6_rows(Cells({6, 0}, workloads_count), {1, 8, 16}), support::CicError);
+  EXPECT_THROW(sim::fig6_rows(Cells({6, 0}, workloads_count + 1), {1, 8}), support::CicError);
+  EXPECT_NO_THROW(sim::fig6_rows(Cells({6, 0}, workloads_count), {1, 8}));
+  EXPECT_THROW(sim::blocks_rows(Cells({4, 2}, workloads_count), {1, 8}), support::CicError);
+  EXPECT_THROW(sim::blocks_rows(Cells({6, 0}, workloads_count - 1), {1, 8}),
+               support::CicError);
+  EXPECT_NO_THROW(sim::blocks_rows(Cells({6, 0}, workloads_count), {1, 8}));
   EXPECT_THROW(fault::CampaignRunner::summary_from_cells(Cells({0, 0}, 4)), support::CicError);
   EXPECT_THROW(fault::CampaignRunner::summary_from_cells(pack({1, 0}, {{{2}, {}}, {{99}, {}}})),
                support::CicError);
@@ -789,20 +858,30 @@ TEST(RealSweeps, RowDecodersRejectWrongShapedPayloads) {
 }
 
 TEST(RealSweeps, Fig6AndBlocksRowsDecodeFromCells) {
-  const std::vector<unsigned> entries{1, 16};
-  const auto fig6_cells = run_all(sim::fig6_sweep(entries, 0.02), 0);
-  const auto fig6 = sim::variant_rows(fig6_cells, entries.size());
-  const auto serial = sim::variant_rows(run_all(sim::fig6_sweep(entries, 0.02), 1), 2);
-  ASSERT_EQ(fig6.size(), serial.size());
-  for (std::size_t i = 0; i < fig6.size(); ++i) {
-    EXPECT_EQ(fig6[i].miss_rates, serial[i].miss_rates);
+  // Both tables decode the same reuse-profile cells, at any --jobs: fig6 as
+  // each table size's IHT statistics, blocks as its LRU hit rate.
+  const std::vector<unsigned> sizes{1, 16};
+  const Cells fig6_cells = run_all(sim::fig6_sweep(sizes, 0.02), 0);
+  const Cells blocks_cells = run_all(sim::blocks_sweep(sizes, 0.02), 1);
+  EXPECT_EQ(fig6_cells, blocks_cells);
+  const auto fig6 = sim::fig6_rows(fig6_cells, sizes);
+  const auto blocks = sim::blocks_rows(blocks_cells, sizes);
+  ASSERT_EQ(fig6.size(), workloads::all_workloads().size());
+  ASSERT_EQ(blocks.size(), fig6.size());
+  for (std::size_t w = 0; w < fig6.size(); ++w) {
+    EXPECT_EQ(fig6[w].workload, blocks[w].workload);
+    ASSERT_EQ(fig6[w].iht.size(), sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const cic::IhtStats& iht = fig6[w].iht[i];
+      EXPECT_EQ(iht.lookups, blocks[w].lookups) << fig6[w].workload;
+      EXPECT_EQ(iht.hits + iht.misses, iht.lookups) << fig6[w].workload;
+      EXPECT_EQ(iht.mismatches, 0U) << fig6[w].workload;
+      // Every lookup hits within the table or misses (cold or beyond it).
+      EXPECT_NEAR(iht.miss_rate() + blocks[w].lru_hit_rate[i], 1.0, 1e-12) << fig6[w].workload;
+    }
   }
 
-  const std::vector<unsigned> capacities{1, 8};
-  const auto blocks_cells = run_all(sim::blocks_sweep(capacities, 0.02), 0);
-  const auto blocks = sim::blocks_rows(blocks_cells, capacities);
-  const auto direct = sim::characterize_blocks("dijkstra", capacities, 0.02);
-  ASSERT_EQ(blocks.size(), workloads::all_workloads().size());
+  const auto direct = sim::characterize_blocks("dijkstra", sizes, 0.02);
   const auto& dijkstra = blocks[2];  // Figure 6 order
   EXPECT_EQ(dijkstra.workload, "dijkstra");
   EXPECT_EQ(dijkstra.static_regions, direct.static_regions);
@@ -811,6 +890,79 @@ TEST(RealSweeps, Fig6AndBlocksRowsDecodeFromCells) {
   EXPECT_EQ(dijkstra.instructions, direct.instructions);
   EXPECT_DOUBLE_EQ(dijkstra.mean_block_instructions, direct.mean_block_instructions);
   EXPECT_EQ(dijkstra.lru_hit_rate, direct.lru_hit_rate);
+}
+
+// The blocks table as it was first computed, kept as the oracle: every
+// lookup's LRU stack distance from a std::list walk, binned in a histogram
+// (-1 for a cold reference), on a machine with an 8-entry IHT (a clean
+// run's reference stream does not depend on the IHT size).
+sim::BlockStats reference_blocks(std::string_view workload,
+                                 const std::vector<unsigned>& capacities, double scale,
+                                 cpu::Engine engine) {
+  workloads::BuildOptions options;
+  options.scale = scale;
+  const casm_::Image image = workloads::build_workload(workload, options);
+  cpu::CpuConfig config;
+  config.engine = engine;
+  config.monitoring = true;
+  config.cic.iht_entries = 8;
+  using Key = std::pair<std::uint32_t, std::uint32_t>;
+  std::list<Key> recency;
+  std::map<Key, std::list<Key>::iterator> where;
+  support::Histogram distances;
+  std::uint64_t lookups = 0;
+  cpu::Cpu cpu(config, image);
+  cpu.set_lookup_observer([&](std::uint32_t start, std::uint32_t end) {
+    const Key key{start, end};
+    ++lookups;
+    const auto it = where.find(key);
+    if (it == where.end()) {
+      distances.add(-1);
+    } else {
+      distances.add(std::distance(recency.begin(), it->second));
+      recency.erase(it->second);
+    }
+    recency.push_front(key);
+    where[key] = recency.begin();
+  });
+  const cpu::RunResult result = cpu.run();
+  EXPECT_EQ(result.reason, cpu::ExitReason::kExit) << workload;
+
+  sim::BlockStats stats;
+  stats.workload = std::string(workload);
+  stats.static_regions =
+      cfg::build_fht(image, *hash::make_hash_unit(hash::HashKind::kXor)).size();
+  stats.dynamic_keys = where.size();
+  stats.lookups = lookups;
+  stats.instructions = result.instructions;
+  stats.mean_block_instructions =
+      static_cast<double>(result.instructions) / static_cast<double>(lookups);
+  const double cold = distances.cdf_at(-1);
+  for (const unsigned capacity : capacities) {
+    stats.lru_hit_rate.push_back(distances.cdf_at(std::int64_t{capacity} - 1) - cold);
+  }
+  stats.capacities = capacities;
+  return stats;
+}
+
+TEST(RealSweeps, BlocksRowsEqualAReferenceStackDistanceWalk) {
+  // Every kernel, both engines: the rows decoded from reuse-profile cells
+  // equal the oracle's counts and, bit for bit, its hit rates.
+  const std::vector<unsigned> sizes{1, 2, 3, 8, 16, 32, 64};
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    const auto rows = sim::blocks_rows(run_all(sim::blocks_sweep(sizes, 0.02, engine), 0), sizes);
+    ASSERT_EQ(rows.size(), workloads::all_workloads().size());
+    for (const sim::BlockStats& row : rows) {
+      const sim::BlockStats want = reference_blocks(row.workload, sizes, 0.02, engine);
+      EXPECT_EQ(row.static_regions, want.static_regions) << row.workload;
+      EXPECT_EQ(row.dynamic_keys, want.dynamic_keys) << row.workload;
+      EXPECT_EQ(row.lookups, want.lookups) << row.workload;
+      EXPECT_EQ(row.instructions, want.instructions) << row.workload;
+      EXPECT_EQ(row.mean_block_instructions, want.mean_block_instructions) << row.workload;
+      EXPECT_EQ(row.lru_hit_rate, want.lru_hit_rate) << row.workload;
+      EXPECT_EQ(row.capacities, sizes) << row.workload;
+    }
+  }
 }
 
 }  // namespace

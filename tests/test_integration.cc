@@ -86,14 +86,40 @@ TEST(EndToEnd, LegacyBinaryRunsUnmodified) {
 TEST(Fig6Shape, MissRateMonotoneNonIncreasingInTableSize) {
   const std::vector<unsigned> sizes{1, 8, 16, 32};
   const auto rows =
-      sim::variant_rows(exp::run_all(sim::fig6_sweep(sizes, /*scale=*/0.08), 0), sizes.size());
+      sim::fig6_rows(exp::run_all(sim::fig6_sweep(sizes, /*scale=*/0.08), 0), sizes);
   ASSERT_EQ(rows.size(), 9U);
-  for (const sim::VariantRow& row : rows) {
-    for (std::size_t i = 1; i < row.miss_rates.size(); ++i) {
-      EXPECT_LE(row.miss_rates[i], row.miss_rates[i - 1] + 0.02)
+  for (const sim::Fig6Row& row : rows) {
+    // LRU inclusion: a larger table holds every key a smaller one holds.
+    for (std::size_t i = 1; i < row.iht.size(); ++i) {
+      EXPECT_LE(row.iht[i].misses, row.iht[i - 1].misses)
           << row.workload << " at size " << sizes[i];
     }
-    EXPECT_LT(row.miss_rates.back(), 0.20) << row.workload << " at 32 entries";
+    EXPECT_LT(row.iht.back().miss_rate(), 0.20) << row.workload << " at 32 entries";
+  }
+}
+
+TEST(Fig6Shape, ProfileCountsEqualTheFullMachineAtEverySize) {
+  // Figure 6 reads every table size off one reuse profile per kernel. Each
+  // size's lookups and misses must be what the full LRU + demand-fill
+  // machine of that size counts, for every kernel, on both engines.
+  const std::vector<unsigned> sizes{1, 2, 3, 8, 16, 32, 64};
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    const auto rows =
+        sim::fig6_rows(exp::run_all(sim::fig6_sweep(sizes, 0.02, engine), 0), sizes);
+    ASSERT_EQ(rows.size(), workloads::all_workloads().size());
+    for (const sim::Fig6Row& row : rows) {
+      ASSERT_EQ(row.iht.size(), sizes.size());
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        cpu::CpuConfig config;
+        config.engine = engine;
+        config.monitoring = true;
+        config.cic.iht_entries = sizes[i];
+        const cic::IhtStats machine = sim::run_workload(row.workload, config, 0.02).iht;
+        EXPECT_EQ(row.iht[i].lookups, machine.lookups) << row.workload << " @" << sizes[i];
+        EXPECT_EQ(row.iht[i].misses, machine.misses) << row.workload << " @" << sizes[i];
+        EXPECT_TRUE(row.iht[i] == machine) << row.workload << " @" << sizes[i];
+      }
+    }
   }
 }
 
