@@ -14,8 +14,9 @@ Run from the root of a source checkout. Three checks:
    what the command simulates. The floor is 0.4 x the 72.0 MIPS that
    table1 read on the 4-vCPU reference VM (best of 10) when it was set.
    perfbench's paper-sweeps `sim_mips` is not gated: its numerator is
-   pinned at 8 kernel runs per pass, and a pass now runs 5 (fig6 reads
-   every table size off one run), so it over-reports by 8/5.
+   pinned at 8 kernel runs per pass, and a pass now runs 3 (table1,
+   fig6 and blocks each read every table size off one run per kernel),
+   so it over-reports by 8/3.
 3. `cicmon table1 --scale 2 --jobs 1` must cost between MIN_RATIO and
    MAX_RATIO times more CPU on `--engine switch` than on `--engine
    threaded`, best of ROUNDS interleaved runs per engine, with identical

@@ -224,6 +224,10 @@ class Cpu final : private uop::Datapath {
   // Invoked at every IHT lookup with (start, end) — the dynamic block trace.
   using LookupObserver = std::function<void(std::uint32_t, std::uint32_t)>;
   void set_lookup_observer(LookupObserver observer) { observer_ = std::move(observer); }
+  // True while a mult/div result is still outstanding: an mfhi/mflo issued
+  // now would stall. Exact inside the lookup observer, where both engines
+  // hold the current cycle count.
+  bool hilo_pending() const { return result_.cycles < hilo_ready_cycle_; }
   // Reports every load and store that touches the text section, on either
   // engine. Null (the default) turns the watch off, at the cost of one null
   // test per load or store.

@@ -119,8 +119,8 @@ struct RunState {
     const std::string merged =
         merge.shards_merged() > 0
             ? merge.progress()
-            : "0/" + std::to_string(std::min<std::size_t>(plan.shards, spec.cells)) +
-                  " shards, 0/" + std::to_string(spec.cells) + " cells (0.0%)";
+            : "0/" + std::to_string(plan.shards) + " shards, 0/" +
+                  std::to_string(spec.cells) + " cells (0.0%)";
     std::fprintf(stderr, "dispatch: merged %s | %zu active, %zu reused, %zu retried, ETA %s\n",
                  merged.c_str(), active, result.reused, result.retried, eta.c_str());
   }
@@ -357,12 +357,12 @@ DispatchPlan plan_dispatch(const exp::SweepSpec& spec, const DispatchConfig& con
   plan.workers = config.workers != 0 ? config.workers : support::resolve_jobs(0);
   // Over-decompose by default: 4 items per worker slot keeps every slot busy
   // until the end (a slow shard overlaps the others' tails) while still
-  // batching many cells per assignment. Never more shards than cells — an
-  // empty shard is work scheduled for nothing.
-  plan.shards = config.shards != 0
-                    ? config.shards
-                    : static_cast<unsigned>(
-                          std::min<std::size_t>(spec.cells, std::size_t{plan.workers} * 4));
+  // batching many cells per assignment. Never more shards than cells, asked
+  // for or not — an empty shard is work scheduled for nothing.
+  const std::size_t wanted =
+      config.shards != 0 ? config.shards : std::size_t{plan.workers} * 4;
+  plan.shards = static_cast<unsigned>(std::min(wanted, spec.cells));
+  if (config.shards > plan.shards) plan.shards_requested = config.shards;
   // Split the host's cores between concurrent workers unless told otherwise.
   plan.jobs = config.jobs_per_worker != 0
                   ? config.jobs_per_worker

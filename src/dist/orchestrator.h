@@ -98,9 +98,13 @@ struct DispatchPlan {
   unsigned workers = 0;
   unsigned shards = 0;
   unsigned jobs = 0;  // per-worker thread count
+  // An explicit shard count above the cell count, which `shards` was capped
+  // to; 0 when none was.
+  unsigned shards_requested = 0;
 };
 
-// Resolves worker/shard/job counts from the config and the sweep size.
+// Resolves worker/shard/job counts from the config and the sweep size. The
+// shard count, explicit or not, never exceeds the cell count.
 DispatchPlan plan_dispatch(const exp::SweepSpec& spec, const DispatchConfig& config);
 
 // The session worker's full argv: `worker_argv` plus `--jobs J`.

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "casm/image.h"
 #include "cic/iht.h"
 #include "cpu/cpu.h"
 #include "exp/sweep.h"
@@ -35,56 +36,9 @@ namespace cicmon::sim {
 cpu::RunResult run_workload(std::string_view workload, const cpu::CpuConfig& config,
                             double scale = 1.0, std::uint64_t seed = 42);
 
-// --- Machine-variant grids (Table 1, §6.1 and §7 ablations) ------------
-//
-// One cell per (workload, machine variant), shape 1 + 1: u64 = {cycles},
-// f64 = {IHT miss rate}. Overhead sweeps put the unmonitored baseline
-// first, so each workload's baseline runs once per grid. Each variant is a
-// full machine: its cycle count depends on its exception timing.
+// --- Reuse profiles (Table 1, Figure 6, §6.1 blocks, §6.1 OS cost) --------
 
-// One workload's runs, in the sweep's variant order.
-struct VariantRow {
-  std::string workload;
-  std::vector<std::uint64_t> cycles;
-  std::vector<double> miss_rates;
-  // Cycle overhead of variant `v` over variant 0, the baseline (fraction).
-  double overhead(std::size_t v) const {
-    return static_cast<double>(cycles[v]) / static_cast<double>(cycles[0]) - 1.0;
-  }
-};
-// Decodes any variant grid, one row per workload in all_workloads() order.
-std::vector<VariantRow> variant_rows(const exp::Cells& cells, std::size_t variants);
-
-// Table 1 cycle overheads. Variants: baseline, CIC8, CIC16.
-exp::SweepSpec table1_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
-
-// §6.1 ablation, Table 1 against the OS exception-handling cost. Variants:
-// baseline, then CIC8 and CIC16 at each cost (100 is the paper's, and Table
-// 1's).
-inline constexpr std::uint64_t kOsCosts[] = {20, 50, 100, 200, 400};
-exp::SweepSpec os_cost_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
-
-// §7 ablation, IHT victim policy x OS refill mode at 8 entries. Variants:
-// baseline, then one per policy; the first is Table 1's CIC8 machine.
-struct ReplacementPolicy {
-  const char* name;
-  cic::ReplacePolicy victim;
-  os::RefillMode refill;
-};
-inline constexpr ReplacementPolicy kReplacementPolicies[] = {
-    {"lru + demand fill", cic::ReplacePolicy::kLru, os::RefillMode::kSingleEntry},
-    {"fifo + demand fill", cic::ReplacePolicy::kFifo, os::RefillMode::kSingleEntry},
-    {"random + demand fill", cic::ReplacePolicy::kRandom, os::RefillMode::kSingleEntry},
-    {"lru + replace-half (paper)", cic::ReplacePolicy::kLru,
-     os::RefillMode::kReplaceHalfPrefetch},
-    {"lru + replace-half backward", cic::ReplacePolicy::kLru,
-     os::RefillMode::kReplaceHalfPrefetchBackward}};
-exp::SweepSpec replacement_sweep(double scale = 1.0,
-                                 cpu::Engine engine = cpu::Engine::kThreaded);
-
-// --- Reuse profiles (Figure 6, §6.1 block counts / locality) -------------
-
-// LRU stack-distance profile of one workload's IHT reference stream: the
+// LRU stack-distance profile of one program's IHT reference stream: the
 // (start, end) key of every lookup, from one monitored run. A clean run's
 // stream does not depend on the IHT size (a miss exception charges cycles
 // and runs no instructions), and an LRU table with demand fill holds the N
@@ -94,6 +48,12 @@ struct ReuseProfile {
   std::uint64_t static_regions = 0;  // FHT records
   std::uint64_t lookups = 0;
   std::uint64_t instructions = 0;    // dynamic instruction count of the run
+  std::uint64_t app_cycles = 0;      // the run's cycles less its miss exceptions'
+  // Lookups made while a mult/div result was still outstanding
+  // (Cpu::hilo_pending): a miss exception there can shorten a later HI/LO
+  // stall, so a machine's cycles need not be app_cycles plus a fixed cost
+  // per miss.
+  std::uint64_t hilo_lookups = 0;
   std::uint64_t cold = 0;            // first references: the executed keys
   // depths[d]: lookups whose key was the (d+1)-th most recently used one
   // (depth 0: the previous lookup's key).
@@ -103,13 +63,51 @@ struct ReuseProfile {
   // references plus every lookup at depth >= entries.
   std::uint64_t misses(unsigned entries) const;
 };
+// Profiles `image` on the monitored machine; `name` labels errors.
+ReuseProfile reuse_profile(std::string_view name, const casm_::Image& image,
+                           cpu::Engine engine = cpu::Engine::kThreaded);
+// Profiles a workload built at `scale` (image seed 42).
 ReuseProfile reuse_profile(std::string_view workload, double scale = 1.0,
                            cpu::Engine engine = cpu::Engine::kThreaded);
 
-// Figure 6 and the blocks table: one cell per workload (each reference
-// stream is inherently serial; the fan-out is across workloads), shape
-// (4 + sizes) + 0: u64 = {static_regions, executed keys, lookups,
-// instructions}, then the misses of an LRU table of each size.
+// Table 1, the OS-cost ablation, Figure 6 and the blocks table are one cell
+// per workload (each reference stream is inherently serial; the fan-out is
+// across workloads), shape (5 + sizes) + 0: u64 = {static_regions, executed
+// keys, lookups, instructions, app cycles}, then the misses of an LRU table
+// of each size.
+
+// One workload's cycles and IHT miss rates, per machine: the unmonitored
+// baseline first, then the monitored machines in the sweep's order.
+struct VariantRow {
+  std::string workload;
+  std::vector<std::uint64_t> cycles;
+  std::vector<double> miss_rates;
+  // Cycle overhead of machine `v` over machine 0, the baseline (fraction).
+  double overhead(std::size_t v) const {
+    return static_cast<double>(cycles[v]) / static_cast<double>(cycles[0]) - 1.0;
+  }
+};
+
+// Table 1 cycle overheads (`cicmon table1`): the baseline, CIC8 and CIC16,
+// read off each profile at 8 and 16 entries. An N-entry machine that charges
+// E cycles per OS exception runs app cycles + E x misses(N) cycles (the
+// baseline is the app cycles), and its miss rate is misses(N) / lookups.
+// That is exact when every miss costs the same E (I-cache off, no FHT probe
+// cost) and no miss exception can shorten a HI/LO stall; the cell of a
+// profile with hilo_lookups refuses to run instead.
+exp::SweepSpec table1_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
+// One workload's Table 1 (and OS-cost) cell. Throws CicError naming
+// `workload` when the profile has hilo_lookups.
+exp::CellResult table1_cell(std::string_view workload, const ReuseProfile& profile);
+// Rows: baseline, CIC8, CIC16 at Table 1's 100 cycles per OS exception.
+std::vector<VariantRow> table1_rows(const exp::Cells& cells);
+
+// §6.1 ablation, Table 1 against the OS exception-handling cost: Table 1's
+// cells, read at each cost (100 is the paper's, and Table 1's).
+inline constexpr std::uint64_t kOsCosts[] = {20, 50, 100, 200, 400};
+exp::SweepSpec os_cost_sweep(double scale = 1.0, cpu::Engine engine = cpu::Engine::kThreaded);
+// Rows: baseline, then CIC8 and CIC16 at each cost.
+std::vector<VariantRow> os_cost_rows(const exp::Cells& cells);
 
 // Figure 6 IHT miss rates, one per entry count, of the paper's LRU +
 // demand-fill machine (`cicmon fig6`).
@@ -142,6 +140,30 @@ exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale = 1.0
                             cpu::Engine engine = cpu::Engine::kThreaded);
 std::vector<BlockStats> blocks_rows(const exp::Cells& cells,
                                     const std::vector<unsigned>& capacities);
+
+// --- §7 replacement ablation: a grid of full machines ----------------------
+//
+// IHT victim policy x OS refill mode at 8 entries. FIFO, random and
+// replace-half refill are not stack algorithms, so no profile gives their
+// misses: one cell per (workload, machine), shape 1 + 1: u64 = {cycles},
+// f64 = {IHT miss rate}. Machines: the baseline, then one per policy; the
+// first is Table 1's CIC8 machine.
+struct ReplacementPolicy {
+  const char* name;
+  cic::ReplacePolicy victim;
+  os::RefillMode refill;
+};
+inline constexpr ReplacementPolicy kReplacementPolicies[] = {
+    {"lru + demand fill", cic::ReplacePolicy::kLru, os::RefillMode::kSingleEntry},
+    {"fifo + demand fill", cic::ReplacePolicy::kFifo, os::RefillMode::kSingleEntry},
+    {"random + demand fill", cic::ReplacePolicy::kRandom, os::RefillMode::kSingleEntry},
+    {"lru + replace-half (paper)", cic::ReplacePolicy::kLru,
+     os::RefillMode::kReplaceHalfPrefetch},
+    {"lru + replace-half backward", cic::ReplacePolicy::kLru,
+     os::RefillMode::kReplaceHalfPrefetchBackward}};
+exp::SweepSpec replacement_sweep(double scale = 1.0,
+                                 cpu::Engine engine = cpu::Engine::kThreaded);
+std::vector<VariantRow> replacement_rows(const exp::Cells& cells);
 
 // --- §6.3 fault tables and the hash ablation: grids of whole campaigns ----
 //

@@ -195,7 +195,7 @@ struct Options {
       "  --workers K      concurrent worker processes (default: hardware\n"
       "                   concurrency)\n"
       "  --shards N       work items; over-decomposed for load balancing\n"
-      "                   (default 4x workers, capped at the cell count)\n"
+      "                   (default 4x workers; capped at the cell count)\n"
       "  --transport T    launch workers through a shell template whose {cmd}\n"
       "                   is the worker command, e.g.\n"
       "                   'ssh build-02 cd /repo && {cmd}' (default: local\n"
@@ -430,7 +430,7 @@ using exp::Cells;
 // Averages sum the workloads' overheads in all_workloads() order, then
 // divide; the ablations below repeat that arithmetic exactly.
 void render_table1(const exp::SweepParams&, const Cells& cells) {
-  const auto rows = sim::variant_rows(cells, 3);
+  const auto rows = sim::table1_rows(cells);
   Table table({"benchmark", "cycles (no CIC)", "CIC8", "CIC16", "ovh CIC8", "ovh CIC16"});
   double sum8 = 0, sum16 = 0;
   for (const sim::VariantRow& row : rows) {
@@ -590,7 +590,7 @@ void render_hash_ablation(const exp::SweepParams&, const Cells& cells) {
 }
 
 void render_os_cost(const exp::SweepParams&, const Cells& cells) {
-  const auto rows = sim::variant_rows(cells, 1 + 2 * std::size(sim::kOsCosts));
+  const auto rows = sim::os_cost_rows(cells);
   print_banner("OS exception-cost sensitivity (8- and 16-entry IHT)",
                "Section 6.1 assumption: 100 cycles per OS exception");
   Table table({"exception cycles", "avg ovh CIC8", "avg ovh CIC16"});
@@ -611,7 +611,7 @@ void render_os_cost(const exp::SweepParams&, const Cells& cells) {
 }
 
 void render_replacement(const exp::SweepParams&, const Cells& cells) {
-  const auto rows = sim::variant_rows(cells, 1 + std::size(sim::kReplacementPolicies));
+  const auto rows = sim::replacement_rows(cells);
   print_banner("Replacement-policy ablation (8-entry IHT)",
                "Section 7 future work: refining the entry replacement policy");
   Table table({"policy", "avg miss rate", "avg overhead", "worst overhead"});
@@ -1003,6 +1003,12 @@ int cmd_worker(int argc, char** argv) {
   return dist::serve_worker(source, options.jobs);
 }
 
+// Says that an explicit --shards above the cell count was capped to it.
+std::string shard_cap_note(const exp::SweepSpec& spec, const dist::DispatchPlan& plan) {
+  return "--shards " + std::to_string(plan.shards_requested) + " capped at the " +
+         std::to_string(spec.cells) + " cells of " + spec.sweep;
+}
+
 // Prints what `cicmon dispatch` *would* launch — the resolved shard grid and
 // the exact command each worker slot starts, after --transport expansion —
 // without spawning anything. The debugging aid for ssh/cluster templates.
@@ -1011,6 +1017,7 @@ int print_dispatch_plan(const exp::SweepSpec& spec, const std::vector<std::strin
   const dist::DispatchPlan plan = dist::plan_dispatch(spec, config);
   std::printf("dispatch plan: %s (%zu cells) over %u shards, %u workers, %u jobs/worker\n",
               spec.sweep.c_str(), spec.cells, plan.shards, plan.workers, plan.jobs);
+  if (plan.shards_requested != 0) std::printf("%s\n", shard_cap_note(spec, plan).c_str());
   if (config.golden != nullptr && !config.golden->empty()) {
     std::printf("golden state shipped (%llu bytes, %zu chunk(s))\n",
                 static_cast<unsigned long long>(config.golden->bytes),
@@ -1072,6 +1079,10 @@ int cmd_dispatch(int argc, char** argv) {
   }
 
   if (options.dry_run) return print_dispatch_plan(bundle.spec, worker_argv, transport, config);
+  if (const dist::DispatchPlan plan = dist::plan_dispatch(bundle.spec, config);
+      plan.shards_requested != 0) {
+    std::fprintf(stderr, "dispatch: %s\n", shard_cap_note(bundle.spec, plan).c_str());
+  }
 
   const std::uint64_t run_t_us = obs::trace_now_us();
   const dist::DispatchResult result =

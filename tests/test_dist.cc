@@ -833,6 +833,18 @@ TEST(Dispatch, PlanResolvesCountsAndTheSessionArgv) {
   const DispatchPlan plan = plan_dispatch(spec, config);
   EXPECT_EQ(plan.workers, 3U);
   EXPECT_EQ(plan.shards, 10U);  // 4x workers capped at the cell count
+  EXPECT_EQ(plan.shards_requested, 0U);  // nothing was asked for
+  // An explicit count above the cell count is capped too, and says so; one
+  // at or below it stands.
+  config.shards = 32;
+  const DispatchPlan capped = plan_dispatch(spec, config);
+  EXPECT_EQ(capped.shards, 10U);
+  EXPECT_EQ(capped.shards_requested, 32U);
+  config.shards = 10;
+  EXPECT_EQ(plan_dispatch(spec, config).shards, 10U);
+  EXPECT_EQ(plan_dispatch(spec, config).shards_requested, 0U);
+  config.shards = 4;
+  EXPECT_EQ(plan_dispatch(spec, config).shards, 4U);
   EXPECT_EQ(session_worker_argv({"sh", "worker"}, 3),
             (std::vector<std::string>{"sh", "worker", "--jobs", "3"}));
 }

@@ -258,18 +258,18 @@ TEST(Artifact, EncodeDecodeRoundTripsExactly) {
 }
 
 TEST(Artifact, EveryRealPayloadShapeRoundTripsAndMergesToRunAll) {
-  // One real sweep per payload shape: campaign 1 + 0, a variant grid 1 + 1,
-  // blocks (4 + capacities) + 0, a campaign grid 6 + 0. Each grid is computed
-  // once; the sharded runs replay those cells, so what is under test is the
-  // packing, the codec and the merge at every shard count, job count and
-  // add order.
+  // One real sweep per payload shape: campaign 1 + 0, the replacement grid
+  // 1 + 1, blocks (5 + capacities) + 0, a campaign grid 6 + 0. Each grid is
+  // computed once; the sharded runs replay those cells, so what is under
+  // test is the packing, the codec and the merge at every shard count, job
+  // count and add order.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   cpu::CpuConfig config;
   config.monitoring = true;
   config.cic.iht_entries = 16;
   const fault::CampaignRunner runner(image, config);
   const std::vector<SweepSpec> specs{runner.sweep(fault::FaultSite::kFetchBus, 1, 40, 3),
-                                     sim::table1_sweep(0.02),
+                                     sim::replacement_sweep(0.02),
                                      sim::blocks_sweep({1, 8, 16}, 0.02),
                                      sim::hash_ablation_sweep(0.02)};
   for (const SweepSpec& spec : specs) {
@@ -686,15 +686,17 @@ TEST(Resume, SkipsCompletedShardAndRerunsCorruptOrMismatched) {
 // --- The real sweeps on the engine --------------------------------------
 
 TEST(RealSweeps, Table1MergeMatchesDirectRun) {
+  // One reuse-profile cell per kernel, read at CIC8 and CIC16.
   const SweepSpec spec = sim::table1_sweep(0.02);
-  EXPECT_EQ(spec.cells, workloads::all_workloads().size() * 3);
+  EXPECT_EQ(spec.cells, workloads::all_workloads().size());
+  EXPECT_EQ(spec.shape, (CellShape{5 + 2, 0}));
   const Cells direct = run_all(spec, 0);
   std::vector<ShardArtifact> artifacts;
   for (unsigned i = 1; i <= 3; ++i) artifacts.push_back(round_trip(spec, Shard{i, 3}, 2));
   EXPECT_EQ(merge_artifacts(artifacts), direct);
   // And the decoded rows equal a serial run's.
-  const auto rows = sim::variant_rows(merge_artifacts(artifacts), 3);
-  const auto serial = sim::variant_rows(run_all(spec, 1), 3);
+  const auto rows = sim::table1_rows(merge_artifacts(artifacts));
+  const auto serial = sim::table1_rows(run_all(spec, 1));
   ASSERT_EQ(rows.size(), serial.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].workload, serial[i].workload);
@@ -705,45 +707,58 @@ TEST(RealSweeps, Table1MergeMatchesDirectRun) {
 }
 
 TEST(RealSweeps, AblationGridsRunEachBaselineOnceAndShareTable1sMachines) {
-  // One baseline cell per workload: 9 x (1 + 10) and 9 x (1 + 5) runs, where
-  // the per-cost and per-policy loops used to re-run it (135 and 90).
+  // The cost grid is Table 1's reuse profiles read at every cost: one run
+  // per workload. The policy grid runs one baseline cell per workload:
+  // 9 x (1 + 5) runs.
   const auto infos = workloads::all_workloads();
   const std::size_t workloads_count = infos.size();
+  const SweepSpec table1 = sim::table1_sweep(0.02);
   const SweepSpec os_cost = sim::os_cost_sweep(0.02);
   const SweepSpec replacement = sim::replacement_sweep(0.02);
-  EXPECT_EQ(os_cost.cells, workloads_count * 11);
+  EXPECT_EQ(os_cost.cells, workloads_count);
   EXPECT_EQ(replacement.cells, workloads_count * 6);
+  const Cells table1_cells = run_all(table1, 0);
+  EXPECT_EQ(run_all(os_cost, 0), table1_cells);
 
-  // The grid layout: workload-major, variants in builder order. Cell 3 of
-  // the cost grid is basicmath on CIC8 with 50-cycle OS exceptions, and
-  // cell 6 of the policy grid is the second workload's baseline.
+  // The rows: the cost grid is workload-major, CIC8 then CIC16 at each
+  // cost, so basicmath's column 3 is CIC8 with 50-cycle OS exceptions; cell
+  // 6 of the policy grid is the second workload's baseline.
   cpu::CpuConfig cic8_exc50;
   cic8_exc50.monitoring = true;
   cic8_exc50.cic.iht_entries = 8;
   cic8_exc50.os.exception_cycles = 50;
   const cpu::RunResult basicmath = sim::run_workload("basicmath", cic8_exc50, 0.02);
-  EXPECT_EQ(os_cost.run_cell(3), (CellResult{{basicmath.cycles}, {basicmath.iht.miss_rate()}}));
-  EXPECT_EQ(replacement.run_cell(6), sim::table1_sweep(0.02).run_cell(3));
+  const auto costs = sim::os_cost_rows(table1_cells);
+  ASSERT_EQ(costs.size(), workloads_count);
+  EXPECT_EQ(costs[0].workload, "basicmath");
+  EXPECT_EQ(costs[0].cycles[3], basicmath.cycles);
+  EXPECT_EQ(costs[0].miss_rates[3], basicmath.iht.miss_rate());
+  const cpu::RunResult second = sim::run_workload(infos[1].name, {}, 0.02);
+  EXPECT_EQ(replacement.run_cell(6), (CellResult{{second.cycles}, {0.0}}));
 
-  // The 100-cycle CIC8/CIC16 variants and LRU demand fill are Table 1's
-  // machines, so their cells equal Table 1's bit for bit.
-  const auto table1 = sim::variant_rows(run_all(sim::table1_sweep(0.02), 0), 3);
-  const auto costs = sim::variant_rows(run_all(os_cost, 0), 11);
-  const auto policies = sim::variant_rows(run_all(replacement, 0), 6);
+  // The 100-cycle CIC8/CIC16 columns and LRU demand fill are Table 1's
+  // machines, so their rows equal Table 1's bit for bit.
+  const auto rows = sim::table1_rows(table1_cells);
+  const auto policies = sim::replacement_rows(run_all(replacement, 0));
   for (std::size_t w = 0; w < workloads_count; ++w) {
     EXPECT_EQ(costs[w].workload, infos[w].name);
     EXPECT_EQ(policies[w].workload, infos[w].name);
-    EXPECT_EQ(costs[w].cycles[0], table1[w].cycles[0]) << table1[w].workload;
-    EXPECT_EQ(costs[w].cycles[5], table1[w].cycles[1]) << table1[w].workload;
-    EXPECT_EQ(costs[w].cycles[6], table1[w].cycles[2]) << table1[w].workload;
-    EXPECT_EQ(policies[w].cycles[0], table1[w].cycles[0]) << table1[w].workload;
-    EXPECT_EQ(policies[w].cycles[1], table1[w].cycles[1]) << table1[w].workload;
-    // Overhead grows with the handler cost at a fixed miss stream.
-    for (std::size_t c = 1; c < std::size(sim::kOsCosts); ++c) {
-      EXPECT_GE(costs[w].cycles[1 + 2 * c], costs[w].cycles[2 * c - 1]) << table1[w].workload;
+    EXPECT_EQ(costs[w].cycles[0], rows[w].cycles[0]) << rows[w].workload;
+    EXPECT_EQ(costs[w].cycles[5], rows[w].cycles[1]) << rows[w].workload;
+    EXPECT_EQ(costs[w].cycles[6], rows[w].cycles[2]) << rows[w].workload;
+    EXPECT_EQ(policies[w].cycles[0], rows[w].cycles[0]) << rows[w].workload;
+    EXPECT_EQ(policies[w].cycles[1], rows[w].cycles[1]) << rows[w].workload;
+    EXPECT_EQ(policies[w].miss_rates[1], rows[w].miss_rates[1]) << rows[w].workload;
+    for (std::size_t c = 0; c < std::size(sim::kOsCosts); ++c) {
+      // A fixed miss stream: the miss rates do not move with the cost, and
+      // the overhead grows with it.
+      EXPECT_EQ(costs[w].miss_rates[1 + 2 * c], rows[w].miss_rates[1]) << rows[w].workload;
+      EXPECT_EQ(costs[w].miss_rates[2 + 2 * c], rows[w].miss_rates[2]) << rows[w].workload;
+      if (c > 0) {
+        EXPECT_GE(costs[w].cycles[1 + 2 * c], costs[w].cycles[2 * c - 1]) << rows[w].workload;
+      }
     }
   }
-  EXPECT_EQ(costs[0].cycles[3], basicmath.cycles);
 }
 
 // The six outcome counts of one campaign on sha at scale 0.02, as a campaign
@@ -833,24 +848,35 @@ TEST(RealSweeps, RowDecodersRejectWrongShapedPayloads) {
   // cross-version artifact) must throw CicError, not crash, so `cicmon
   // merge` reports it as a corrupt input.
   const std::size_t workloads_count = workloads::all_workloads().size();
-  EXPECT_THROW(sim::variant_rows(Cells({0, 0}, workloads_count * 3), 3), support::CicError);
-  EXPECT_THROW(sim::variant_rows(Cells({1, 1}, workloads_count * 3), 2), support::CicError);
-  EXPECT_NO_THROW(sim::variant_rows(Cells({1, 1}, workloads_count * 3), 3));
+  EXPECT_THROW(sim::replacement_rows(Cells({0, 0}, workloads_count * 6)), support::CicError);
+  EXPECT_THROW(sim::replacement_rows(Cells({1, 1}, workloads_count * 5)), support::CicError);
+  EXPECT_NO_THROW(sim::replacement_rows(Cells({1, 1}, workloads_count * 6)));
+  // Table 1 and OS-cost cells are reuse profiles at 8 and 16 entries. Their
+  // earlier full-machine grids (1 + 1 per machine) are refused.
+  EXPECT_THROW(sim::table1_rows(Cells({1, 1}, workloads_count * 3)), support::CicError);
+  EXPECT_THROW(sim::os_cost_rows(Cells({1, 1}, workloads_count * 11)), support::CicError);
+  EXPECT_THROW(sim::table1_rows(Cells({7, 0}, workloads_count + 1)), support::CicError);
+  EXPECT_THROW(sim::os_cost_rows(Cells({8, 0}, workloads_count)), support::CicError);
+  EXPECT_NO_THROW(sim::table1_rows(Cells({7, 0}, workloads_count)));
+  EXPECT_NO_THROW(sim::os_cost_rows(Cells({7, 0}, workloads_count)));
   EXPECT_THROW(sim::campaign_rows(pack({5, 0}, {{{1, 2, 3, 4, 5}, {}}}), 1), support::CicError);
   const Cells campaign = pack({6, 0}, {{{1, 2, 3, 4, 5, 6}, {}}});
   EXPECT_THROW(sim::campaign_rows(campaign, 3), support::CicError);
   EXPECT_EQ(sim::campaign_rows(campaign, 1)[0].trials, 21U);
-  // fig6 and blocks cells: four counts, then one miss count per size. The
+  // fig6 and blocks cells: five counts, then one miss count per size. The
   // earlier payloads (a variant grid; four counts and one rate per
-  // capacity) and a grid of the wrong size are refused.
+  // capacity; four counts and the misses) and a grid of the wrong size are
+  // refused.
   EXPECT_THROW(sim::fig6_rows(Cells({1, 1}, workloads_count * 2), {1, 8}), support::CicError);
-  EXPECT_THROW(sim::fig6_rows(Cells({6, 0}, workloads_count), {1, 8, 16}), support::CicError);
-  EXPECT_THROW(sim::fig6_rows(Cells({6, 0}, workloads_count + 1), {1, 8}), support::CicError);
-  EXPECT_NO_THROW(sim::fig6_rows(Cells({6, 0}, workloads_count), {1, 8}));
+  EXPECT_THROW(sim::fig6_rows(Cells({6, 0}, workloads_count), {1, 8}), support::CicError);
+  EXPECT_THROW(sim::fig6_rows(Cells({7, 0}, workloads_count), {1, 8, 16}), support::CicError);
+  EXPECT_THROW(sim::fig6_rows(Cells({7, 0}, workloads_count + 1), {1, 8}), support::CicError);
+  EXPECT_NO_THROW(sim::fig6_rows(Cells({7, 0}, workloads_count), {1, 8}));
   EXPECT_THROW(sim::blocks_rows(Cells({4, 2}, workloads_count), {1, 8}), support::CicError);
-  EXPECT_THROW(sim::blocks_rows(Cells({6, 0}, workloads_count - 1), {1, 8}),
+  EXPECT_THROW(sim::blocks_rows(Cells({6, 0}, workloads_count), {1, 8}), support::CicError);
+  EXPECT_THROW(sim::blocks_rows(Cells({7, 0}, workloads_count - 1), {1, 8}),
                support::CicError);
-  EXPECT_NO_THROW(sim::blocks_rows(Cells({6, 0}, workloads_count), {1, 8}));
+  EXPECT_NO_THROW(sim::blocks_rows(Cells({7, 0}, workloads_count), {1, 8}));
   EXPECT_THROW(fault::CampaignRunner::summary_from_cells(Cells({0, 0}, 4)), support::CicError);
   EXPECT_THROW(fault::CampaignRunner::summary_from_cells(pack({1, 0}, {{{2}, {}}, {{99}, {}}})),
                support::CicError);

@@ -123,8 +123,101 @@ TEST(Fig6Shape, ProfileCountsEqualTheFullMachineAtEverySize) {
   }
 }
 
+TEST(Table1Shape, ProfileCyclesEqualTheFullMachines) {
+  // Table 1 and the OS-cost ablation read cycles off one reuse profile per
+  // kernel: the baseline is the profile run's app cycles, and an N-entry
+  // machine charging E cycles per exception runs baseline + E x misses(N).
+  // Every column must be what the full machine counts, for every kernel,
+  // cost and size, on both engines.
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    const auto table1 = sim::table1_rows(exp::run_all(sim::table1_sweep(0.02, engine), 0));
+    const auto costs = sim::os_cost_rows(exp::run_all(sim::os_cost_sweep(0.02, engine), 0));
+    ASSERT_EQ(table1.size(), workloads::all_workloads().size());
+    ASSERT_EQ(costs.size(), table1.size());
+    for (std::size_t w = 0; w < table1.size(); ++w) {
+      const std::string& name = table1[w].workload;
+      cpu::CpuConfig baseline;
+      baseline.engine = engine;
+      const cpu::RunResult base = sim::run_workload(name, baseline, 0.02);
+      EXPECT_EQ(table1[w].cycles[0], base.cycles) << name;
+      EXPECT_EQ(table1[w].miss_rates[0], base.iht.miss_rate()) << name;
+      EXPECT_EQ(costs[w].cycles[0], base.cycles) << name;
+      for (std::size_t c = 0; c < std::size(sim::kOsCosts); ++c) {
+        for (const unsigned entries : {8U, 16U}) {
+          cpu::CpuConfig config = baseline;
+          config.monitoring = true;
+          config.cic.iht_entries = entries;
+          config.os.exception_cycles = sim::kOsCosts[c];
+          const cpu::RunResult machine = sim::run_workload(name, config, 0.02);
+          const std::size_t column = 2 * c + entries / 8;
+          EXPECT_EQ(costs[w].cycles[column], machine.cycles)
+              << name << " @" << entries << "/exc" << sim::kOsCosts[c];
+          EXPECT_EQ(costs[w].miss_rates[column], machine.iht.miss_rate())
+              << name << " @" << entries << "/exc" << sim::kOsCosts[c];
+          if (sim::kOsCosts[c] == cpu::CpuConfig{}.os.exception_cycles) {
+            EXPECT_EQ(table1[w].cycles[entries / 8], machine.cycles) << name << " @" << entries;
+            EXPECT_EQ(table1[w].miss_rates[entries / 8], machine.iht.miss_rate())
+                << name << " @" << entries;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Table1Shape, ProfileRefusesALookupWhileAMultDivResultIsOutstanding) {
+  // A taken branch between a div and its mflo ends a block, so its IHT
+  // lookup lands while the quotient is outstanding. A miss exception there
+  // moves the clock past part of the div latency and shortens the mflo's
+  // stall, so the machine's cycles are not the baseline plus a fixed cost
+  // per miss. The profile must count that lookup, and Table 1's cell must
+  // refuse the program rather than print a wrong number.
+  casm_::Asm a;
+  a.func("main");
+  a.li(kT0, 10);
+  a.li(kT1, 1000);
+  a.li(kT2, 7);
+  const casm_::Label loop = a.bound_label();
+  a.div(kT1, kT2);
+  const casm_::Label next = a.label();
+  a.beq(kZero, kZero, next);
+  a.bind(next);
+  a.mflo(kT3);
+  a.addiu(kT0, kT0, -1);
+  a.bnez(kT0, loop);
+  a.sys_exit(0);
+  const casm_::Image image = a.finalize();
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    const sim::ReuseProfile profile = sim::reuse_profile("div loop", image, engine);
+    EXPECT_GT(profile.hilo_lookups, 0U);
+
+    cpu::CpuConfig baseline;
+    baseline.engine = engine;
+    cpu::CpuConfig cic16 = baseline;
+    cic16.monitoring = true;
+    cic16.cic.iht_entries = 16;
+    cpu::Cpu base(baseline, image);
+    cpu::Cpu full(cic16, image);
+    const cpu::RunResult base_run = base.run();
+    const cpu::RunResult full_run = full.run();
+    ASSERT_EQ(base_run.reason, cpu::ExitReason::kExit);
+    ASSERT_EQ(full_run.reason, cpu::ExitReason::kExit);
+    EXPECT_NE(full_run.cycles,
+              base_run.cycles + cic16.os.exception_cycles * profile.misses(16));
+    // The profile run's own cold misses shortened its stalls too.
+    EXPECT_NE(profile.app_cycles, base_run.cycles);
+
+    try {
+      sim::table1_cell("div loop", profile);
+      ADD_FAILURE() << "Table 1's cell took a profile with outstanding-result lookups";
+    } catch (const support::CicError& error) {
+      EXPECT_NE(std::string(error.what()).find("div loop"), std::string::npos) << error.what();
+    }
+  }
+}
+
 TEST(Table1Shape, SixteenEntriesNeverWorseThanEight) {
-  const auto rows = sim::variant_rows(exp::run_all(sim::table1_sweep(/*scale=*/0.08), 0), 3);
+  const auto rows = sim::table1_rows(exp::run_all(sim::table1_sweep(/*scale=*/0.08), 0));
   ASSERT_EQ(rows.size(), 9U);
   double sum8 = 0, sum16 = 0;
   for (const sim::VariantRow& row : rows) {
@@ -137,7 +230,7 @@ TEST(Table1Shape, SixteenEntriesNeverWorseThanEight) {
 }
 
 TEST(Table1Shape, BitcountNearZeroAndStringsearchWorstAtSixteen) {
-  const auto rows = sim::variant_rows(exp::run_all(sim::table1_sweep(/*scale=*/0.08), 0), 3);
+  const auto rows = sim::table1_rows(exp::run_all(sim::table1_sweep(/*scale=*/0.08), 0));
   double bitcount8 = 1e9, bitcount16 = 1e9, stringsearch16 = 0, worst16 = 0;
   for (const sim::VariantRow& row : rows) {
     if (row.workload == "bitcount") {
